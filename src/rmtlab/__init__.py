@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, PartitionSpec,
                        centralize, make_partition, sample_matrix,
                        scale_matrix, singleton_partition)
-from .laws import (MomentSequence, SemicircleLaw, catalan, gamma_main,
-                   gamma_uniform, mixing_radius, semicircle_cdf,
-                   semicircle_density, semicircle_moment)
+from .laws import (MomentSequence, catalan, gamma_main, gamma_uniform,
+                   mixing_radius, semicircle_cdf, semicircle_density,
+                   semicircle_moment)
 from .spectral import (eigenvalues_sym, empirical_moment, esd, ks_distance,
                        singular_values, stieltjes_empirical)
 
@@ -16,7 +16,7 @@ __all__ = [
     "EnsembleError", "EnsembleSpec", "EntryLaw", "PartitionSpec",
     "centralize", "make_partition", "sample_matrix", "scale_matrix",
     "singleton_partition",
-    "MomentSequence", "SemicircleLaw", "catalan", "gamma_main",
+    "MomentSequence", "catalan", "gamma_main",
     "gamma_uniform", "mixing_radius", "semicircle_cdf", "semicircle_density",
     "semicircle_moment",
     "eigenvalues_sym", "empirical_moment", "esd", "ks_distance",

@@ -1,9 +1,10 @@
 """Config-driven experiment runner.
 
-Each experiment kind samples, analyzes, and writes a `report.json` plus
-kind-specific CSV files into an output directory.  Outputs are a pure
-function of (config, seed): replicates may run on several threads but are
-aggregated in fixed order, and every random draw is counter-based.
+Each experiment kind samples and analyzes; `run_experiment` then writes a
+`report.json` plus kind-specific CSV files into an output directory.
+Outputs are a pure function of (config, seed): replicates may run on
+several threads but are aggregated in fixed order, and every random draw is
+counter-based.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, make_partition,
 from .graphenergy import (energy_bounds_unbalanced, energy_decomposition_check,
                           graph_energy, predicted_energy_gnp,
                           predicted_energy_multipartite, sample_graph)
-from .laws import (MomentSequence, catalan, find_negativity_witness,
+from .laws import (catalan, find_negativity_witness,
                    gamma_bipartite_printed, gamma_main,
                    gamma_proposition_printed, gamma_uniform, hankel_report,
                    mixing_radius, pseudo_char, semicircle_cdf,
                    semicircle_moment, semicircle_stieltjes)
 from .spectral import (eigenvalues_sym, empirical_moment, esd, ks_distance,
-                       spectrum_to_csv, stieltjes_empirical)
-from .walks import (enumerate_shapes, good_shape_count, limit_gamma_walks,
-                    shapes_to_csv)
+                       stieltjes_empirical)
+from .walks import enumerate_shapes, good_shape_count, limit_gamma_walks
 
 KINDS = ("esd", "moments", "stieltjes", "walks", "hankel", "charfn",
          "energy", "decomposition")
@@ -60,6 +60,8 @@ def _get(cfg: dict, field: str, typ, default=None, required: bool = False):
             raise ConfigError(field, "missing required field")
         return default
     val = cur[parts[-1]]
+    if isinstance(val, bool) and typ in (int, float):
+        raise ConfigError(field, f"expected {typ}, got bool")
     if typ is float and isinstance(val, int):
         val = float(val)
     if not isinstance(val, typ):
@@ -123,13 +125,16 @@ def histogram(eigs: np.ndarray, bins: int, range_=None):
     return edges, counts, density
 
 
-def _write_histogram_csv(path, edges, counts, density):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count", "density"])
-        for i in range(len(counts)):
-            w.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                        int(counts[i]), repr(float(density[i]))])
+def _cell(x) -> str:
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def _write_csv(fh, header, rows) -> None:
+    """The one CSV writer: floats (numpy's too) as repr(float(x)), other
+    cells with str."""
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows([_cell(x) for x in row] for row in rows)
 
 
 def _thread_count() -> int:
@@ -149,8 +154,14 @@ def _map_replicates(fn, replicates: int):
 
 
 # ---------------------------------------------------------------------------
-# per-kind runners; each returns (report_fragment, files_written)
+# per-kind runners; each returns (report_fragment, tables), where tables maps
+# a CSV file name to (header, rows).  Runners never touch the disk.
 # ---------------------------------------------------------------------------
+
+def _table(header, records):
+    """(header, rows) of the given columns of a list of dict records."""
+    return header, [[r[c] for c in header] for r in records]
+
 
 def _spectra(spec: EnsembleSpec, replicates: int):
     def one(i):
@@ -158,19 +169,17 @@ def _spectra(spec: EnsembleSpec, replicates: int):
     return _map_replicates(one, replicates)
 
 
-def _run_esd(cfg, out: Path, seed, replicates):
+def _run_esd(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
     bins = _get(cfg, "bins", int, default=40)
     if bins < 2:
         raise ConfigError("bins", "need at least 2 bins")
     radius = reference_radius(spec, _get(cfg, "reference_radius", float))
     spectra = _spectra(spec, replicates)
-    files = []
+    tables = {}
     per_rep = []
     for i, eigs in enumerate(spectra):
-        path = out / f"eigenvalues_r{i}.csv"
-        spectrum_to_csv(eigs, path)
-        files.append(path)
+        tables[f"eigenvalues_r{i}.csv"] = (["eigenvalue"], eigs[:, None])
         per_rep.append({
             "replicate": i,
             "ks_vs_semicircle": ks_distance(esd(eigs),
@@ -181,9 +190,8 @@ def _run_esd(cfg, out: Path, seed, replicates):
     all_eigs = np.concatenate(spectra)
     edges, counts, density = histogram(all_eigs, bins,
                                        (-1.05 * radius, 1.05 * radius))
-    hpath = out / "histogram.csv"
-    _write_histogram_csv(hpath, edges, counts, density)
-    files.append(hpath)
+    tables["histogram.csv"] = (["bin_lo", "bin_hi", "count", "density"],
+                               list(zip(edges, edges[1:], counts, density)))
     report = {
         "ensemble": spec.to_dict(),
         "reference_radius": radius,
@@ -194,10 +202,10 @@ def _run_esd(cfg, out: Path, seed, replicates):
             "mean_moment4": float(np.mean([r["moment4"] for r in per_rep])),
         },
     }
-    return report, files
+    return report, tables
 
 
-def _run_moments(cfg, out: Path, seed, replicates):
+def _run_moments(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
     max_k = _get(cfg, "max_k", int, default=8)
     if not 1 <= max_k <= 64:
@@ -210,24 +218,18 @@ def _run_moments(cfg, out: Path, seed, replicates):
         theo = float(semicircle_moment(k, radius))
         rows.append({"k": k, "empirical": emp, "theoretical": theo,
                      "abs_err": abs(emp - theo)})
-    mpath = out / "moment_table.csv"
-    with open(mpath, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "empirical", "theoretical", "abs_err"])
-        for r in rows:
-            w.writerow([r["k"], repr(r["empirical"]), repr(r["theoretical"]),
-                        repr(r["abs_err"])])
-    seq = MomentSequence(values=tuple(float(semicircle_moment(k, radius))
-                                      for k in range(max_k + 1)),
-                         provenance="main_theorem")
-    spath = out / "theoretical_moments.csv"
-    seq.to_csv(spath)
-    report = {"ensemble": spec.to_dict(), "reference_radius": radius,
-              "moments": rows}
-    return report, [mpath, spath]
+    tables = {
+        "moment_table.csv": _table(["k", "empirical", "theoretical",
+                                    "abs_err"], rows),
+        "theoretical_moments.csv": (
+            ["k", "gamma", "provenance"],
+            [[r["k"], r["theoretical"], "main_theorem"] for r in rows]),
+    }
+    return {"ensemble": spec.to_dict(), "reference_radius": radius,
+            "moments": rows}, tables
 
 
-def _run_stieltjes(cfg, out: Path, seed, replicates):
+def _run_stieltjes(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
     z_grid = _get(cfg, "z_grid", list,
                   default=[[0.0, 1.0], [0.5, 1.0], [-0.5, 0.5], [1.0, 2.0]])
@@ -248,20 +250,16 @@ def _run_stieltjes(cfg, out: Path, seed, replicates):
                      "emp_re": emp.real, "emp_im": emp.imag,
                      "theory_re": theo.real, "theory_im": theo.imag,
                      "abs_err": abs(emp - theo)})
-    path = out / "stieltjes.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["re_z", "im_z", "emp_re", "emp_im",
-                    "theory_re", "theory_im", "abs_err"])
-        for r in rows:
-            w.writerow([repr(float(r[c])) for c in
-                        ("re_z", "im_z", "emp_re", "emp_im",
-                         "theory_re", "theory_im", "abs_err")])
+    # the report keeps the grid as given; the CSV writes ints as floats too
+    header = ["re_z", "im_z", "emp_re", "emp_im", "theory_re", "theory_im",
+              "abs_err"]
     return {"ensemble": spec.to_dict(), "reference_radius": radius,
-            "grid": rows}, [path]
+            "grid": rows}, \
+        {"stieltjes.csv": (header, [[float(r[c]) for c in header]
+                                    for r in rows])}
 
 
-def _run_walks(cfg, out: Path, seed, replicates):
+def _run_walks(cfg, seed, replicates):
     max_k = _get(cfg, "max_k", int, default=8)
     if not 2 <= max_k <= 10 or max_k % 2 != 0:
         raise ConfigError("max_k", "must be an even integer in 2..10")
@@ -274,19 +272,15 @@ def _run_walks(cfg, out: Path, seed, replicates):
         t = catalan(k // 2)
         rows.append({"k": k, "v": v, "shapes": len(shapes), "good": g,
                      "catalan": t, "identity_holds": g == t})
-        shape_rows.extend((k, v, s) for s in shapes)
-    wpath = out / "walks.csv"
-    with open(wpath, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "v", "shapes", "good", "catalan", "identity_holds"])
-        for r in rows:
-            w.writerow([r["k"], r["v"], r["shapes"], r["good"], r["catalan"],
-                        r["identity_holds"]])
-    spath = out / "shapes.csv"
-    shapes_to_csv(shape_rows, spath)
+        shape_rows.extend([k, v, "-".join(map(str, s))] for s in shapes)
+    tables = {
+        "walks.csv": _table(["k", "v", "shapes", "good", "catalan",
+                             "identity_holds"], rows),
+        "shapes.csv": (["k", "v", "shape"], shape_rows),
+    }
     return {"table": rows,
             "all_identities_hold": all(r["identity_holds"] for r in rows)}, \
-        [wpath, spath]
+        tables
 
 
 def _hankel_gammas(cfg, k: int):
@@ -331,24 +325,20 @@ def _hankel_gammas(cfg, k: int):
     raise ConfigError("hankel.source", f"unknown source {source!r}")
 
 
-def _run_hankel(cfg, out: Path, seed, replicates):
+def _run_hankel(cfg, seed, replicates):
     k = _get(cfg, "hankel.k", int, default=3)
     if not 1 <= k <= 5:
         raise ConfigError("hankel.k", "must be in 1..5")
     gammas, source = _hankel_gammas(cfg, k)
     rep = hankel_report(gammas, k)
-    path = out / "hankel.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["minor", "determinant"])
-        for r, d in enumerate(rep["determinants"]):
-            w.writerow([r, repr(d)])
     return {"source": source, "k": k, "gammas": gammas,
             "determinants": rep["determinants"],
-            "min_eigenvalue": rep["min_eigenvalue"], "psd": rep["psd"]}, [path]
+            "min_eigenvalue": rep["min_eigenvalue"], "psd": rep["psd"]}, \
+        {"hankel.csv": (["minor", "determinant"],
+                        list(enumerate(rep["determinants"])))}
 
 
-def _run_charfn(cfg, out: Path, seed, replicates):
+def _run_charfn(cfg, seed, replicates):
     nuhat = _get(cfg, "charfn.nuhat", float, required=True)
     sigma2 = _get(cfg, "charfn.sigma2", float, default=1.0)
     t_max = _get(cfg, "charfn.t_max", float, default=60.0)
@@ -359,19 +349,16 @@ def _run_charfn(cfg, out: Path, seed, replicates):
         witness = find_negativity_witness(nuhat, sigma2, t_max, step)
     except Exception as exc:
         raise ConfigError("charfn", str(exc)) from exc
-    path = out / "charfn.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "pseudo_char"])
-        t = step
-        while t <= t_max:
-            val = pseudo_char(t, nuhat, sigma2)
-            w.writerow([repr(t), repr(val)])
-            if val < -1e6:  # stop once the divergence is unambiguous
-                break
-            t += step
+    rows = []
+    t = step
+    while t <= t_max:
+        val = pseudo_char(t, nuhat, sigma2)
+        rows.append([t, val])
+        if val < -1e6:  # stop once the divergence is unambiguous
+            break
+        t += step
     return {"nuhat": nuhat, "sigma2": sigma2, "t_max": t_max,
-            "witness": witness}, [path]
+            "witness": witness}, {"charfn.csv": (["t", "pseudo_char"], rows)}
 
 
 def _graph_setup(cfg, seed):
@@ -389,7 +376,7 @@ def _graph_setup(cfg, seed):
     return partition, p, gseed, fractions
 
 
-def _run_energy(cfg, out: Path, seed, replicates):
+def _run_energy(cfg, seed, replicates):
     partition, p, gseed, fractions = _graph_setup(cfg, seed)
     n = partition.n
     if not 0.0 < p < 1.0:
@@ -411,24 +398,17 @@ def _run_energy(cfg, out: Path, seed, replicates):
                      "energy": e, "normalized": e / n**1.5,
                      "prediction": prediction,
                      "rel_dev": (e - prediction) / prediction})
-    path = out / "energy.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "p", "m", "replicate", "energy", "normalized",
-                    "prediction", "rel_dev"])
-        for r in rows:
-            w.writerow([r["n"], repr(r["p"]), r["m"], r["replicate"],
-                        repr(r["energy"]), repr(r["normalized"]),
-                        repr(r["prediction"]), repr(r["rel_dev"])])
     return {"rows": rows,
             "aggregate": {
                 "mean_energy": float(np.mean(energies)),
                 "mean_normalized": float(np.mean(energies)) / n**1.5,
                 "prediction": prediction,
-            }}, [path]
+            }}, \
+        {"energy.csv": _table(["n", "p", "m", "replicate", "energy",
+                               "normalized", "prediction", "rel_dev"], rows)}
 
 
-def _run_decomposition(cfg, out: Path, seed, replicates):
+def _run_decomposition(cfg, seed, replicates):
     partition, p, gseed, fractions = _graph_setup(cfg, seed)
     if fractions is None:
         raise ConfigError("graph.fractions", "decomposition needs explicit parts")
@@ -451,7 +431,7 @@ def _run_decomposition(cfg, out: Path, seed, replicates):
                    "block_diagonal": c["block_diagonal"], "holds": c["holds"]}
                   for i, c in enumerate(checks)],
               "all_hold": all(c["holds"] for c in checks)}
-    return report, []
+    return report, {}
 
 
 _RUNNERS = {
@@ -469,8 +449,9 @@ _RUNNERS = {
 def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     """Execute the configured study, writing report.json and CSVs.
 
-    Raises ConfigError for bad configs and NumericError for runtime
-    numerical failures; partial outputs are removed on failure.
+    The runner computes every table first; files are written only once it
+    has returned.  Raises ConfigError for bad configs and NumericError for
+    runtime numerical failures; a failed run leaves no files behind.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -482,12 +463,10 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     if replicates < 1:
         raise ConfigError("replicates", "must be at least 1")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     t0 = time.monotonic()
     try:
-        fragment, files = _RUNNERS[kind](config, out, seed, replicates)
-        written.extend(files)
+        fragment, tables = _RUNNERS[kind](config, seed, replicates)
         report = {
             "kind": kind,
             "config": config,
@@ -497,16 +476,19 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
             "wall_clock_s": time.monotonic() - t0,
             **fragment,
         }
-        rpath = out / "report.json"
-        with open(rpath, "w") as fh:
+        out.mkdir(parents=True, exist_ok=True)
+        # a file counts as written once opened, so a partial one is removed
+        for name, (header, rows) in tables.items():
+            with open(out / name, "w", newline="") as fh:
+                written.append(out / name)
+                _write_csv(fh, header, rows)
+        with open(out / "report.json", "w") as fh:
+            written.append(out / "report.json")
             json.dump(report, fh, indent=2, sort_keys=True)
-        written.append(rpath)
         return report
-    except ConfigError:
-        for f in written:
-            f.unlink(missing_ok=True)
-        raise
     except Exception as exc:
         for f in written:
             f.unlink(missing_ok=True)
+        if isinstance(exc, ConfigError):
+            raise
         raise NumericError(f"{kind} experiment failed: {exc}") from exc

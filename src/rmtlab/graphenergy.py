@@ -9,7 +9,6 @@ available, certified here through the Ky Fan singular-value inequality.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -106,8 +105,12 @@ def kyfan_check(X: np.ndarray, Y: np.ndarray) -> dict:
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ValueError("two square matrices of equal order required")
-    lhs = singular_value_sum(X) + singular_value_sum(Y)
-    rhs = singular_value_sum(X + Y)
+    return _kyfan_verdict(singular_value_sum(X) + singular_value_sum(Y),
+                          singular_value_sum(X + Y))
+
+
+def _kyfan_verdict(lhs: float, rhs: float) -> dict:
+    """lhs >= rhs up to a relative 1e-9 of the larger side (at least 1)."""
     scale = max(lhs, rhs, 1.0)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-9 * scale}
 
@@ -120,7 +123,10 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     A is a multipartite sample; X keeps A's cross entries but fills
     strict-upper intra pairs of large parts with independent Bernoulli(p)
     (diagonal stays 0); D = X - A is block-diagonal on the large parts.
-    Ky Fan gives E(X) - E(D) <= E(A) <= E(X) + E(D).
+    Ky Fan gives E(X) - E(D) <= E(A) <= E(X) + E(D).  All three matrices
+    are symmetric with 0/1 entries, so A + D == X and X - D == A hold
+    exactly and each energy is one symmetric eigen-solve: both Ky Fan
+    sums follow from E(A), E(X) and E(D).
     """
     large = set(large_part_indices)
     if any(not 0 <= i < partition.m for i in large):
@@ -142,26 +148,15 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     same_large = (labels[:, None] == labels[None, :]) \
         & in_large[:, None] & in_large[None, :]
     block_diagonal = bool(np.all(D[~same_large] == 0.0))
-    eA = singular_value_sum(A)
-    eX = singular_value_sum(X)
-    eD = singular_value_sum(D)
-    slack = 1e-9 * max(eA, eX + eD, 1.0)
+    eA, eX, eD = graph_energy(A), graph_energy(X), graph_energy(D)
+    upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
+    lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)
     return {
         "energy_A": eA,
         "energy_X": eX,
         "energy_D": eD,
         "block_diagonal": block_diagonal,
-        "kyfan_upper": kyfan_check(A, D),
-        "kyfan_lower": kyfan_check(X, -D),
-        "holds": block_diagonal and (eX - eD - slack <= eA <= eX + eD + slack),
+        "kyfan_upper": upper,
+        "kyfan_lower": lower,
+        "holds": block_diagonal and upper["holds"] and lower["holds"],
     }
-
-
-def edge_list_to_csv(G: GraphSample, path) -> None:
-    """Write the edge list as 1-based `u,v` rows."""
-    rows = np.argwhere(np.triu(G.adjacency, k=1) > 0)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "v"])
-        for a, b in rows:
-            w.writerow([int(a) + 1, int(b) + 1])

@@ -10,7 +10,6 @@ unbalanced bipartite ensembles.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,32 +95,6 @@ def semicircle_moment(k: int, R):
     return _even_moment_coeff(k) * R**k
 
 
-@dataclass(frozen=True)
-class SemicircleLaw:
-    """Semicircle distribution on [-R, R]."""
-
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise LawError("radius must be positive")
-
-    def density(self, x):
-        return semicircle_density(x, self.radius)
-
-    def cdf(self, x):
-        return semicircle_cdf(x, self.radius)
-
-    def moment(self, k: int) -> float:
-        return float(semicircle_moment(k, self.radius))
-
-    def abs_mean(self) -> float:
-        return semicircle_abs_mean(self.radius)
-
-    def stieltjes(self, z: complex) -> complex:
-        return semicircle_stieltjes(z, self.radius)
-
-
 def semicircle_stieltjes(z: complex, R: float) -> complex:
     """Stieltjes transform of the radius-R semicircle for Im z > 0.
 
@@ -159,13 +132,6 @@ class MomentSequence:
 
     def __getitem__(self, k):
         return self.values[k]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "gamma", "provenance"])
-            for k, g in enumerate(self.values):
-                w.writerow([k, repr(float(g)), self.provenance])
 
 
 def gamma_main(k: int, m: int, sigma1sq, sigma2sq):

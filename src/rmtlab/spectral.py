@@ -7,7 +7,6 @@ rank inequality and the Stieltjes perturbation bound.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,12 +142,3 @@ def check_stieltjes_perturbation(A: np.ndarray, D: np.ndarray,
               - stieltjes_empirical(eigenvalues_sym(A + D), z))
     rhs = float(np.max(np.sum(np.abs(D), axis=0))) / z.imag**2
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-12}
-
-
-def spectrum_to_csv(eigs: np.ndarray, path) -> None:
-    """Write a spectrum as a single-column CSV."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["eigenvalue"])
-        for x in np.asarray(eigs, dtype=float):
-            w.writerow([repr(float(x))])

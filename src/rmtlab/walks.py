@@ -12,7 +12,6 @@ judged against.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -46,23 +45,28 @@ def enumerate_shapes(k: int, v: int) -> list[tuple[int, ...]]:
     """
     if not 1 <= v <= k <= _MAX_K:
         raise WalkError(f"need 1 <= v <= k <= {_MAX_K}")
-    shapes = []
-
-    def extend(seq, used):
-        if len(seq) == k:
-            if used == v:
-                shapes.append(tuple(seq))
-            return
-        # prune: remaining slots must be able to introduce the missing labels
-        if used + (k - len(seq)) < v:
-            return
-        for nxt in range(1, min(used + 1, v) + 1):
-            seq.append(nxt)
-            extend(seq, max(used, nxt))
-            seq.pop()
-
-    extend([1], 1)
+    shapes: list[tuple[int, ...]] = []
+    _extend_shapes([1], 1, k, v, shapes)
     return shapes
+
+
+def _extend_shapes(seq: list, used: int, k: int, v: int, shapes: list) -> None:
+    """Append to `shapes`, in lexicographic order, every completion of seq.
+
+    Kept at module level: a nested function that calls itself forms a
+    reference cycle, which keeps `shapes` alive until a full collection.
+    """
+    if len(seq) == k:
+        if used == v:
+            shapes.append(tuple(seq))
+        return
+    # prune: remaining slots must be able to introduce the missing labels
+    if used + (k - len(seq)) < v:
+        return
+    for nxt in range(1, min(used + 1, v) + 1):
+        seq.append(nxt)
+        _extend_shapes(seq, max(used, nxt), k, v, shapes)
+        seq.pop()
 
 
 def is_good_zero_mean(shape) -> bool:
@@ -189,34 +193,9 @@ def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int,
     return total / 2**k
 
 
-def shapes_to_csv(rows, path) -> None:
-    """Dump (k, v, shape) rows; shapes as dash-separated labels."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "v", "shape"])
-        for k, v, shape in rows:
-            w.writerow([k, v, "-".join(str(i) for i in shape)])
-
-
-def oracle_to_csv(rows, path) -> None:
-    """Dump (k, n, Fraction) oracle results as numerator/denominator."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "n", "value_num", "value_den"])
-        for k, n, val in rows:
-            frac = Fraction(val)
-            w.writerow([k, n, frac.numerator, frac.denominator])
-
-
-def catalan_from_good_walks(k_half: int) -> int:
-    """T_{k/2} = g(k/2+1, k): the headline combinatorial identity."""
-    return good_shape_count(2 * k_half, k_half + 1, zero_mean=True)
-
-
 __all__ = [
     "WalkError", "walk_edges", "enumerate_shapes", "is_good_zero_mean",
     "good_shape_count", "falling_factorial", "count_good_walks",
     "exact_trace_moment_by_order", "exact_expected_trace_moment",
-    "limit_gamma_walks", "shapes_to_csv", "oracle_to_csv",
-    "catalan_from_good_walks", "catalan",
+    "limit_gamma_walks", "catalan",
 ]

@@ -7,7 +7,7 @@ import pytest
 
 from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition
-from rmtlab.experiments import (KINDS, ConfigError, histogram,
+from rmtlab.experiments import (KINDS, ConfigError, NumericError, histogram,
                                 reference_radius, run_experiment)
 from rmtlab.laws import mixing_radius
 
@@ -68,6 +68,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_numeric_failure_leaves_no_outputs(self, tmp_path, monkeypatch):
+        # the histogram runs after both replicate spectra are computed
+        def broken(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr("rmtlab.experiments.histogram", broken)
+        with pytest.raises(NumericError):
+            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_failure_removes_written_tables(self, tmp_path):
+        (tmp_path / "report.json").mkdir()  # the last write cannot open
+        with pytest.raises(NumericError):
+            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_run_creates_no_directory(self, tmp_path):
+        with pytest.raises(ConfigError):
+            run_experiment(rademacher_cfg("esd", bins=1), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["replicates", "bins", "ensemble.n",
+                                       "reference_radius"])
+    def test_bool_rejected_for_numbers(self, tmp_path, field):
+        cfg = rademacher_cfg("esd")
+        *path, last = field.split(".")
+        target = cfg
+        for p in path:
+            target = target[p]
+        target[last] = True
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg, tmp_path)
+        assert exc.value.field == field
 
 
 class TestReferenceRadius:
@@ -160,7 +194,13 @@ class TestMomentsRun:
             disk = list(csv.DictReader(fh))
         assert len(disk) == 5
         assert float(disk[2]["theoretical"]) == pytest.approx(0.25)
-        assert (tmp_path / "theoretical_moments.csv").exists()
+
+    def test_theoretical_moments_csv(self, tmp_path):
+        cfg = rademacher_cfg("moments", n=40, fractions=(1.0,), max_k=2)
+        run_experiment(cfg, tmp_path)
+        lines = (tmp_path / "theoretical_moments.csv").read_text().splitlines()
+        assert lines == ["k,gamma,provenance", "0,1.0,main_theorem",
+                         "1,0.0,main_theorem", "2,0.25,main_theorem"]
 
     def test_bad_max_k(self, tmp_path):
         with pytest.raises(ConfigError):

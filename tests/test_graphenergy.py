@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rmtlab.ensemble import EnsembleError, make_partition, singleton_partition
-from rmtlab.graphenergy import (GraphSample, edge_list_to_csv,
-                                energy_bounds_unbalanced,
+from rmtlab.graphenergy import (GraphSample, energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, predicted_energy_gnp,
                                 predicted_energy_multipartite, sample_graph,
@@ -210,21 +209,6 @@ class TestEnergyDecomposition:
         with pytest.raises(EnsembleError):
             energy_decomposition_check(make_partition(8, [0.5, 0.5]), [5],
                                        0.5, seed=0)
-
-
-def test_edge_list_round_trip(tmp_path):
-    part = make_partition(10, [0.5, 0.5])
-    G = sample_graph(part, 0.6, seed=29)
-    path = tmp_path / "edges.csv"
-    edge_list_to_csv(G, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "u,v"
-    A = np.zeros((10, 10))
-    for line in lines[1:]:
-        u, v = (int(t) for t in line.split(","))
-        assert 1 <= u < v <= 10
-        A[u - 1, v - 1] = A[v - 1, u - 1] = 1.0
-    assert np.array_equal(A, G.adjacency)
 
 
 def test_graph_sample_n_property():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmtlab.laws import (LawError, MomentSequence, SemicircleLaw, bessel_i1,
+from rmtlab.laws import (LawError, MomentSequence, bessel_i1,
                          bessel_j1, catalan, find_negativity_witness,
                          gamma_bipartite_printed, gamma_main,
                          gamma_proposition_printed, gamma_uniform,
@@ -92,12 +92,13 @@ class TestSemicircle:
         assert semicircle_moment(3, 1.0) == 0
         assert semicircle_moment(7, 2.0) == 0
 
-    def test_law_object(self):
-        law = SemicircleLaw(2.0)
-        assert law.moment(2) == pytest.approx(1.0)
-        assert law.cdf(0.0) == pytest.approx(0.5)
+    def test_law_functions(self):
+        assert float(semicircle_moment(2, 2.0)) == pytest.approx(1.0)
+        assert semicircle_cdf(0.0, 2.0) == pytest.approx(0.5)
         with pytest.raises(LawError):
-            SemicircleLaw(0.0)
+            semicircle_moment(2, 0.0)
+        with pytest.raises(LawError):
+            semicircle_cdf(0.0, 0.0)
 
 
 class TestSemicircleStieltjes:
@@ -289,11 +290,3 @@ class TestMomentSequence:
     def test_validation(self):
         with pytest.raises(LawError):
             MomentSequence(values=(0.5, 0.0), provenance="empirical")
-
-    def test_csv_export(self, tmp_path):
-        seq = MomentSequence(values=(1.0, 0.0, 0.25), provenance="main_theorem")
-        path = tmp_path / "m.csv"
-        seq.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,gamma,provenance"
-        assert lines[3].startswith("2,0.25,")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from collections import Counter
@@ -64,6 +65,19 @@ class TestEnumerateShapes:
             enumerate_shapes(14, 3)
         with pytest.raises(WalkError):
             enumerate_shapes(4, 0)
+
+    def test_lexicographic_order(self):
+        shapes = enumerate_shapes(8, 4)
+        assert shapes == sorted(shapes)
+
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_shapes(10, 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestWalkEdges:
