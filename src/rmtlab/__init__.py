@@ -3,22 +3,19 @@
 __version__ = "0.1.0"
 
 from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, PartitionSpec,
-                       centralize, make_partition, sample_matrix,
-                       scale_matrix, singleton_partition)
-from .laws import (MomentSequence, catalan, gamma_main, gamma_uniform,
-                   mixing_radius, semicircle_cdf, semicircle_density,
-                   semicircle_moment)
+                       make_partition, sample_matrix, scale_matrix,
+                       singleton_partition)
+from .laws import (catalan, limit_moments, mixing_radius, semicircle_cdf,
+                   semicircle_density, semicircle_moment)
 from .spectral import (eigenvalues_sym, empirical_moment, esd, ks_distance,
                        singular_values, stieltjes_empirical)
 
 __all__ = [
     "__version__",
     "EnsembleError", "EnsembleSpec", "EntryLaw", "PartitionSpec",
-    "centralize", "make_partition", "sample_matrix", "scale_matrix",
-    "singleton_partition",
-    "MomentSequence", "catalan", "gamma_main",
-    "gamma_uniform", "mixing_radius", "semicircle_cdf", "semicircle_density",
-    "semicircle_moment",
+    "make_partition", "sample_matrix", "scale_matrix", "singleton_partition",
+    "catalan", "limit_moments", "mixing_radius", "semicircle_cdf",
+    "semicircle_density", "semicircle_moment",
     "eigenvalues_sym", "empirical_moment", "esd", "ks_distance",
     "singular_values", "stieltjes_empirical",
 ]

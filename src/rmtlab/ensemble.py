@@ -61,12 +61,8 @@ class PartitionSpec:
         return int(self.part_labels()[i])
 
 
-def make_partition(n: int, fractions) -> PartitionSpec:
-    """Build a PartitionSpec with sizes as close to n*fraction as possible.
-
-    Leftover units after flooring are assigned to the lowest-indexed parts,
-    so the result is deterministic.
-    """
+def check_fractions(fractions) -> list[float]:
+    """The part fractions as floats, once they are positive and sum to 1."""
     fracs = [float(f) for f in fractions]
     if not fracs:
         raise EnsembleError("no fractions given")
@@ -74,6 +70,16 @@ def make_partition(n: int, fractions) -> PartitionSpec:
         raise EnsembleError("fractions must be positive")
     if abs(sum(fracs) - 1.0) > 1e-12:
         raise EnsembleError(f"fractions sum to {sum(fracs)}, expected 1")
+    return fracs
+
+
+def make_partition(n: int, fractions) -> PartitionSpec:
+    """Build a PartitionSpec with sizes as close to n*fraction as possible.
+
+    Leftover units after flooring are assigned to the lowest-indexed parts,
+    so the result is deterministic.
+    """
+    fracs = check_fractions(fractions)
     base = [int(math.floor(n * f)) for f in fracs]
     remainder = n - sum(base)
     if remainder < 0 or remainder > len(fracs):
@@ -325,33 +331,3 @@ def scale_matrix(A: np.ndarray) -> np.ndarray:
     if A.shape != (n, n) or n < 1:
         raise EnsembleError("square matrix of positive order required")
     return A / (2.0 * math.sqrt(n))
-
-
-def centralize(spec: EnsembleSpec, A: np.ndarray, size_threshold: int):
-    """Centralized companions of A for the mean-removal argument.
-
-    Parts of size > size_threshold count as large.  With s = 1/(2*sqrt(n)),
-    mu1/mu2 the law means, H' the same-large-part indicator, H'' covering
-    the remaining same-part pairs and J all-ones:
-
-        C'  = s*(A - (mu1-mu2)*H' - mu2*J)
-        C'' = C' - s*(mu1-mu2)*H''
-        D   = s*(mu1-mu2)*H''
-
-    Returns (C', C'', D).
-    """
-    if size_threshold < 1:
-        raise EnsembleError("size threshold must be at least 1")
-    n = spec.n
-    labels = spec.partition.part_labels()
-    same = (labels[:, None] == labels[None, :]).astype(float)
-    large_parts = np.array([s > size_threshold for s in spec.partition.sizes])
-    is_large = large_parts[labels]
-    H_prime = same * (is_large[:, None] & is_large[None, :])
-    H_dprime = same - H_prime
-    mu1 = float(spec.law_intra.mean)
-    mu2 = float(spec.law_cross.mean)
-    s = 1.0 / (2.0 * math.sqrt(n))
-    C_prime = s * (A - (mu1 - mu2) * H_prime - mu2 * np.ones((n, n)))
-    D = s * (mu1 - mu2) * H_dprime
-    return C_prime, C_prime - D, D

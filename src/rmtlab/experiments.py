@@ -15,24 +15,25 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, make_partition,
-                       sample_matrix, scale_matrix, singleton_partition)
+from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, check_fractions,
+                       make_partition, sample_matrix, scale_matrix,
+                       singleton_partition)
 from .graphenergy import (energy_bounds_unbalanced, energy_decomposition_check,
                           graph_energy, predicted_energy_gnp,
                           predicted_energy_multipartite, sample_graph)
-from .laws import (catalan, find_negativity_witness,
-                   gamma_bipartite_printed, gamma_main,
-                   gamma_proposition_printed, gamma_uniform, hankel_report,
-                   mixing_radius, pseudo_char, semicircle_cdf,
+from .laws import (LawError, catalan, gamma_bipartite_printed,
+                   gamma_proposition_printed, hankel_report, limit_moments,
+                   mixing_radius, pseudo_char_grid, semicircle_cdf,
                    semicircle_moment, semicircle_stieltjes)
 from .spectral import (eigenvalues_sym, empirical_moment, esd, ks_distance,
                        stieltjes_empirical)
-from .walks import enumerate_shapes, good_shape_count, limit_gamma_walks
+from .walks import enumerate_shapes, good_shape_count
 
 KINDS = ("esd", "moments", "stieltjes", "walks", "hankel", "charfn",
          "energy", "decomposition")
@@ -69,9 +70,19 @@ def _get(cfg: dict, field: str, typ, default=None, required: bool = False):
     return val
 
 
+def _items(values: list, field: str, typ=(int, float)) -> list:
+    """values, once every item is a typ; a bool counts as no number."""
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, typ):
+            raise ConfigError(f"{field}[{i}]",
+                              f"expected {typ}, got {type(v).__name__}")
+    return values
+
+
 def _ensemble_spec(cfg: dict, seed_override=None) -> EnsembleSpec:
     n = _get(cfg, "ensemble.n", int, required=True)
-    fractions = _get(cfg, "ensemble.fractions", list, required=True)
+    fractions = _items(_get(cfg, "ensemble.fractions", list, required=True),
+                       "ensemble.fractions")
     law_intra = _get(cfg, "ensemble.law_intra", dict, required=True)
     law_cross = _get(cfg, "ensemble.law_cross", dict, required=True)
     seed = seed_override if seed_override is not None \
@@ -235,10 +246,9 @@ def _run_stieltjes(cfg, seed, replicates):
                   default=[[0.0, 1.0], [0.5, 1.0], [-0.5, 0.5], [1.0, 2.0]])
     radius = reference_radius(spec, _get(cfg, "reference_radius", float))
     for j, pair in enumerate(z_grid):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"z_grid[{j}]", "expected [re, im]")
-        if pair[1] <= 0:
+        if _items(pair, f"z_grid[{j}]")[1] <= 0:
             raise ConfigError(f"z_grid[{j}]", "Im z must be positive")
     spectra = _spectra(spec, replicates)
     rows = []
@@ -286,14 +296,24 @@ def _run_walks(cfg, seed, replicates):
 def _hankel_gammas(cfg, k: int):
     source = _get(cfg, "hankel.source", str, default="main")
     L = 2 * k
-    if source == "main":
-        m = _get(cfg, "hankel.m", int, default=2)
-        s1 = _get(cfg, "hankel.sigma1sq", float, default=1.0)
+    if source in ("main", "uniform", "walk_oracle"):
         s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
-        return [float(gamma_main(j, m, s1, s2)) for j in range(L + 1)], source
-    if source == "uniform":
-        s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
-        return [float(gamma_uniform(j, s2)) for j in range(L + 1)], source
+        if source == "main":
+            m = _get(cfg, "hankel.m", int, default=2)
+            if m < 2:
+                raise ConfigError("hankel.m", "must be at least 2")
+            fractions = [Fraction(1, m)] * m
+            s1 = _get(cfg, "hankel.sigma1sq", float, default=1.0)
+        elif source == "uniform":  # one part: semicircle of radius sigma2
+            fractions, s1 = [1], s2
+        else:
+            fractions = _get(cfg, "hankel.fractions", list, required=True)
+            try:
+                check_fractions(_items(fractions, "hankel.fractions"))
+            except EnsembleError as exc:
+                raise ConfigError("hankel.fractions", str(exc)) from exc
+            s1 = _get(cfg, "hankel.sigma1sq", float, default=0.0)
+        return [float(g) for g in limit_moments(fractions, s1, s2, L)], source
     if source == "bipartite_printed":
         nu1 = _get(cfg, "hankel.nu1", float, required=True)
         s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
@@ -307,20 +327,9 @@ def _hankel_gammas(cfg, k: int):
         nu2 = _get(cfg, "hankel.nu2", float, required=True)
         if L > 6:
             raise ConfigError("hankel.k", "printed values stop at gamma_6")
-        vals = [0.0] * (L + 1)
-        vals[0] = 1.0
-        for j in (1, 2, 3):
-            if 2 * j <= L:
-                vals[2 * j] = float(gamma_proposition_printed(j, m, nu1, nu2))
-        return vals, source
-    if source == "walk_oracle":
-        fractions = _get(cfg, "hankel.fractions", list, required=True)
-        s1 = _get(cfg, "hankel.sigma1sq", float, default=0.0)
-        s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
         vals = [1.0] + [0.0] * L
-        for j in range(2, L + 1, 2):
-            vals[j] = float(limit_gamma_walks(fractions, s1, s2, j,
-                                              zero_intra=(s1 == 0.0)))
+        for j in range(1, k + 1):
+            vals[2 * j] = float(gamma_proposition_printed(j, m, nu1, nu2))
         return vals, source
     raise ConfigError("hankel.source", f"unknown source {source!r}")
 
@@ -329,7 +338,10 @@ def _run_hankel(cfg, seed, replicates):
     k = _get(cfg, "hankel.k", int, default=3)
     if not 1 <= k <= 5:
         raise ConfigError("hankel.k", "must be in 1..5")
-    gammas, source = _hankel_gammas(cfg, k)
+    try:  # the law functions reject their arguments with LawError
+        gammas, source = _hankel_gammas(cfg, k)
+    except LawError as exc:
+        raise ConfigError("hankel", str(exc)) from exc
     rep = hankel_report(gammas, k)
     return {"source": source, "k": k, "gammas": gammas,
             "determinants": rep["determinants"],
@@ -343,20 +355,11 @@ def _run_charfn(cfg, seed, replicates):
     sigma2 = _get(cfg, "charfn.sigma2", float, default=1.0)
     t_max = _get(cfg, "charfn.t_max", float, default=60.0)
     step = _get(cfg, "charfn.step", float, default=0.05)
-    if step <= 0:
-        raise ConfigError("charfn.step", "must be positive")
     try:
-        witness = find_negativity_witness(nuhat, sigma2, t_max, step)
-    except Exception as exc:
+        rows = list(pseudo_char_grid(nuhat, sigma2, t_max, step))
+    except LawError as exc:
         raise ConfigError("charfn", str(exc)) from exc
-    rows = []
-    t = step
-    while t <= t_max:
-        val = pseudo_char(t, nuhat, sigma2)
-        rows.append([t, val])
-        if val < -1e6:  # stop once the divergence is unambiguous
-            break
-        t += step
+    witness = next((t for t, val in rows if val < -1.0), None)
     return {"nuhat": nuhat, "sigma2": sigma2, "t_max": t_max,
             "witness": witness}, {"charfn.csv": (["t", "pseudo_char"], rows)}
 
@@ -370,7 +373,7 @@ def _graph_setup(cfg, seed):
     gseed = seed if seed is not None else _get(cfg, "graph.seed", int, default=0)
     try:
         partition = singleton_partition(n) if fractions is None \
-            else make_partition(n, fractions)
+            else make_partition(n, _items(fractions, "graph.fractions"))
     except EnsembleError as exc:
         raise ConfigError("graph.fractions", str(exc)) from exc
     return partition, p, gseed, fractions
@@ -412,9 +415,8 @@ def _run_decomposition(cfg, seed, replicates):
     partition, p, gseed, fractions = _graph_setup(cfg, seed)
     if fractions is None:
         raise ConfigError("graph.fractions", "decomposition needs explicit parts")
-    large = _get(cfg, "graph.large_parts", list, required=True)
-    if not all(isinstance(i, int) for i in large):
-        raise ConfigError("graph.large_parts", "expected integer indices")
+    large = _items(_get(cfg, "graph.large_parts", list, required=True),
+                   "graph.large_parts", int)
 
     def one(i):
         return energy_decomposition_check(partition, large, p, gseed, i)

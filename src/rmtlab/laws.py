@@ -1,8 +1,8 @@
 """Closed-form limit objects.
 
 The semicircle family (density, CDF, moments, absolute mean, Stieltjes
-transform), Catalan numbers, the theoretical moment sequences for the
-block ensembles, Hankel positivity reports, and the Bessel-series
+transform), Catalan numbers, the exact limit moments of the block
+ensembles, Hankel positivity reports, and the Bessel-series
 pseudo-characteristic function used in the no-limit argument for
 unbalanced bipartite ensembles.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -73,18 +72,11 @@ def semicircle_abs_mean(R: float) -> float:
     return 4.0 * R / (3.0 * math.pi)
 
 
-def _even_moment_coeff(k: int) -> Fraction:
-    # k!/(2^k (k/2)! (k/2+1)!) = Catalan(k/2) / 4^(k/2)
-    h = k // 2
-    return Fraction(math.factorial(k),
-                    2**k * math.factorial(h) * math.factorial(h + 1))
-
-
 def semicircle_moment(k: int, R):
     """k-th moment of the radius-R semicircle; 0 for odd k.
 
     Exact (Fraction) when R^2 terms are rational: the result is
-    coeff * R^k with coeff = k!/(2^k (k/2)! (k/2+1)!).
+    Catalan(k/2) / 4^(k/2) * R^k.
     """
     if k < 0:
         raise LawError("k must be nonnegative")
@@ -92,7 +84,7 @@ def semicircle_moment(k: int, R):
         raise LawError("radius must be positive")
     if k % 2 == 1:
         return 0 * R
-    return _even_moment_coeff(k) * R**k
+    return Fraction(catalan(k // 2), 4 ** (k // 2)) * R**k
 
 
 def semicircle_stieltjes(z: complex, R: float) -> complex:
@@ -116,48 +108,36 @@ def semicircle_stieltjes(z: complex, R: float) -> complex:
 # theoretical moment sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """Moments gamma_0..gamma_L with a provenance tag."""
+def limit_moments(fractions, sigma1sq, sigma2sq, L: int) -> list[Fraction]:
+    """Exact limit moments gamma_0..gamma_L of the block ensemble.
 
-    values: tuple
-    provenance: str
+    T_h(x) sums, over rooted plane trees with h edges whose root lies in
+    part x, the part fractions of the other vertices times one variance
+    per edge: S_xy = sigma1sq when both ends share a part, else sigma2sq.
+    Splitting off the root's first subtree gives T_0(x) = 1 and
 
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
-            raise LawError("gamma_0 must equal 1")
+        T_e(x) = sum_{j<e} [sum_y nu_y S_xy T_j(y)] T_{e-1-j}(x),
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-
-def gamma_main(k: int, m: int, sigma1sq, sigma2sq):
-    """Limit moment for balanced partitions with parts of comparable size.
-
-    0 for odd k; k!/(2^k (k/2)! (k/2+1)!) * f^k for even k, where
-    f^2 = (sigma1^2 + (m-1) sigma2^2)/m.  Exact when the variances are
-    Fractions.
+    and gamma_2h = sum_x nu_x T_h(x) / 4^h, with odd moments 0.  This is
+    the moment form of the quadratic vector equation
+    -1/m_x(z) = z + (1/4) sum_y nu_y S_xy m_y(z).  Every input goes
+    through Fraction(), so floats are taken at their exact binary value.
     """
-    if k < 0:
-        raise LawError("k must be nonnegative")
-    if m < 2:
-        raise LawError("m must be at least 2")
-    if k % 2 == 1:
-        return Fraction(0) if isinstance(sigma1sq, Fraction) else 0.0
-    radius_sq = (sigma1sq + (m - 1) * sigma2sq) / m
-    return _even_moment_coeff(k) * radius_sq ** (k // 2)
-
-
-def gamma_uniform(k: int, sigma2sq):
-    """Limit moment when all part fractions vanish: semicircle of radius sigma2."""
-    if k < 0:
-        raise LawError("k must be nonnegative")
-    if k % 2 == 1:
-        return Fraction(0) if isinstance(sigma2sq, Fraction) else 0.0
-    return _even_moment_coeff(k) * sigma2sq ** (k // 2)
+    if L < 0:
+        raise LawError("L must be nonnegative")
+    nus = [Fraction(f) for f in fractions]
+    s1, s2 = Fraction(sigma1sq), Fraction(sigma2sq)
+    T = [[Fraction(1)] * len(nus)]
+    branch = []  # branch[j][x] = sum_y nu_y S_xy T_j(y)
+    for e in range(1, L // 2 + 1):
+        mass = sum(nu * t for nu, t in zip(nus, T[-1]))
+        branch.append([s2 * mass + (s1 - s2) * nu * t
+                       for nu, t in zip(nus, T[-1])])
+        T.append([sum(branch[j][x] * T[e - 1 - j][x] for j in range(e))
+                  for x in range(len(nus))])
+    return [Fraction(0) if k % 2 else
+            sum(nu * t for nu, t in zip(nus, T[k // 2])) / 4 ** (k // 2)
+            for k in range(L + 1)]
 
 
 def gamma_bipartite_printed(k: int, nu1, nu2, sigma2sq):
@@ -168,9 +148,9 @@ def gamma_bipartite_printed(k: int, nu1, nu2, sigma2sq):
         2 k! nuhat^k s^k / (2^k (k/2)! (k/2+1)!)       for k = 0 mod 4,
         k! nuhat^k s^k / (nuhat^2 2^k (k/2)! (k/2+1)!) for k = 2 mod 4.
 
-    These printed values disagree with the exact walk-count limits (see
-    walks.limit_gamma_walks); this function is kept as the verbatim record,
-    the walk oracle is the ground truth.
+    These printed values disagree with the exact limits (see
+    limit_moments); this function is kept as the verbatim record, the
+    exact moments are the ground truth.
     """
     if not (0 < nu1 < 1 and 0 < nu2 < 1):
         raise LawError("nu1, nu2 must lie in (0, 1)")
@@ -180,7 +160,7 @@ def gamma_bipartite_printed(k: int, nu1, nu2, sigma2sq):
         raise LawError("k must be nonnegative")
     if k % 2 == 1:
         return 0.0
-    coeff = float(_even_moment_coeff(k))
+    coeff = catalan(k // 2) / 4 ** (k // 2)
     nuhat = (nu1 * nu2) ** 0.25
     sk = float(sigma2sq) ** (k / 2)
     if k % 4 == 0:
@@ -214,7 +194,7 @@ def gamma_proposition_printed(j: int, m: int, nu1, nu2):
 
 def hankel_matrix(gammas, k: int) -> np.ndarray:
     """(k+1)x(k+1) Hankel moment matrix with entry (i, j) = gamma_{i+j}."""
-    values = list(gammas.values if isinstance(gammas, MomentSequence) else gammas)
+    values = list(gammas)
     if len(values) < 2 * k + 1:
         raise LawError(f"need moments up to order {2 * k}")
     return np.array([[float(values[i + j]) for j in range(k + 1)]
@@ -278,16 +258,29 @@ def pseudo_char(t: float, nuhat: float, sigma2: float) -> float:
     return 0.5 * (ca * bessel_j1(x) / x + cb * bessel_i1(x) / x)
 
 
-def find_negativity_witness(nuhat: float, sigma2: float, t_max: float,
-                            step: float = 0.01):
-    """Smallest grid point t in (0, t_max] with pseudo_char(t) < -1, or None."""
+def pseudo_char_grid(nuhat: float, sigma2: float, t_max: float, step: float):
+    """Yield (t, pseudo_char(t)) for t = step, 2 step, ... up to t_max.
+
+    t is accumulated by repeated addition of step.  The scan stops after
+    the first value below -1e6, where the divergence is unambiguous.
+    """
     if not 0 < nuhat < math.sqrt(0.5):
         raise LawError("nuhat must lie in (0, sqrt(1/2))")
+    if sigma2 <= 0 or step <= 0:
+        raise LawError("sigma2 and step must be positive")
     if t_max > 60.0 / (nuhat * sigma2):
         raise LawError("t_max too large for the series budget")
     t = step
     while t <= t_max:
-        if pseudo_char(t, nuhat, sigma2) < -1.0:
-            return t
+        val = pseudo_char(t, nuhat, sigma2)
+        yield t, val
+        if val < -1e6:
+            return
         t += step
-    return None
+
+
+def find_negativity_witness(nuhat: float, sigma2: float, t_max: float,
+                            step: float = 0.01):
+    """Smallest grid point t in (0, t_max] with pseudo_char(t) < -1, or None."""
+    return next((t for t, val in pseudo_char_grid(nuhat, sigma2, t_max, step)
+                 if val < -1.0), None)

@@ -4,10 +4,10 @@ Closed walks of length k in the complete graph (loops allowed) are
 canonicalized by first-occurrence labeling; counting the "good" ones (those
 whose expected entry product is nonzero) yields the walk-count function
 g(v, k), the good-walk totals W_{v,k,n}, exact finite-n expected trace
-moments, and exact limit moments as rational polynomials in the part
-fractions and entry variances.  Everything here is exact rational
-arithmetic: these values are the ground truth the floating formulas are
-judged against.
+moments, and, as a small-k reference, exact limit moments as rational
+polynomials in the part fractions and entry variances.  Everything here
+is exact rational arithmetic: these values are the ground truth the
+floating formulas are judged against.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import Counter
 from fractions import Fraction
 
 from .ensemble import EnsembleSpec
-from .laws import catalan
 
 _MAX_K = 12
 
@@ -100,12 +99,6 @@ def count_good_walks(v: int, k: int, n: int, zero_mean: bool = True) -> int:
     return falling_factorial(n, v) * good_shape_count(k, v, zero_mean)
 
 
-def _raw_moment_table(spec: EnsembleSpec, k: int):
-    intra = [spec.law_intra.raw_moment(j) for j in range(k + 1)]
-    cross = [spec.law_cross.raw_moment(j) for j in range(k + 1)]
-    return intra, cross
-
-
 def exact_trace_moment_by_order(spec: EnsembleSpec, k: int) -> dict:
     """Order-v contributions S_{v,k,n} to the expected trace moment.
 
@@ -121,7 +114,8 @@ def exact_trace_moment_by_order(spec: EnsembleSpec, k: int) -> dict:
     if k < 1:
         raise WalkError("k must be at least 1")
     labels = spec.partition.part_labels()
-    intra_m, cross_m = _raw_moment_table(spec, k)
+    intra_m = [spec.law_intra.raw_moment(j) for j in range(k + 1)]
+    cross_m = [spec.law_cross.raw_moment(j) for j in range(k + 1)]
     sums: dict[int, Fraction] = {}
     for tup in itertools.product(range(n), repeat=k):
         expect = Fraction(1)
@@ -150,15 +144,15 @@ def exact_expected_trace_moment(spec: EnsembleSpec, k: int):
     return total
 
 
-def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int,
-                      zero_intra: bool = False) -> Fraction:
-    """Exact limit moment gamma_k as a rational polynomial.
+def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int) -> Fraction:
+    """Exact limit moment gamma_k by brute-force walk enumeration.
 
     Sums, over good shapes of order k/2+1 (each edge appearing exactly
     twice) and over all assignments of parts to the shape labels, the
     product of the part fractions and of one variance factor per distinct
     edge (intra variance when the endpoints share a part, cross variance
-    otherwise), scaled by 2^-k.  zero_intra forces the intra variance to 0.
+    otherwise), scaled by 2^-k.  It costs m^(k/2+1) terms per shape, so it
+    is kept as the small-k reference for laws.limit_moments.
     """
     if k % 2 == 1:
         raise WalkError("limit moments are computed for even k only")
@@ -170,7 +164,7 @@ def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int,
     m = len(nus)
     if m > 6:
         raise WalkError("at most 6 parts supported")
-    s1 = Fraction(0) if zero_intra else Fraction(sigma1sq)
+    s1 = Fraction(sigma1sq)
     s2 = Fraction(sigma2sq)
     v = k // 2 + 1
     total = Fraction(0)
@@ -197,5 +191,5 @@ __all__ = [
     "WalkError", "walk_edges", "enumerate_shapes", "is_good_zero_mean",
     "good_shape_count", "falling_factorial", "count_good_walks",
     "exact_trace_moment_by_order", "exact_expected_trace_moment",
-    "limit_gamma_walks", "catalan",
+    "limit_gamma_walks",
 ]

@@ -19,9 +19,9 @@ from rmtlab.graphenergy import (energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, sample_graph)
 from rmtlab.laws import (catalan, find_negativity_witness,
-                         gamma_bipartite_printed, gamma_main,
-                         gamma_proposition_printed, hankel_report,
-                         pseudo_char, semicircle_cdf)
+                         gamma_bipartite_printed, gamma_proposition_printed,
+                         hankel_report, limit_moments, pseudo_char,
+                         semicircle_cdf)
 from rmtlab.spectral import (check_rank_inequality,
                              check_stieltjes_perturbation, eigenvalues_sym,
                              empirical_moment, esd, ks_distance)
@@ -133,24 +133,29 @@ def test_criterion_06_vanishing_parts():
 
 def test_criterion_07_limit_moment_cross_check():
     ok = True
+    s1 = Fraction(1, 3)
     for m in (2, 3, 4):
         fracs = [Fraction(1, m)] * m
+        gammas = limit_moments(fracs, s1, 1, 8)
         for k in (2, 4, 6, 8):
-            ok = ok and limit_gamma_walks(fracs, Fraction(1, 3), 1, k) \
-                == gamma_main(k, m, Fraction(1, 3), 1)
+            closed = Fraction(catalan(k // 2), 4 ** (k // 2)) \
+                * ((s1 + m - 1) / m) ** (k // 2)
+            ok = ok and limit_gamma_walks(fracs, s1, 1, k) == gammas[k] \
+                == closed
     fracs = [Fraction(3, 5), Fraction(3, 10), Fraction(1, 10)]
     s2 = Fraction(7, 4)
-    got = limit_gamma_walks(fracs, 0, s2, 2, zero_intra=True)
+    got = limit_gamma_walks(fracs, 0, s2, 2)
     closed = (1 - sum(f**2 for f in fracs)) * s2 / 4
-    ok = ok and got == closed
-    _report(7, ok, "balanced walks == gamma_main (k<=8, exact); "
+    ok = ok and got == closed == limit_moments(fracs, 0, s2, 2)[2]
+    _report(7, ok, "balanced walks == limit_moments == main-theorem closed "
+                   "form (k<=8, exact); "
                    f"general k=2 value {got} == (1-sum nu^2) s2/4")
 
 
 def test_criterion_08_discrepancy_ledger():
     fracs = [Fraction(4, 5), Fraction(1, 5)]
-    oracle2 = limit_gamma_walks(fracs, 0, 1, 2, zero_intra=True)
-    oracle4 = limit_gamma_walks(fracs, 0, 1, 4, zero_intra=True)
+    oracle2 = limit_gamma_walks(fracs, 0, 1, 2)
+    oracle4 = limit_gamma_walks(fracs, 0, 1, 4)
     printed2 = gamma_bipartite_printed(2, 0.8, 0.2, 1.0)
     printed4 = gamma_bipartite_printed(4, 0.8, 0.2, 1.0)
     spec = EnsembleSpec(make_partition(2000, [0.8, 0.2]), ZERO, RADEMACHER,
@@ -176,7 +181,8 @@ def test_criterion_09_hankel_sanity():
         m = int(rng.integers(2, 7))
         s1 = float(rng.uniform(0.05, 2.0))
         s2 = float(rng.uniform(0.05, 2.0))
-        gammas = [float(gamma_main(j, m, s1, s2)) for j in range(11)]
+        gammas = [float(g) for g in
+                  limit_moments([Fraction(1, m)] * m, s1, s2, 10)]
         ok = ok and hankel_report(gammas, 5)["psd"]
     printed = [1.0, 0.0, float(gamma_proposition_printed(1, 3, 0.8, 0.1)),
                0.0, float(gamma_proposition_printed(2, 3, 0.8, 0.1)),
@@ -185,10 +191,10 @@ def test_criterion_09_hankel_sanity():
     fracs = [Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)]
     walk = [1.0] + [0.0] * 6
     for j in (2, 4, 6):
-        walk[j] = float(limit_gamma_walks(fracs, 0, 1, j, zero_intra=True))
+        walk[j] = float(limit_gamma_walks(fracs, 0, 1, j))
     det3_walk = hankel_report(walk, 3)["determinants"][3]
     ok = ok and det3_printed < 0 < det3_walk
-    _report(9, ok, "gamma_main Hankel PSD for 10 random ensembles; "
+    _report(9, ok, "main-theorem Hankel PSD for 10 random ensembles; "
                    f"Delta3 printed {det3_printed:.3e} (<0), "
                    f"walk oracle {det3_walk:.3e} (>0)")
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from rmtlab.ensemble import (EnsembleError, EnsembleSpec, EntryLaw,
-                             PartitionSpec, centralize, make_partition,
-                             sample_matrix, scale_matrix,
-                             singleton_partition)
+                             PartitionSpec, make_partition, sample_matrix,
+                             scale_matrix, singleton_partition)
 
 
 def rademacher_spec(n, fractions, seed=1):
@@ -153,36 +152,6 @@ class TestScaleMatrix:
 
 
 class TestCentralize:
-    def test_centered_laws_are_untouched(self):
-        spec = rademacher_spec(8, [0.5, 0.5], seed=2)
-        A = sample_matrix(spec)
-        Cp, Cpp, D = centralize(spec, A, size_threshold=1)
-        B = scale_matrix(A)
-        assert np.allclose(Cp, B)
-        assert np.allclose(Cpp, B)
-        assert not np.any(D)
-
-    def test_single_large_part(self):
-        spec = EnsembleSpec(make_partition(6, [1.0]),
-                            EntryLaw.bernoulli(0.5), EntryLaw.rademacher(),
-                            seed=4)
-        A = sample_matrix(spec)
-        Cp, Cpp, D = centralize(spec, A, size_threshold=2)
-        assert np.allclose(Cp, Cpp)  # H'' = 0 when the one part is large
-        assert not np.any(D)
-
-    def test_all_parts_small_difference_is_H(self):
-        spec = EnsembleSpec(make_partition(6, [0.5, 0.5]),
-                            EntryLaw.bernoulli(1), EntryLaw.constant_zero(),
-                            seed=5)  # mu1 = 1, mu2 = 0
-        A = sample_matrix(spec)
-        Cp, Cpp, D = centralize(spec, A, size_threshold=5)
-        labels = spec.partition.part_labels()
-        H = (labels[:, None] == labels[None, :]).astype(float)
-        s = 1.0 / (2.0 * math.sqrt(6))
-        assert np.allclose(Cp - Cpp, s * H)
-        assert np.allclose(D, s * H)
-
     def test_rank_of_correction(self):
         # rank((mu1-mu2)H' + mu2 J) <= number of large parts + 1
         spec = EnsembleSpec(make_partition(12, [0.5, 0.25, 0.25]),
@@ -196,11 +165,6 @@ class TestCentralize:
         M = (mu1 - mu2) * Hp + mu2 * np.ones((12, 12))
         n_large = sum(s > 2 for s in spec.partition.sizes)
         assert np.linalg.matrix_rank(M) <= n_large + 1
-
-    def test_threshold_validation(self):
-        spec = rademacher_spec(4, [0.5, 0.5])
-        with pytest.raises(EnsembleError):
-            centralize(spec, sample_matrix(spec), size_threshold=0)
 
 
 def test_singleton_partition():

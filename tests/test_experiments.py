@@ -9,7 +9,8 @@ from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition
 from rmtlab.experiments import (KINDS, ConfigError, NumericError, histogram,
                                 reference_radius, run_experiment)
-from rmtlab.laws import mixing_radius
+from rmtlab.laws import (find_negativity_witness, mixing_radius,
+                         semicircle_moment)
 
 
 def rademacher_cfg(kind, n=30, fractions=(0.5, 0.5), **extra):
@@ -25,6 +26,30 @@ def rademacher_cfg(kind, n=30, fractions=(0.5, 0.5), **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+# a JSON `true` in each list field, and the item the error must name
+BOOL_ITEMS = [
+    ("ensemble.fractions[0]", rademacher_cfg("esd", fractions=[True])),
+    ("z_grid[0][0]", rademacher_cfg("stieltjes", z_grid=[[True, True]])),
+    ("graph.fractions[0]",
+     {"kind": "energy", "graph": {"n": 20, "p": 0.5, "fractions": [True]}}),
+    ("graph.large_parts[0]",
+     {"kind": "decomposition",
+      "graph": {"n": 20, "p": 0.5, "fractions": [0.5, 0.5],
+                "large_parts": [True]}}),
+    ("hankel.fractions[0]",
+     {"kind": "hankel",
+      "hankel": {"source": "walk_oracle", "fractions": [True]}}),
+]
+
+
+def cli_exit(tmp_path, cfg):
+    """Exit code of `rmtlab <kind>` run on cfg."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli_main([cfg["kind"], "--config", str(path),
+                     "--out", str(tmp_path / "out")])
 
 
 class TestConfigValidation:
@@ -102,6 +127,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             run_experiment(cfg, tmp_path)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("item, cfg", BOOL_ITEMS,
+                             ids=[item for item, _ in BOOL_ITEMS])
+    def test_bool_rejected_in_list_items(self, tmp_path, capsys, item, cfg):
+        assert cli_exit(tmp_path, cfg) == 2
+        assert f"config error: {item}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReferenceRadius:
@@ -257,6 +289,42 @@ class TestHankelRun:
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path)
 
+    def test_main_and_uniform_are_semicircle_moments(self, tmp_path):
+        for hankel, radius in (
+                ({"source": "main", "m": 3, "sigma1sq": 0.3,
+                  "sigma2sq": 1.7}, mixing_radius(3, 0.3, 1.7)),
+                ({"source": "uniform", "sigma2sq": 1.7}, math.sqrt(1.7))):
+            rep = run_experiment({"kind": "hankel",
+                                  "hankel": {**hankel, "k": 5}}, tmp_path)
+            assert rep["psd"]
+            for k, g in enumerate(rep["gammas"]):
+                assert g == pytest.approx(semicircle_moment(k, radius),
+                                          rel=1e-14, abs=0)
+
+    def test_m_below_two_exits_two(self, tmp_path):
+        cfg = {"kind": "hankel", "hankel": {"source": "main", "m": 1}}
+        assert cli_exit(tmp_path, cfg) == 2
+
+    def test_printed_constraint_exits_two(self, tmp_path):
+        cfg = {"kind": "hankel",
+               "hankel": {"source": "proposition_printed", "m": 2,
+                          "nu1": 0.5, "nu2": 0.5, "k": 3}}
+        assert cli_exit(tmp_path, cfg) == 2
+
+    @pytest.mark.parametrize("fractions", [[0.5, 0.7], [1.5, -0.5], []])
+    def test_bad_fractions_exit_two(self, tmp_path, fractions):
+        cfg = {"kind": "hankel",
+               "hankel": {"source": "walk_oracle", "fractions": fractions}}
+        assert cli_exit(tmp_path, cfg) == 2
+
+    def test_seven_part_walk_oracle_runs(self, tmp_path):
+        cfg = {"kind": "hankel",
+               "hankel": {"source": "walk_oracle", "fractions": [1 / 7] * 7,
+                          "sigma1sq": 0.25, "k": 5}}
+        assert cli_exit(tmp_path, cfg) == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["psd"] and len(rep["gammas"]) == 11
+
 
 class TestCharfnRun:
     def test_witness_found(self, tmp_path):
@@ -274,6 +342,34 @@ class TestCharfnRun:
     def test_missing_nuhat(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment({"kind": "charfn", "charfn": {}}, tmp_path)
+
+    def test_witness_matches_scan(self, tmp_path):
+        nuhat = math.sqrt(0.3)
+        cfg = {"kind": "charfn", "charfn": {"nuhat": nuhat, "step": 0.01}}
+        rep = run_experiment(cfg, tmp_path)
+        assert rep["witness"] == find_negativity_witness(nuhat, 1.0, 60.0,
+                                                         0.01)
+        with open(tmp_path / "charfn.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[-1]["pseudo_char"]) < -1e6
+        assert float(rows[-1]["t"]) > rep["witness"]
+
+    @pytest.mark.parametrize("charfn", [{"step": 0.0}, {"sigma2": 0.0},
+                                        {"nuhat": 0.8}, {"t_max": 1e6}])
+    def test_law_rejections_are_config_errors(self, tmp_path, charfn):
+        cfg = {"kind": "charfn", "charfn": {"nuhat": 0.5, **charfn}}
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg, tmp_path)
+        assert exc.value.field == "charfn"
+
+    def test_bug_is_not_relabelled(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr("rmtlab.laws.pseudo_char", broken)
+        with pytest.raises(NumericError):
+            run_experiment({"kind": "charfn", "charfn": {"nuhat": 0.5}},
+                           tmp_path)
 
 
 class TestEnergyRun:

@@ -4,14 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmtlab.laws import (LawError, MomentSequence, bessel_i1,
-                         bessel_j1, catalan, find_negativity_witness,
-                         gamma_bipartite_printed, gamma_main,
-                         gamma_proposition_printed, gamma_uniform,
-                         hankel_matrix, hankel_report, mixing_radius,
-                         pseudo_char, semicircle_abs_mean, semicircle_cdf,
-                         semicircle_density, semicircle_moment,
-                         semicircle_stieltjes)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rmtlab.laws import (LawError, bessel_i1, bessel_j1, catalan,
+                         find_negativity_witness, gamma_bipartite_printed,
+                         gamma_proposition_printed, hankel_matrix,
+                         hankel_report, limit_moments, mixing_radius,
+                         pseudo_char, pseudo_char_grid, semicircle_abs_mean,
+                         semicircle_cdf, semicircle_density,
+                         semicircle_moment, semicircle_stieltjes)
 from rmtlab.walks import limit_gamma_walks
 
 
@@ -123,31 +125,62 @@ class TestSemicircleStieltjes:
             semicircle_stieltjes(-1j, 1.0)
 
 
+def balanced(m):
+    return [Fraction(1, m)] * m
+
+
 class TestGammaSequences:
+    # gamma_main: limit_moments on m equal parts (the `main` hankel
+    # source); gamma_uniform: one part of variance sigma2^2 (`uniform`)
     def test_gamma_main_odd_is_zero(self):
-        assert gamma_main(3, 2, 1.0, 1.0) == 0.0
-        assert gamma_main(5, 4, 0.5, 2.0) == 0.0
+        assert limit_moments(balanced(2), 1.0, 1.0, 3)[3] == 0
+        assert limit_moments(balanced(4), 0.5, 2.0, 5)[5] == 0
 
     def test_gamma_main_wigner_case(self):
-        assert float(gamma_main(2, 2, 1.0, 1.0)) == pytest.approx(0.25)
+        assert limit_moments(balanced(2), 1.0, 1.0, 2)[2] == Fraction(1, 4)
 
     def test_gamma_main_k4_bipartite(self):
-        assert float(gamma_main(4, 2, 0.0, 1.0)) == pytest.approx(1 / 32)
+        assert limit_moments(balanced(2), 0.0, 1.0, 4)[4] == Fraction(1, 32)
 
     def test_gamma_main_equals_semicircle_moment(self):
-        for k in range(0, 13):
-            for (m, s1, s2) in ((2, 0.0, 1.0), (3, 0.5, 2.0), (5, 1.0, 1.0)):
-                lhs = float(gamma_main(k, m, s1, s2))
+        for (m, s1, s2) in ((2, 0.0, 1.0), (3, 0.5, 2.0), (5, 1.0, 1.0)):
+            gammas = limit_moments(balanced(m), s1, s2, 12)
+            for k in range(0, 13):
+                lhs = float(gammas[k])
                 rhs = float(semicircle_moment(k, mixing_radius(m, s1, s2))) \
                     if k % 2 == 0 else 0.0
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+            # and exactly: Catalan(h)/4^h times the squared mixing radius^h
+            r2 = (Fraction(s1) + (m - 1) * Fraction(s2)) / m
+            assert gammas[::2] == [Fraction(catalan(h), 4**h) * r2**h
+                                   for h in range(7)]
 
     def test_gamma_uniform(self):
-        assert float(gamma_uniform(2, 1.0)) == pytest.approx(0.25)
-        assert float(gamma_uniform(6, 1.0)) == pytest.approx(5 / 64)
-        for k in range(0, 11):
-            assert float(gamma_uniform(k, 1.7)) == \
-                pytest.approx(float(gamma_main(k, 4, 1.7, 1.7)))
+        assert limit_moments([1], 1.0, 1.0, 2)[2] == Fraction(1, 4)
+        assert limit_moments([1], 1.0, 1.0, 6)[6] == Fraction(5, 64)
+        assert limit_moments([1], 1.7, 1.7, 10) == \
+            limit_moments(balanced(4), 1.7, 1.7, 10)
+
+    @settings(max_examples=40, deadline=None)
+    @example(weights=[4, 1], s1=Fraction(0), s2=Fraction(1), k=8)
+    @given(weights=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           s1=st.fractions(0, 3, max_denominator=7),
+           s2=st.fractions(0, 3, max_denominator=7).filter(lambda x: x > 0),
+           k=st.sampled_from([0, 2, 4, 6, 8]))
+    def test_limit_moments_equal_walk_oracle(self, weights, s1, s2, k):
+        fracs = [Fraction(w, sum(weights)) for w in weights]
+        gammas = limit_moments(fracs, s1, s2, k)
+        assert gammas[k] == limit_gamma_walks(fracs, s1, s2, k)
+        assert all(g == 0 for g in gammas[1::2])
+
+    def test_limit_moments_zero_intra_and_length(self):
+        fracs = [Fraction(3, 5), Fraction(3, 10), Fraction(1, 10)]
+        gammas = limit_moments(fracs, 0, 1, 8)
+        assert len(gammas) == 9 and gammas[0] == 1
+        for k in (2, 4, 6, 8):
+            assert gammas[k] == limit_gamma_walks(fracs, 0, 1, k)
+        with pytest.raises(LawError):
+            limit_moments(fracs, 0, 1, -1)
 
     def test_bipartite_printed_values(self):
         assert gamma_bipartite_printed(3, 0.8, 0.2, 1.0) == 0.0
@@ -156,7 +189,7 @@ class TestGammaSequences:
         # archive both, assert only the oracle-vs-printed relationship
         printed = gamma_bipartite_printed(2, 0.8, 0.2, 1.0)
         oracle = float(limit_gamma_walks([Fraction(4, 5), Fraction(1, 5)],
-                                         0, 1, 2, zero_intra=True))
+                                         0, 1, 2))
         assert printed == pytest.approx(0.25)
         assert oracle == pytest.approx(0.08)
         assert printed != pytest.approx(oracle)
@@ -184,11 +217,10 @@ class TestGammaSequences:
         fracs = [nu1] + [nu2] * (m - 1)
         for j in (1, 2):
             printed = gamma_proposition_printed(j, m, float(nu1), float(nu2))
-            oracle = float(limit_gamma_walks(fracs, 0, 1, 2 * j,
-                                             zero_intra=True))
+            oracle = float(limit_gamma_walks(fracs, 0, 1, 2 * j))
             assert printed == pytest.approx(oracle, rel=1e-12)
         printed6 = gamma_proposition_printed(3, m, float(nu1), float(nu2))
-        oracle6 = float(limit_gamma_walks(fracs, 0, 1, 6, zero_intra=True))
+        oracle6 = float(limit_gamma_walks(fracs, 0, 1, 6))
         assert printed6 != pytest.approx(oracle6)
 
     def test_constraint_validation(self):
@@ -223,7 +255,7 @@ class TestHankel:
             m = int(rng.integers(2, 7))
             s1 = float(rng.uniform(0, 2))
             s2 = float(rng.uniform(0.1, 2))
-            g = [float(gamma_main(k, m, s1, s2)) for k in range(11)]
+            g = [float(x) for x in limit_moments(balanced(m), s1, s2, 10)]
             assert hankel_report(g, 5)["psd"]
 
     def test_proposition_printed_delta3_sign_recorded(self):
@@ -285,8 +317,25 @@ class TestPseudoChar:
         with pytest.raises(LawError):
             find_negativity_witness(0.5, 1.0, 1e6)
 
+    def test_grid_stops_after_divergence(self):
+        nuhat = math.sqrt(0.3)
+        rows = list(pseudo_char_grid(nuhat, 1.0, 60.0, 0.01))
+        assert rows[-1][1] < -1e6 and rows[-1][0] < 60.0
+        assert all(val >= -1e6 for _, val in rows[:-1])
+        t = 0.0
+        for row in rows:
+            t += 0.01
+            assert row == (t, pseudo_char(t, nuhat, 1.0))
+        witness = find_negativity_witness(nuhat, 1.0, 60.0)
+        assert witness == next(t for t, val in rows if val < -1.0)
 
-class TestMomentSequence:
-    def test_validation(self):
-        with pytest.raises(LawError):
-            MomentSequence(values=(0.5, 0.0), provenance="empirical")
+    def test_grid_without_divergence_reaches_t_max(self):
+        rows = list(pseudo_char_grid(0.5, 1.0, 2.0, 0.5))
+        assert [t for t, _ in rows] == [0.5, 1.0, 1.5, 2.0]
+        assert find_negativity_witness(0.5, 1.0, 2.0, 0.5) is None
+
+    def test_grid_rejects_nonpositive_step_and_sigma2(self):
+        for sigma2, step in ((1.0, 0.0), (1.0, -0.1), (0.0, 0.1)):
+            with pytest.raises(LawError):
+                next(pseudo_char_grid(0.5, sigma2, 1.0, step))
+

@@ -9,7 +9,7 @@ import pytest
 
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, make_partition,
                              sample_matrix, scale_matrix)
-from rmtlab.laws import catalan, gamma_main, gamma_uniform
+from rmtlab.laws import catalan, limit_moments
 from rmtlab.spectral import eigenvalues_sym, empirical_moment
 from rmtlab.walks import (WalkError, count_good_walks, enumerate_shapes,
                           exact_expected_trace_moment,
@@ -192,21 +192,24 @@ class TestOrderContributions:
 
 class TestLimitGammaWalks:
     def test_balanced_equals_gamma_main(self):
+        # main-theorem moments: Catalan(k/2)/4^(k/2) * ((s1+(m-1)s2)/m)^(k/2)
         for m in (2, 3):
             fracs = [Fraction(1, m)] * m
             s1, s2 = Fraction(1, 3), Fraction(2)
+            gammas = limit_moments(fracs, s1, s2, 6)
             for k in (2, 4, 6):
-                assert limit_gamma_walks(fracs, s1, s2, k) == \
-                    gamma_main(k, m, s1, s2)
+                closed = Fraction(catalan(k // 2), 4 ** (k // 2)) \
+                    * ((s1 + (m - 1) * s2) / m) ** (k // 2)
+                assert limit_gamma_walks(fracs, s1, s2, k) == gammas[k] \
+                    == closed
 
     def test_k2_two_part_hand_count(self):
-        got = limit_gamma_walks([Fraction(4, 5), Fraction(1, 5)], 0, 1, 2,
-                                zero_intra=True)
+        got = limit_gamma_walks([Fraction(4, 5), Fraction(1, 5)], 0, 1, 2)
         assert got == Fraction(4, 5) * Fraction(1, 5) * Fraction(1, 2)
 
     def test_k2_general_fractions_closed_form(self):
         fracs = [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)]
-        got = limit_gamma_walks(fracs, 0, Fraction(2), 2, zero_intra=True)
+        got = limit_gamma_walks(fracs, 0, Fraction(2), 2)
         expected = (1 - sum(f**2 for f in fracs)) * Fraction(2) / 4
         assert got == expected
 
@@ -219,11 +222,13 @@ class TestLimitGammaWalks:
     def test_vanishing_intra_many_parts_approaches_uniform(self):
         m = 6
         fracs = [Fraction(1, m)] * m
+        main = limit_moments(fracs, 0, 1, 6)
+        uniform = limit_moments([1], 1, 1, 6)
         for k in (2, 4, 6):
-            walk = limit_gamma_walks(fracs, 0, 1, k, zero_intra=True)
-            target = gamma_uniform(k, Fraction(1))
+            walk = limit_gamma_walks(fracs, 0, 1, k)
+            target = uniform[k]
             # exact polynomial: off by the (m-1)/m edge factors only
-            assert walk == gamma_main(k, m, Fraction(0), Fraction(1))
+            assert walk == main[k] == target * Fraction(m - 1, m) ** (k // 2)
             assert abs(float(walk - target)) <= float(target) * k / m
 
     def test_gamma0_and_odd_k(self):
