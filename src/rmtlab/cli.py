@@ -1,7 +1,10 @@
 """Command line front-end: `rmtlab <kind> --config <path> --out <dir>`.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.  The environment
-variable RMTLAB_THREADS caps replicate parallelism (default 1).
+variable RMTLAB_THREADS caps replicate parallelism (default 1).  Replicate
+threads overlap their sampling; the eigen and singular value solves run one
+at a time on the full BLAS thread pool, so output does not depend on the
+thread count.
 """
 
 from __future__ import annotations

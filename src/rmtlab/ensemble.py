@@ -270,6 +270,7 @@ class EnsembleSpec:
         return {
             "n": self.partition.n,
             "fractions": list(self.partition.fractions),
+            "sizes": list(self.partition.sizes),
             "law_intra": self.law_intra.to_dict(),
             "law_cross": self.law_cross.to_dict(),
             "seed": self.seed,
@@ -277,8 +278,12 @@ class EnsembleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSpec":
+        """The inverse of to_dict; a record without `sizes` is rebuilt from
+        its fractions by make_partition."""
+        partition = PartitionSpec(d["n"], tuple(d["sizes"])) if "sizes" in d \
+            else make_partition(d["n"], d["fractions"])
         return cls(
-            partition=make_partition(d["n"], d["fractions"]),
+            partition=partition,
             law_intra=EntryLaw.from_dict(d["law_intra"]),
             law_cross=EntryLaw.from_dict(d["law_cross"]),
             seed=int(d["seed"]),
@@ -308,21 +313,43 @@ def counter_uniforms(seed: int, replicate: int, count: int,
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
+def _symmetric_fill(sizes, intra, cross, seed: int, replicate: int,
+                    stream: int = 0, diagonal: bool = True) -> np.ndarray:
+    """Symmetric matrix whose upper triangle is one counter_uniforms stream.
+
+    The stream fills the upper triangle row by row, row i taking columns
+    i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0).  Each
+    part's diagonal block is then mapped by intra[part], the blocks to its
+    right by cross, and the upper triangle is mirrored into the lower one.
+    The maps act elementwise on uniforms.
+    """
+    n = sum(sizes)
+    k = 0 if diagonal else 1
+    u = counter_uniforms(seed, replicate, (n - k) * (n + 1 - k) // 2, stream)
+    A = np.zeros((n, n))
+    start = 0
+    for i in range(n - k):
+        A[i, i + k:] = u[start:start + n - i - k]
+        start += n - i - k
+    del u  # free the stream before the maps allocate their blocks
+    lo = 0
+    for law, size in zip(intra, sizes):
+        hi = lo + size
+        A[lo:hi, lo:hi] = law(A[lo:hi, lo:hi])
+        A[lo:hi, hi:] = cross(A[lo:hi, hi:])
+        lo = hi
+    if not diagonal:
+        A.flat[::n + 1] = 0.0
+    for i in range(1, n):
+        A[i, :i] = A[:i, i]
+    return A
+
+
 def sample_matrix(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """Draw one symmetric matrix; pure function of (spec, replicate)."""
-    n = spec.n
-    iu = np.triu_indices(n)
-    u = counter_uniforms(spec.seed, replicate, iu[0].size)
-    labels = spec.partition.part_labels()
-    intra = labels[iu[0]] == labels[iu[1]]
-    vals = np.empty(u.size)
-    vals[intra] = spec.law_intra.from_uniform(u[intra])
-    vals[~intra] = spec.law_cross.from_uniform(u[~intra])
-    A = np.zeros((n, n))
-    A[iu] = vals
-    A = A + A.T
-    A[np.diag_indices(n)] /= 2.0
-    return A
+    sizes = spec.partition.sizes
+    return _symmetric_fill(sizes, [spec.law_intra.from_uniform] * len(sizes),
+                           spec.law_cross.from_uniform, spec.seed, replicate)
 
 
 def scale_matrix(A: np.ndarray) -> np.ndarray:

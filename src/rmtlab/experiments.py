@@ -387,6 +387,9 @@ def _run_energy(cfg, seed, replicates):
     if fractions is None:
         prediction = predicted_energy_gnp(n, p)
         m_report = n
+    elif len(fractions) < 2:
+        raise ConfigError("graph.fractions",
+                          "energy prediction needs at least two parts")
     else:
         m_report = len(fractions)
         prediction = predicted_energy_multipartite(n, m_report, p)

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleError, PartitionSpec, counter_uniforms
+from .ensemble import (EnsembleError, EntryLaw, PartitionSpec,
+                       _symmetric_fill)
 from .spectral import eigenvalues_sym, singular_values
 
 # stream tags for counter_uniforms so graph edges and decomposition fills
 # never reuse the same uniforms
 _EDGE_STREAM = 0
 _FILL_STREAM = 1
+_ZERO = EntryLaw.constant_zero()
 
 
 @dataclass(frozen=True)
@@ -46,15 +48,9 @@ def sample_graph(partition: PartitionSpec, p: float, seed: int,
     """
     if not 0.0 <= p <= 1.0:
         raise EnsembleError("edge probability outside [0, 1]")
-    n = partition.n
-    iu = np.triu_indices(n, k=1)
-    u = counter_uniforms(seed, replicate, iu[0].size, stream=_EDGE_STREAM)
-    labels = partition.part_labels()
-    cross = labels[iu[0]] != labels[iu[1]]
-    vals = ((u < p) & cross).astype(float)
-    A = np.zeros((n, n))
-    A[iu] = vals
-    A = A + A.T
+    A = _symmetric_fill(partition.sizes, [_ZERO.from_uniform] * partition.m,
+                        EntryLaw.bernoulli(p).from_uniform, seed, replicate,
+                        stream=_EDGE_STREAM, diagonal=False)
     return GraphSample(adjacency=A, partition=partition, p=p)
 
 
@@ -115,14 +111,40 @@ def _kyfan_verdict(lhs: float, rhs: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-9 * scale}
 
 
+def _decomposition(partition: PartitionSpec, large, p: float, seed: int,
+                   replicate: int):
+    """(A, X, D): the sample A, D = Bernoulli(p) on the strict-upper pairs
+    of each large part (mirrored, from its own stream) and X = A + D."""
+    A = sample_graph(partition, p, seed, replicate).adjacency
+    fill = EntryLaw.bernoulli(p).from_uniform
+    intra = [fill if a in large else _ZERO.from_uniform
+             for a in range(partition.m)]
+    D = _symmetric_fill(partition.sizes, intra, _ZERO.from_uniform, seed,
+                        replicate, stream=_FILL_STREAM, diagonal=False)
+    return A, A + D, D
+
+
+def _is_block_diagonal(D: np.ndarray, partition: PartitionSpec,
+                       large) -> bool:
+    """D is zero outside the diagonal blocks of the large parts."""
+    lo = 0
+    for a, size in enumerate(partition.sizes):
+        hi = lo + size
+        if np.any(D[lo:hi, hi:]) or np.any(D[hi:, lo:hi]) \
+                or (a not in large and np.any(D[lo:hi, lo:hi])):
+            return False
+        lo = hi
+    return True
+
+
 def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
                                p: float, seed: int,
                                replicate: int = 0) -> dict:
     """Fill the large diagonal blocks and certify the energy sandwich.
 
-    A is a multipartite sample; X keeps A's cross entries but fills
-    strict-upper intra pairs of large parts with independent Bernoulli(p)
-    (diagonal stays 0); D = X - A is block-diagonal on the large parts.
+    A is a multipartite sample; D fills the strict-upper intra pairs of
+    large parts with independent Bernoulli(p) (diagonal stays 0) and must
+    be block-diagonal on the large parts; X = A + D keeps A's cross entries.
     Ky Fan gives E(X) - E(D) <= E(A) <= E(X) + E(D).  All three matrices
     are symmetric with 0/1 entries, so A + D == X and X - D == A hold
     exactly and each energy is one symmetric eigen-solve: both Ky Fan
@@ -131,23 +153,8 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     large = set(large_part_indices)
     if any(not 0 <= i < partition.m for i in large):
         raise EnsembleError("large part index out of range")
-    G = sample_graph(partition, p, seed, replicate)
-    A = G.adjacency
-    n = partition.n
-    labels = partition.part_labels()
-    iu = np.triu_indices(n, k=1)
-    in_large = np.isin(labels, sorted(large))
-    fill = (labels[iu[0]] == labels[iu[1]]) & in_large[iu[0]]
-    u = counter_uniforms(seed, replicate, iu[0].size, stream=_FILL_STREAM)
-    X = A.copy()
-    upper = X[iu]
-    upper[fill] = (u[fill] < p).astype(float)
-    X[iu] = upper
-    X[(iu[1], iu[0])] = upper
-    D = X - A
-    same_large = (labels[:, None] == labels[None, :]) \
-        & in_large[:, None] & in_large[None, :]
-    block_diagonal = bool(np.all(D[~same_large] == 0.0))
+    A, X, D = _decomposition(partition, large, p, seed, replicate)
+    block_diagonal = _is_block_diagonal(D, partition, large)
     eA, eX, eD = graph_energy(A), graph_energy(X), graph_energy(D)
     upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
     lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)

@@ -127,6 +127,8 @@ def limit_moments(fractions, sigma1sq, sigma2sq, L: int) -> list[Fraction]:
         raise LawError("L must be nonnegative")
     nus = [Fraction(f) for f in fractions]
     s1, s2 = Fraction(sigma1sq), Fraction(sigma2sq)
+    if s1 < 0 or s2 < 0:
+        raise LawError("variances must be nonnegative")
     T = [[Fraction(1)] * len(nus)]
     branch = []  # branch[j][x] = sum_y nu_y S_xy T_j(y)
     for e in range(1, L // 2 + 1):

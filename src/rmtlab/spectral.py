@@ -7,6 +7,7 @@ rank inequality and the Stieltjes perturbation bound.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,12 @@ import numpy as np
 
 class SpectralError(RuntimeError):
     """Eigen/singular value computation failed to converge."""
+
+
+# One LAPACK solve at a time: each runs alone on the whole BLAS thread pool,
+# so replicate threads overlap their sampling, not their solves, and a
+# spectrum does not depend on how many replicate threads run.
+_SOLVE_LOCK = threading.Lock()
 
 
 def eigenvalues_sym(M: np.ndarray) -> np.ndarray:
@@ -25,7 +32,8 @@ def eigenvalues_sym(M: np.ndarray) -> np.ndarray:
     if not np.array_equal(M, M.T):
         raise ValueError("matrix is not exactly symmetric")
     try:
-        return np.linalg.eigvalsh(M)
+        with _SOLVE_LOCK:
+            return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SpectralError(f"eigensolver did not converge: {exc}") from exc
 
@@ -36,7 +44,8 @@ def singular_values(M: np.ndarray) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     try:
-        return np.linalg.svd(M, compute_uv=False)
+        with _SOLVE_LOCK:
+            return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SpectralError(f"SVD did not converge: {exc}") from exc
 

@@ -4,9 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rmtlab.ensemble import (EnsembleError, EnsembleSpec, EntryLaw,
-                             PartitionSpec, make_partition, sample_matrix,
-                             scale_matrix, singleton_partition)
+                             PartitionSpec, counter_uniforms, make_partition,
+                             sample_matrix, scale_matrix, singleton_partition)
+from rmtlab.graphenergy import (_decomposition, _is_block_diagonal,
+                                sample_graph)
+
+LAWS = [EntryLaw.constant_zero(), EntryLaw.rademacher(),
+        EntryLaw.bernoulli(Fraction(3, 10)),
+        EntryLaw.two_point(-1, 2, Fraction(2, 3)),
+        EntryLaw.uniform_interval(-1, 1)]
 
 
 def rademacher_spec(n, fractions, seed=1):
@@ -138,6 +148,127 @@ class TestSampling:
         again = EnsembleSpec.from_json(spec.to_json())
         assert again == spec
         assert np.array_equal(sample_matrix(again, 5), sample_matrix(spec, 5))
+
+    def test_record_keeps_exact_sizes(self):
+        spec = EnsembleSpec(PartitionSpec(22, (7, 15)), EntryLaw.rademacher(),
+                            EntryLaw.rademacher(), seed=1)
+        assert EnsembleSpec.from_dict(spec.to_dict()).partition.sizes == (7, 15)
+        legacy = {k: v for k, v in spec.to_dict().items() if k != "sizes"}
+        assert EnsembleSpec.from_dict(legacy).partition.sizes == (8, 14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           laws=st.tuples(st.sampled_from(LAWS), st.sampled_from(LAWS)),
+           seed=st.integers(0, 2**64 - 1), replicate=st.integers(0, 50))
+    def test_record_replays_the_same_matrices(self, sizes, laws, seed,
+                                              replicate):
+        spec = EnsembleSpec(PartitionSpec(sum(sizes), tuple(sizes)), *laws,
+                            seed=seed)
+        again = EnsembleSpec.from_json(spec.to_json())
+        assert again.partition == spec.partition
+        assert sample_matrix(again, replicate).tobytes() == \
+            sample_matrix(spec, replicate).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The index-array constructions the samplers used before the row-by-row fill;
+# kept as the oracle the fill must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+def oracle_sample_matrix(spec, replicate):
+    n = spec.n
+    iu = np.triu_indices(n)
+    u = counter_uniforms(spec.seed, replicate, iu[0].size)
+    labels = spec.partition.part_labels()
+    intra = labels[iu[0]] == labels[iu[1]]
+    vals = np.empty(u.size)
+    vals[intra] = spec.law_intra.from_uniform(u[intra])
+    vals[~intra] = spec.law_cross.from_uniform(u[~intra])
+    A = np.zeros((n, n))
+    A[iu] = vals
+    A = A + A.T
+    A[np.diag_indices(n)] /= 2.0
+    return A
+
+
+def oracle_sample_graph(partition, p, seed, replicate):
+    n = partition.n
+    iu = np.triu_indices(n, k=1)
+    u = counter_uniforms(seed, replicate, iu[0].size, stream=0)
+    labels = partition.part_labels()
+    cross = labels[iu[0]] != labels[iu[1]]
+    A = np.zeros((n, n))
+    A[iu] = ((u < p) & cross).astype(float)
+    return A + A.T
+
+
+def oracle_decomposition(partition, large, p, seed, replicate):
+    A = oracle_sample_graph(partition, p, seed, replicate)
+    n = partition.n
+    labels = partition.part_labels()
+    iu = np.triu_indices(n, k=1)
+    in_large = np.isin(labels, sorted(large))
+    fill = (labels[iu[0]] == labels[iu[1]]) & in_large[iu[0]]
+    u = counter_uniforms(seed, replicate, iu[0].size, stream=1)
+    X = A.copy()
+    upper = X[iu]
+    upper[fill] = (u[fill] < p).astype(float)
+    X[iu] = upper
+    X[(iu[1], iu[0])] = upper
+    return A, X, X - A
+
+
+def uneven_sizes(n, parts):
+    """n split into `parts` parts, the remainder on the last one."""
+    return (n // parts,) * (parts - 1) + (n - (parts - 1) * (n // parts),)
+
+
+class TestFillMatchesIndexOracle:
+    @pytest.mark.parametrize("law_intra", LAWS, ids=lambda law: law.kind)
+    @pytest.mark.parametrize("law_cross", LAWS, ids=lambda law: law.kind)
+    def test_sample_matrix(self, law_intra, law_cross):
+        for n in (1, 2, 7, 50):
+            for parts in sorted({1, 2, 5, n} & set(range(1, n + 1))):
+                spec = EnsembleSpec(PartitionSpec(n, uneven_sizes(n, parts)),
+                                    law_intra, law_cross, seed=n + parts)
+                assert sample_matrix(spec, 3).tobytes() == \
+                    oracle_sample_matrix(spec, 3).tobytes()
+
+    def test_sample_matrix_thousand_parts(self):
+        spec = EnsembleSpec(make_partition(2000, [0.001] * 1000),
+                            EntryLaw.uniform_interval(-1, 1),
+                            EntryLaw.rademacher(), seed=5)
+        assert sample_matrix(spec, 1).tobytes() == \
+            oracle_sample_matrix(spec, 1).tobytes()
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_sample_graph(self, p):
+        hosts = [singleton_partition(n) for n in (1, 2, 7, 50)] + \
+            [PartitionSpec(7, (3, 4)), PartitionSpec(50, (10, 25, 15)),
+             PartitionSpec(50, uneven_sizes(50, 5))]
+        for part in hosts:
+            assert sample_graph(part, p, 11, 2).adjacency.tobytes() == \
+                oracle_sample_graph(part, p, 11, 2).tobytes()
+
+    @pytest.mark.parametrize("sizes,large", [
+        ((7,), {0}), ((3, 4), {1}), ((30, 10, 10), {0, 1, 2}),
+        ((10, 25, 15), {0, 2}), ((20, 20), set())])
+    def test_decomposition(self, sizes, large):
+        part = PartitionSpec(sum(sizes), sizes)
+        new = _decomposition(part, large, 0.4, 13, 1)
+        for got, want in zip(new, oracle_decomposition(part, large, 0.4,
+                                                       13, 1)):
+            assert got.tobytes() == want.tobytes()
+        assert _is_block_diagonal(new[2], part, large)
+
+    def test_block_diagonal_check_finds_stray_entries(self):
+        part = PartitionSpec(6, (2, 2, 2))
+        D = np.zeros((6, 6))
+        D[0, 1] = D[1, 0] = 1.0
+        assert _is_block_diagonal(D, part, {0})
+        assert not _is_block_diagonal(D, part, {1})  # part 0 is not large
+        D[2, 5] = D[5, 2] = 1.0
+        assert not _is_block_diagonal(D, part, {0, 1, 2})  # a cross pair
 
 
 class TestScaleMatrix:

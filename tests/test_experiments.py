@@ -317,6 +317,18 @@ class TestHankelRun:
                "hankel": {"source": "walk_oracle", "fractions": fractions}}
         assert cli_exit(tmp_path, cfg) == 2
 
+    @pytest.mark.parametrize("field", ["sigma1sq", "sigma2sq"])
+    def test_negative_variance_exits_two(self, tmp_path, field):
+        cfg = {"kind": "hankel",
+               "hankel": {"source": "main", "m": 3, field: -5.0, "k": 3}}
+        assert cli_exit(tmp_path, cfg) == 2
+
+    @pytest.mark.parametrize("field", ["sigma1sq", "sigma2sq"])
+    def test_zero_variance_runs(self, tmp_path, field):
+        cfg = {"kind": "hankel",
+               "hankel": {"source": "main", "m": 3, field: 0.0, "k": 3}}
+        assert cli_exit(tmp_path, cfg) == 0
+
     def test_seven_part_walk_oracle_runs(self, tmp_path):
         cfg = {"kind": "hankel",
                "hankel": {"source": "walk_oracle", "fractions": [1 / 7] * 7,
@@ -388,6 +400,12 @@ class TestEnergyRun:
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path)
 
+    def test_one_part_fractions_exit_two(self, tmp_path, capsys):
+        cfg = {"kind": "energy",
+               "graph": {"n": 20, "p": 0.5, "fractions": [1.0]}}
+        assert cli_exit(tmp_path, cfg) == 2
+        assert "graph.fractions" in capsys.readouterr().err
+
 
 class TestDecompositionRun:
     def test_holds(self, tmp_path):
@@ -412,6 +430,29 @@ class TestThreads:
         monkeypatch.setenv("RMTLAB_THREADS", "4")
         threaded = run_experiment(cfg, tmp_path / "t", seed=1, replicates=4)
         assert serial["replicates"] == threaded["replicates"]
+
+    # n = 150: from about this order OpenBLAS splits a solve over its
+    # threads, and a solve on fewer BLAS threads moves the last bits
+    @pytest.mark.parametrize("cfg", [
+        rademacher_cfg("esd", n=150),
+        rademacher_cfg("moments", n=150, fractions=(0.8, 0.2)),
+        {"kind": "energy", "graph": {"n": 150, "p": 0.3, "seed": 4}},
+        {"kind": "decomposition",
+         "graph": {"n": 150, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
+                   "large_parts": [0, 2], "seed": 5}},
+    ], ids=lambda cfg: cfg["kind"])
+    def test_outputs_do_not_depend_on_thread_count(self, tmp_path,
+                                                   monkeypatch, cfg):
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMTLAB_THREADS", threads)
+            out = tmp_path / threads
+            run_experiment(cfg, out, replicates=5)
+            report = json.loads((out / "report.json").read_text())
+            del report["wall_clock_s"]
+            csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+            outputs.append((report, csvs))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_garbage_env_value_is_serial(self, monkeypatch, tmp_path):
         monkeypatch.setenv("RMTLAB_THREADS", "lots")

@@ -181,6 +181,9 @@ class TestGammaSequences:
             assert gammas[k] == limit_gamma_walks(fracs, 0, 1, k)
         with pytest.raises(LawError):
             limit_moments(fracs, 0, 1, -1)
+        for s1, s2 in ((-0.5, 1), (0, -1)):
+            with pytest.raises(LawError):
+                limit_moments(fracs, s1, s2, 4)
 
     def test_bipartite_printed_values(self):
         assert gamma_bipartite_printed(3, 0.8, 0.2, 1.0) == 0.0
