@@ -10,6 +10,7 @@ traversal order or thread schedule.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -103,6 +104,13 @@ _LAW_KINDS = ("constant_zero", "rademacher", "bernoulli", "two_point",
               "uniform_interval")
 
 
+def _exact(x, name: str) -> Fraction:
+    """A law parameter as an exact rational; NaN and infinities are refused."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise EnsembleError(f"law parameter {name} must be finite, got {x}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class EntryLaw:
     """A bounded scalar distribution with exact raw moments.
@@ -144,15 +152,16 @@ class EntryLaw:
 
     @classmethod
     def bernoulli(cls, p) -> "EntryLaw":
-        return cls("bernoulli", (Fraction(p),))
+        return cls("bernoulli", (_exact(p, "p"),))
 
     @classmethod
     def two_point(cls, a, b, q) -> "EntryLaw":
-        return cls("two_point", (Fraction(a), Fraction(b), Fraction(q)))
+        return cls("two_point", (_exact(a, "a"), _exact(b, "b"),
+                                 _exact(q, "q")))
 
     @classmethod
     def uniform_interval(cls, lo, hi) -> "EntryLaw":
-        return cls("uniform_interval", (Fraction(lo), Fraction(hi)))
+        return cls("uniform_interval", (_exact(lo, "lo"), _exact(hi, "hi")))
 
     # -- exact moments ------------------------------------------------------
 
@@ -313,6 +322,11 @@ def counter_uniforms(seed: int, replicate: int, count: int,
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
+# rows per cross call on a run of singleton parts: the lower-triangle cells
+# a call maps in vain stay few, and each call's block stays in cache
+_ROW_BLOCK = 64
+
+
 def _symmetric_fill(sizes, intra, cross, seed: int, replicate: int,
                     stream: int = 0, diagonal: bool = True) -> np.ndarray:
     """Symmetric matrix whose upper triangle is one counter_uniforms stream.
@@ -321,7 +335,11 @@ def _symmetric_fill(sizes, intra, cross, seed: int, replicate: int,
     i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0).  Each
     part's diagonal block is then mapped by intra[part], the blocks to its
     right by cross, and the upper triangle is mirrored into the lower one.
-    The maps act elementwise on uniforms.
+    The maps act elementwise on uniforms, so a run of singleton parts with
+    one intra map takes one cross call per block of _ROW_BLOCK rows, from
+    the block's first column on, then one intra call on the run's diagonal
+    entries; what cross writes below the diagonal is overwritten by the
+    mirror.
     """
     n = sum(sizes)
     k = 0 if diagonal else 1
@@ -333,11 +351,22 @@ def _symmetric_fill(sizes, intra, cross, seed: int, replicate: int,
         start += n - i - k
     del u  # free the stream before the maps allocate their blocks
     lo = 0
-    for law, size in zip(intra, sizes):
-        hi = lo + size
-        A[lo:hi, lo:hi] = law(A[lo:hi, lo:hi])
-        A[lo:hi, hi:] = cross(A[lo:hi, hi:])
-        lo = hi
+    for (law, size), run in itertools.groupby(zip(intra, sizes)):
+        count = sum(1 for _ in run)
+        if size == 1:
+            hi = lo + count
+            diag = A.flat[lo * (n + 1):hi * (n + 1):n + 1]
+            for r in range(lo, hi, _ROW_BLOCK):
+                rows = slice(r, min(r + _ROW_BLOCK, hi))
+                A[rows, r:] = cross(A[rows, r:])
+            A.flat[lo * (n + 1):hi * (n + 1):n + 1] = law(diag)
+            lo = hi
+            continue
+        for _ in range(count):
+            hi = lo + size
+            A[lo:hi, lo:hi] = law(A[lo:hi, lo:hi])
+            A[lo:hi, hi:] = cross(A[lo:hi, hi:])
+            lo = hi
     if not diagonal:
         A.flat[::n + 1] = 0.0
     for i in range(1, n):

@@ -33,7 +33,7 @@ from .laws import (LawError, catalan, gamma_bipartite_printed,
                    semicircle_moment, semicircle_stieltjes)
 from .spectral import (eigenvalues_sym, empirical_moment, esd, ks_distance,
                        stieltjes_empirical)
-from .walks import enumerate_shapes, good_shape_count
+from .walks import enumerate_shapes, is_good_zero_mean
 
 KINDS = ("esd", "moments", "stieltjes", "walks", "hankel", "charfn",
          "energy", "decomposition")
@@ -67,15 +67,20 @@ def _get(cfg: dict, field: str, typ, default=None, required: bool = False):
         val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(field, f"expected {typ}, got {type(val).__name__}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(field, f"expected a finite number, got {val}")
     return val
 
 
 def _items(values: list, field: str, typ=(int, float)) -> list:
-    """values, once every item is a typ; a bool counts as no number."""
+    """values, once every item is a finite typ; a bool counts as no number."""
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, typ):
             raise ConfigError(f"{field}[{i}]",
                               f"expected {typ}, got {type(v).__name__}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{field}[{i}]",
+                              f"expected a finite number, got {v}")
     return values
 
 
@@ -83,17 +88,25 @@ def _ensemble_spec(cfg: dict, seed_override=None) -> EnsembleSpec:
     n = _get(cfg, "ensemble.n", int, required=True)
     fractions = _items(_get(cfg, "ensemble.fractions", list, required=True),
                        "ensemble.fractions")
-    law_intra = _get(cfg, "ensemble.law_intra", dict, required=True)
-    law_cross = _get(cfg, "ensemble.law_cross", dict, required=True)
+    law_intra = _law(cfg, "ensemble.law_intra")
+    law_cross = _law(cfg, "ensemble.law_cross")
     seed = seed_override if seed_override is not None \
         else _get(cfg, "ensemble.seed", int, default=0)
     try:
         return EnsembleSpec(partition=make_partition(n, fractions),
-                            law_intra=EntryLaw.from_dict(law_intra),
-                            law_cross=EntryLaw.from_dict(law_cross),
+                            law_intra=law_intra, law_cross=law_cross,
                             seed=seed)
     except EnsembleError as exc:
         raise ConfigError("ensemble", str(exc)) from exc
+
+
+def _law(cfg: dict, field: str) -> EntryLaw:
+    try:
+        return EntryLaw.from_dict(_get(cfg, field, dict, required=True))
+    except EnsembleError as exc:
+        raise ConfigError(field, str(exc)) from exc
+    except KeyError as exc:
+        raise ConfigError(field, f"missing law parameter {exc}") from exc
 
 
 def reference_radius(spec: EnsembleSpec, override=None) -> float:
@@ -278,7 +291,7 @@ def _run_walks(cfg, seed, replicates):
     for k in range(2, max_k + 1, 2):
         v = k // 2 + 1
         shapes = enumerate_shapes(k, v)
-        g = good_shape_count(k, v, zero_mean=True)
+        g = sum(map(is_good_zero_mean, shapes))  # good_shape_count(k, v)
         t = catalan(k // 2)
         rows.append({"k": k, "v": v, "shapes": len(shapes), "good": g,
                      "catalan": t, "identity_holds": g == t})

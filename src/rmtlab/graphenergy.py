@@ -9,6 +9,7 @@ available, certified here through the Ky Fan singular-value inequality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,16 +125,19 @@ def _decomposition(partition: PartitionSpec, large, p: float, seed: int,
     return A, A + D, D
 
 
+def _part_bounds(partition: PartitionSpec) -> list[tuple[int, int]]:
+    """(lo, hi) index range of each part, in order."""
+    ends = list(itertools.accumulate(partition.sizes))
+    return list(zip([0] + ends[:-1], ends))
+
+
 def _is_block_diagonal(D: np.ndarray, partition: PartitionSpec,
                        large) -> bool:
     """D is zero outside the diagonal blocks of the large parts."""
-    lo = 0
-    for a, size in enumerate(partition.sizes):
-        hi = lo + size
+    for a, (lo, hi) in enumerate(_part_bounds(partition)):
         if np.any(D[lo:hi, hi:]) or np.any(D[hi:, lo:hi]) \
                 or (a not in large and np.any(D[lo:hi, lo:hi])):
             return False
-        lo = hi
     return True
 
 
@@ -148,14 +152,22 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     Ky Fan gives E(X) - E(D) <= E(A) <= E(X) + E(D).  All three matrices
     are symmetric with 0/1 entries, so A + D == X and X - D == A hold
     exactly and each energy is one symmetric eigen-solve: both Ky Fan
-    sums follow from E(A), E(X) and E(D).
+    sums follow from E(A), E(X) and E(D).  Once D is confirmed
+    block-diagonal, E(D) is the sum of its large blocks' energies; a D
+    that fails the check is solved whole.
     """
     large = set(large_part_indices)
     if any(not 0 <= i < partition.m for i in large):
         raise EnsembleError("large part index out of range")
     A, X, D = _decomposition(partition, large, p, seed, replicate)
     block_diagonal = _is_block_diagonal(D, partition, large)
-    eA, eX, eD = graph_energy(A), graph_energy(X), graph_energy(D)
+    eA, eX = graph_energy(A), graph_energy(X)
+    if block_diagonal:
+        eD = sum((graph_energy(D[lo:hi, lo:hi])
+                  for a, (lo, hi) in enumerate(_part_bounds(partition))
+                  if a in large), 0.0)
+    else:
+        eD = graph_energy(D)
     upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
     lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)
     return {

@@ -213,7 +213,7 @@ def hankel_report(gammas, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Bessel series and the pseudo-characteristic function
+# Bessel functions and the pseudo-characteristic function
 # ---------------------------------------------------------------------------
 
 def _bessel1_series(t: float, signed: bool) -> float:
@@ -232,9 +232,32 @@ def _bessel1_series(t: float, signed: bool) -> float:
             return total
 
 
+def _bessel_j1_miller(x: float) -> float:
+    # J_{k-1} = (2k/x) J_k - J_{k+1}, run down from an even order N far
+    # enough above x (the transition zone widens like x^(1/3)) and scaled
+    # by J_0 + 2 (J_2 + J_4 + ...) = 1; error below 1e-15 for 8 <= x <= 60
+    N = 2 * (int(x + 30.0 + 6.0 * x ** (1.0 / 3.0)) // 2)
+    nxt, cur, norm = 0.0, 1.0, 0.0
+    for k in range(N, 0, -1):
+        nxt, cur = cur, 2.0 * k / x * cur - nxt  # cur is now J_{k-1}
+        if k == 2:
+            j1 = cur
+        elif k % 2 == 1 and k > 1:
+            norm += 2.0 * cur
+    return j1 / (norm + cur)
+
+
 def bessel_j1(t: float) -> float:
-    """Bessel function of the first kind, order 1, by power series."""
-    return _bessel1_series(float(t), signed=True)
+    """Bessel function of the first kind, order 1.
+
+    Power series for |t| < 8; above, the alternating series cancels away
+    its digits, so Miller's backward recurrence takes over.
+    """
+    t = float(t)
+    if abs(t) < 8.0:
+        return _bessel1_series(t, signed=True)
+    j1 = _bessel_j1_miller(abs(t))
+    return -j1 if t < 0 else j1  # J1 is odd
 
 
 def bessel_i1(t: float) -> float:

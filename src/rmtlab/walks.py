@@ -27,12 +27,9 @@ class WalkError(ValueError):
 
 def walk_edges(shape) -> Counter:
     """Multiset of unordered edges (loops allowed) of a closed walk."""
-    k = len(shape)
-    edges = Counter()
-    for t in range(k):
-        a, b = shape[t], shape[(t + 1) % k]
-        edges[(min(a, b), max(a, b))] += 1
-    return edges
+    steps = tuple(shape)
+    return Counter((a, b) if a <= b else (b, a)
+                   for a, b in zip(steps, steps[1:] + steps[:1]))
 
 
 def enumerate_shapes(k: int, v: int) -> list[tuple[int, ...]]:
@@ -70,7 +67,7 @@ def _extend_shapes(seq: list, used: int, k: int, v: int, shapes: list) -> None:
 
 def is_good_zero_mean(shape) -> bool:
     """Good under zero-mean laws: every edge multiplicity at least 2."""
-    return all(c >= 2 for c in walk_edges(shape).values())
+    return 1 not in walk_edges(shape).values()
 
 
 def good_shape_count(k: int, v: int, zero_mean: bool = True) -> int:
@@ -80,9 +77,7 @@ def good_shape_count(k: int, v: int, zero_mean: bool = True) -> int:
     expectation; without that assumption every shape can contribute.
     """
     shapes = enumerate_shapes(k, v)
-    if not zero_mean:
-        return len(shapes)
-    return sum(1 for s in shapes if is_good_zero_mean(s))
+    return sum(map(is_good_zero_mean, shapes)) if zero_mean else len(shapes)
 
 
 def falling_factorial(n: int, v: int) -> int:

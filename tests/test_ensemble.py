@@ -48,6 +48,15 @@ class TestMakePartition:
 
 
 class TestEntryLaw:
+    @pytest.mark.parametrize("make", [
+        lambda x: EntryLaw.bernoulli(x),
+        lambda x: EntryLaw.two_point(x, 1, 0.5),
+        lambda x: EntryLaw.uniform_interval(-1, x)])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, make, x):
+        with pytest.raises(EnsembleError, match="finite"):
+            make(x)
+
     @pytest.mark.parametrize("law,mean,var,bound", [
         (EntryLaw.constant_zero(), 0, 0, 0),
         (EntryLaw.rademacher(), 0, 1, 1),
@@ -241,6 +250,20 @@ class TestFillMatchesIndexOracle:
         assert sample_matrix(spec, 1).tobytes() == \
             oracle_sample_matrix(spec, 1).tobytes()
 
+    def test_sample_matrix_long_singleton_runs(self):
+        # runs longer than one row block, between and after larger parts
+        sizes = (3,) + (1,) * 150 + (5,) + (1,) * 70 + (2, 1)
+        for law_intra, law_cross in [(LAWS[4], LAWS[1]), (LAWS[3], LAWS[2])]:
+            spec = EnsembleSpec(PartitionSpec(sum(sizes), sizes), law_intra,
+                                law_cross, seed=9)
+            assert sample_matrix(spec, 2).tobytes() == \
+                oracle_sample_matrix(spec, 2).tobytes()
+
+    def test_singleton_graph_longer_than_a_row_block(self):
+        part = singleton_partition(300)
+        assert sample_graph(part, 0.3, 11, 2).adjacency.tobytes() == \
+            oracle_sample_graph(part, 0.3, 11, 2).tobytes()
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_sample_graph(self, p):
         hosts = [singleton_partition(n) for n in (1, 2, 7, 50)] + \
@@ -260,6 +283,15 @@ class TestFillMatchesIndexOracle:
                                                        13, 1)):
             assert got.tobytes() == want.tobytes()
         assert _is_block_diagonal(new[2], part, large)
+
+    def test_decomposition_with_singleton_parts(self):
+        # large and small singletons have different intra maps
+        part = PartitionSpec(12, (1, 1, 1, 5, 1, 1, 2))
+        large = {0, 2, 3, 6}
+        new = _decomposition(part, large, 0.4, 13, 1)
+        for got, want in zip(new, oracle_decomposition(part, large, 0.4,
+                                                       13, 1)):
+            assert got.tobytes() == want.tobytes()
 
     def test_block_diagonal_check_finds_stray_entries(self):
         part = PartitionSpec(6, (2, 2, 2))

@@ -9,8 +9,9 @@ from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition
 from rmtlab.experiments import (KINDS, ConfigError, NumericError, histogram,
                                 reference_radius, run_experiment)
-from rmtlab.laws import (find_negativity_witness, mixing_radius,
+from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
                          semicircle_moment)
+from rmtlab.walks import enumerate_shapes, good_shape_count
 
 
 def rademacher_cfg(kind, n=30, fractions=(0.5, 0.5), **extra):
@@ -41,6 +42,30 @@ BOOL_ITEMS = [
     ("hankel.fractions[0]",
      {"kind": "hankel",
       "hankel": {"source": "walk_oracle", "fractions": [True]}}),
+]
+
+
+def _law_cfg(law):
+    cfg = rademacher_cfg("esd", n=20)
+    cfg["ensemble"]["law_cross"] = law
+    return cfg
+
+
+# a non-finite number (JSON NaN / Infinity) in a numeric field, and the
+# field the error must name
+NON_FINITE = [
+    ("hankel.sigma1sq",
+     {"kind": "hankel",
+      "hankel": {"source": "main", "m": 3, "sigma1sq": math.nan, "k": 3}}),
+    ("ensemble.law_cross",
+     _law_cfg({"kind": "bernoulli", "params": {"p": math.nan}})),
+    ("ensemble.law_cross",
+     _law_cfg({"kind": "uniform_interval",
+               "params": {"lo": -math.inf, "hi": 1.0}})),
+    ("z_grid[0][0]", rademacher_cfg("stieltjes", z_grid=[[math.inf, 1.0]])),
+    ("charfn.t_max",
+     {"kind": "charfn", "charfn": {"nuhat": 0.5, "t_max": math.nan}}),
+    ("graph.p", {"kind": "energy", "graph": {"n": 20, "p": math.nan}}),
 ]
 
 
@@ -134,6 +159,19 @@ class TestConfigValidation:
         assert cli_exit(tmp_path, cfg) == 2
         assert f"config error: {item}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, cfg", NON_FINITE,
+                             ids=[f"{field}-{i}" for i, (field, _)
+                                  in enumerate(NON_FINITE)])
+    def test_non_finite_numbers_exit_two(self, tmp_path, capsys, field, cfg):
+        assert cli_exit(tmp_path, cfg) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_law_parameter_exits_two(self, tmp_path, capsys):
+        cfg = _law_cfg({"kind": "bernoulli", "params": {}})
+        assert cli_exit(tmp_path, cfg) == 2
+        assert "config error: ensemble.law_cross:" in capsys.readouterr().err
 
 
 class TestReferenceRadius:
@@ -266,6 +304,34 @@ class TestWalksRun:
     def test_odd_max_k_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment({"kind": "walks", "max_k": 5}, tmp_path)
+
+    @pytest.mark.parametrize("max_k", [2, 4, 6, 8, 10])
+    def test_tables_match_enumeration_and_count(self, tmp_path, max_k):
+        walks, shapes = ["k,v,shapes,good,catalan,identity_holds"], \
+            ["k,v,shape"]
+        for k in range(2, max_k + 1, 2):
+            v = k // 2 + 1
+            listed = enumerate_shapes(k, v)
+            g = good_shape_count(k, v)
+            walks.append(f"{k},{v},{len(listed)},{g},{catalan(k // 2)},"
+                         f"{g == catalan(k // 2)}")
+            shapes += [f"{k},{v}," + "-".join(map(str, s)) for s in listed]
+        run_experiment({"kind": "walks", "max_k": max_k}, tmp_path)
+        for name, lines in (("walks.csv", walks), ("shapes.csv", shapes)):
+            want = "".join(line + "\r\n" for line in lines).encode()
+            assert (tmp_path / name).read_bytes() == want
+
+    def test_one_enumeration_per_length(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(k, v):
+            calls.append((k, v))
+            return enumerate_shapes(k, v)
+
+        monkeypatch.setattr("rmtlab.experiments.enumerate_shapes", counting)
+        monkeypatch.setattr("rmtlab.walks.enumerate_shapes", counting)
+        run_experiment({"kind": "walks", "max_k": 10}, tmp_path)
+        assert calls == [(k, k // 2 + 1) for k in (2, 4, 6, 8, 10)]
 
 
 class TestHankelRun:

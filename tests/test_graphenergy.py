@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rmtlab.ensemble import EnsembleError, make_partition, singleton_partition
-from rmtlab.graphenergy import (GraphSample, energy_bounds_unbalanced,
+from rmtlab.graphenergy import (GraphSample, _decomposition,
+                                energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, predicted_energy_gnp,
                                 predicted_energy_multipartite, sample_graph,
@@ -209,6 +210,33 @@ class TestEnergyDecomposition:
         with pytest.raises(EnsembleError):
             energy_decomposition_check(make_partition(8, [0.5, 0.5]), [5],
                                        0.5, seed=0)
+
+    @pytest.mark.parametrize("large", [[], [0], [0, 2], [0, 1, 2]])
+    def test_block_energy_equals_whole_d(self, large):
+        part = make_partition(90, [0.5, 0.3, 0.2])
+        r = energy_decomposition_check(part, large, 0.4, seed=29, replicate=1)
+        _, _, D = _decomposition(part, set(large), 0.4, 29, 1)
+        assert r["block_diagonal"]
+        assert r["energy_D"] == pytest.approx(graph_energy(D), rel=1e-12,
+                                              abs=0.0)
+
+    def test_stray_entry_solves_whole_d(self, monkeypatch):
+        part = make_partition(30, [0.5, 0.5])
+        _, _, D0 = _decomposition(part, {0}, 0.5, 31, 0)
+        stray = {}
+
+        def broken(*args):
+            A, X, D = _decomposition(*args)
+            D = D.copy()
+            D[0, 20] = D[20, 0] = 1.0  # one pair across the two parts
+            stray["D"] = D
+            return A, A + D, D
+
+        monkeypatch.setattr("rmtlab.graphenergy._decomposition", broken)
+        r = energy_decomposition_check(part, [0], 0.5, seed=31)
+        assert not r["block_diagonal"] and not r["holds"]
+        assert r["energy_D"] == graph_energy(stray["D"])
+        assert r["energy_D"] != pytest.approx(graph_energy(D0[:15, :15]))
 
 
 def test_graph_sample_n_property():

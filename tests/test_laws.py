@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -291,6 +292,16 @@ class TestBessel:
 
     def test_leading_term(self):
         assert bessel_j1(1e-8) / 1e-8 == pytest.approx(0.5)
+
+    def test_j1_matches_mpmath_on_accepted_domain(self):
+        # pseudo_char_grid accepts arguments up to 60
+        for x in np.linspace(0.0, 60.0, 6001):
+            assert bessel_j1(x) == pytest.approx(
+                float(mpmath.besselj(1, x)), abs=1e-12, rel=0.0)
+
+    def test_j1_is_odd(self):
+        for x in (0.5, 7.99, 8.0, 23.7, 60.0):
+            assert bessel_j1(-x) == -bessel_j1(x)
 
     def test_i1_monotone(self):
         t = np.linspace(0.1, 8.0, 50)

@@ -80,7 +80,29 @@ class TestEnumerateShapes:
             gc.enable()
 
 
+def loop_walk_edges(shape) -> Counter:
+    """Edge multiset by an index loop: the reference for walk_edges."""
+    k = len(shape)
+    edges = Counter()
+    for t in range(k):
+        a, b = shape[t], shape[(t + 1) % k]
+        edges[(min(a, b), max(a, b))] += 1
+    return edges
+
+
 class TestWalkEdges:
+    def test_matches_loop_oracle_on_every_shape(self):
+        for k in range(1, 11):
+            for v in range(1, k + 1):
+                for shape in enumerate_shapes(k, v):
+                    want = loop_walk_edges(shape)
+                    assert walk_edges(shape) == want
+                    assert is_good_zero_mean(shape) == \
+                        all(c >= 2 for c in want.values())
+
+    def test_accepts_lists(self):
+        assert walk_edges([1, 2, 1]) == walk_edges((1, 2, 1))
+
     def test_closing_edge_counted(self):
         edges = walk_edges((1, 2))
         assert edges == Counter({(1, 2): 2})
