@@ -10,7 +10,6 @@ traversal order or thread schedule.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -322,26 +321,24 @@ def counter_uniforms(seed: int, replicate: int, count: int,
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
-# rows per cross call on a run of singleton parts: the lower-triangle cells
-# a call maps in vain stay few, and each call's block stays in cache
+# rows per strip of _symmetric_fill; a strip's blocks stay in cache
 _ROW_BLOCK = 64
 
 
-def _symmetric_fill(sizes, intra, cross, seed: int, replicate: int,
+def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
                     stream: int = 0, diagonal: bool = True) -> np.ndarray:
     """Symmetric matrix whose upper triangle is one counter_uniforms stream.
 
     The stream fills the upper triangle row by row, row i taking columns
-    i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0).  Each
-    part's diagonal block is then mapped by intra[part], the blocks to its
-    right by cross, and the upper triangle is mirrored into the lower one.
-    The maps act elementwise on uniforms, so a run of singleton parts with
-    one intra map takes one cross call per block of _ROW_BLOCK rows, from
-    the block's first column on, then one intra call on the run's diagonal
-    entries; what cross writes below the diagonal is overwritten by the
-    mirror.
+    i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0).  It is
+    mapped in strips of _ROW_BLOCK rows from the strip's first row r on.
+    With mid the end of the part of the strip's last row, columns mid.. take
+    `cross`; columns r..mid take `intra` if the strip lies in one part, else
+    `intra` or `cross` by whether row and column share a part.  The maps act
+    elementwise on uniforms, and what they write below the diagonal is
+    overwritten when the upper triangle is mirrored into the lower one.
     """
-    n = sum(sizes)
+    n = partition.n
     k = 0 if diagonal else 1
     u = counter_uniforms(seed, replicate, (n - k) * (n + 1 - k) // 2, stream)
     A = np.zeros((n, n))
@@ -350,23 +347,17 @@ def _symmetric_fill(sizes, intra, cross, seed: int, replicate: int,
         A[i, i + k:] = u[start:start + n - i - k]
         start += n - i - k
     del u  # free the stream before the maps allocate their blocks
-    lo = 0
-    for (law, size), run in itertools.groupby(zip(intra, sizes)):
-        count = sum(1 for _ in run)
-        if size == 1:
-            hi = lo + count
-            diag = A.flat[lo * (n + 1):hi * (n + 1):n + 1]
-            for r in range(lo, hi, _ROW_BLOCK):
-                rows = slice(r, min(r + _ROW_BLOCK, hi))
-                A[rows, r:] = cross(A[rows, r:])
-            A.flat[lo * (n + 1):hi * (n + 1):n + 1] = law(diag)
-            lo = hi
-            continue
-        for _ in range(count):
-            hi = lo + size
-            A[lo:hi, lo:hi] = law(A[lo:hi, lo:hi])
-            A[lo:hi, hi:] = cross(A[lo:hi, hi:])
-            lo = hi
+    labels = partition.part_labels()
+    for r in range(0, n, _ROW_BLOCK):
+        last = min(r + _ROW_BLOCK, n) - 1
+        mid = int(np.searchsorted(labels, labels[last], "right"))
+        near = A[r:last + 1, r:mid]
+        if labels[r] == labels[last]:
+            near[...] = intra(near)
+        else:
+            same = labels[r:last + 1, None] == labels[None, r:mid]
+            near[...] = np.where(same, intra(near), cross(near))
+        A[r:last + 1, mid:] = cross(A[r:last + 1, mid:])
     if not diagonal:
         A.flat[::n + 1] = 0.0
     for i in range(1, n):
@@ -376,8 +367,7 @@ def _symmetric_fill(sizes, intra, cross, seed: int, replicate: int,
 
 def sample_matrix(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """Draw one symmetric matrix; pure function of (spec, replicate)."""
-    sizes = spec.partition.sizes
-    return _symmetric_fill(sizes, [spec.law_intra.from_uniform] * len(sizes),
+    return _symmetric_fill(spec.partition, spec.law_intra.from_uniform,
                            spec.law_cross.from_uniform, spec.seed, replicate)
 
 

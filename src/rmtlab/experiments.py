@@ -114,18 +114,22 @@ def reference_radius(spec: EnsembleSpec, override=None) -> float:
 
     One part: plain Wigner with radius sigma_intra.  Parts of vanishing
     size (largest fraction <= 5%): radius sigma_cross.  Otherwise the mixed
-    radius sqrt((s1 + (m-1) s2)/m) for m comparable parts.
+    radius sqrt((s1 + (m-1) s2)/m) for m comparable parts when s2 > 0, else
+    sigma_cross.  A radius that is not positive is a config error.
     """
+    if override is not None and not override > 0:
+        raise ConfigError("reference_radius", "must be positive")
     if override is not None:
         return float(override)
     s1 = float(spec.law_intra.variance)
     s2 = float(spec.law_cross.variance)
     m = spec.partition.m
-    if m == 1:
-        return math.sqrt(s1)
-    if max(spec.partition.fractions) <= 0.05:
-        return math.sqrt(s2)
-    return mixing_radius(m, s1, s2)
+    if m > 1 and max(spec.partition.fractions) > 0.05 and s2 > 0:
+        return mixing_radius(m, s1, s2)
+    radius = math.sqrt(s1 if m == 1 else s2)
+    if radius == 0.0:
+        raise ConfigError("ensemble", "zero entry variance gives radius 0")
+    return radius
 
 
 def histogram(eigs: np.ndarray, bins: int, range_=None):

@@ -49,7 +49,7 @@ def sample_graph(partition: PartitionSpec, p: float, seed: int,
     """
     if not 0.0 <= p <= 1.0:
         raise EnsembleError("edge probability outside [0, 1]")
-    A = _symmetric_fill(partition.sizes, [_ZERO.from_uniform] * partition.m,
+    A = _symmetric_fill(partition, _ZERO.from_uniform,
                         EntryLaw.bernoulli(p).from_uniform, seed, replicate,
                         stream=_EDGE_STREAM, diagonal=False)
     return GraphSample(adjacency=A, partition=partition, p=p)
@@ -117,11 +117,11 @@ def _decomposition(partition: PartitionSpec, large, p: float, seed: int,
     """(A, X, D): the sample A, D = Bernoulli(p) on the strict-upper pairs
     of each large part (mirrored, from its own stream) and X = A + D."""
     A = sample_graph(partition, p, seed, replicate).adjacency
-    fill = EntryLaw.bernoulli(p).from_uniform
-    intra = [fill if a in large else _ZERO.from_uniform
-             for a in range(partition.m)]
-    D = _symmetric_fill(partition.sizes, intra, _ZERO.from_uniform, seed,
-                        replicate, stream=_FILL_STREAM, diagonal=False)
+    D = _symmetric_fill(partition, EntryLaw.bernoulli(p).from_uniform,
+                        _ZERO.from_uniform, seed, replicate,
+                        stream=_FILL_STREAM, diagonal=False)
+    # D is 0 across parts: zeroing the small parts' rows zeroes their blocks
+    D[~np.isin(partition.part_labels(), list(large))] = 0.0
     return A, A + D, D
 
 

@@ -218,7 +218,10 @@ def hankel_report(gammas, k: int) -> dict:
 
 def _bessel1_series(t: float, signed: bool) -> float:
     # sum_j s^j / (j! (j+1)!) (t/2)^(2j+1), s = -1 for J1, +1 for I1;
-    # terms added until the relative term drops below 1e-16
+    # terms added until the relative term drops below 1e-16 or the sum
+    # overflows; NaN for a NaN or infinite t, as scipy.special gives
+    if not math.isfinite(t):
+        return math.nan
     half = t / 2.0
     term = half
     total = term
@@ -228,7 +231,7 @@ def _bessel1_series(t: float, signed: bool) -> float:
         term *= half * half / (j * (j + 1))
         contrib = -term if (signed and j % 2 == 1) else term
         total += contrib
-        if abs(term) < 1e-16 * max(abs(total), 1e-300):
+        if abs(term) < 1e-16 * max(abs(total), 1e-300) or math.isinf(total):
             return total
 
 
@@ -254,7 +257,7 @@ def bessel_j1(t: float) -> float:
     its digits, so Miller's backward recurrence takes over.
     """
     t = float(t)
-    if abs(t) < 8.0:
+    if abs(t) < 8.0 or not math.isfinite(t):
         return _bessel1_series(t, signed=True)
     j1 = _bessel_j1_miller(abs(t))
     return -j1 if t < 0 else j1  # J1 is odd
@@ -295,6 +298,8 @@ def pseudo_char_grid(nuhat: float, sigma2: float, t_max: float, step: float):
         raise LawError("sigma2 and step must be positive")
     if t_max > 60.0 / (nuhat * sigma2):
         raise LawError("t_max too large for the series budget")
+    if t_max / step > 10**6:
+        raise LawError("t_max / step exceeds 10**6 grid points")
     t = step
     while t <= t_max:
         val = pseudo_char(t, nuhat, sigma2)

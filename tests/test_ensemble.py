@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmtlab.ensemble import (EnsembleError, EnsembleSpec, EntryLaw,
-                             PartitionSpec, counter_uniforms, make_partition,
-                             sample_matrix, scale_matrix, singleton_partition)
+from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
+                             EntryLaw, PartitionSpec, _symmetric_fill,
+                             counter_uniforms, make_partition, sample_matrix,
+                             scale_matrix, singleton_partition)
 from rmtlab.graphenergy import (_decomposition, _is_block_diagonal,
                                 sample_graph)
 
@@ -184,20 +185,25 @@ class TestSampling:
 # kept as the oracle the fill must reproduce bit for bit.
 # ---------------------------------------------------------------------------
 
-def oracle_sample_matrix(spec, replicate):
-    n = spec.n
-    iu = np.triu_indices(n)
-    u = counter_uniforms(spec.seed, replicate, iu[0].size)
-    labels = spec.partition.part_labels()
-    intra = labels[iu[0]] == labels[iu[1]]
+def oracle_fill(partition, intra, cross, seed, replicate, stream=0,
+                diagonal=True):
+    n = partition.n
+    iu = np.triu_indices(n, k=0 if diagonal else 1)
+    u = counter_uniforms(seed, replicate, iu[0].size, stream)
+    labels = partition.part_labels()
+    same = labels[iu[0]] == labels[iu[1]]
     vals = np.empty(u.size)
-    vals[intra] = spec.law_intra.from_uniform(u[intra])
-    vals[~intra] = spec.law_cross.from_uniform(u[~intra])
+    vals[same] = intra(u[same])
+    vals[~same] = cross(u[~same])
     A = np.zeros((n, n))
     A[iu] = vals
-    A = A + A.T
-    A[np.diag_indices(n)] /= 2.0
+    A[(iu[1], iu[0])] = vals
     return A
+
+
+def oracle_sample_matrix(spec, replicate):
+    return oracle_fill(spec.partition, spec.law_intra.from_uniform,
+                       spec.law_cross.from_uniform, spec.seed, replicate)
 
 
 def oracle_sample_graph(partition, p, seed, replicate):
@@ -225,6 +231,33 @@ def oracle_decomposition(partition, large, p, seed, replicate):
     X[iu] = upper
     X[(iu[1], iu[0])] = upper
     return A, X, X - A
+
+
+def _at_most_400(sizes):
+    """The longest prefix of sizes that sums to at most 400."""
+    ends = np.cumsum(sizes)
+    return tuple(sizes[:max(1, int(np.searchsorted(ends, 400, "right")))])
+
+
+# part sizes 1..150 on n <= 400 rows, n not a multiple of the strip height:
+# singletons beside wide parts, and part ends inside strips and on their edges
+FILL_SIZES = st.lists(
+    st.one_of(st.just(1), st.integers(1, 150),
+              st.sampled_from([_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK])),
+    min_size=1, max_size=40).map(_at_most_400).filter(
+        lambda sizes: sum(sizes) % _ROW_BLOCK != 0)
+
+
+@st.composite
+def sizes_and_large(draw):
+    """FILL_SIZES and a random subset of its parts."""
+    sizes = draw(FILL_SIZES)
+    return sizes, draw(st.sets(st.integers(0, len(sizes) - 1)))
+
+
+# strips 0, 1, 3 and 4 lie in one part, strips 2 and 5 straddle parts, and
+# parts end on the edges of strips 1, 2 and 3
+STRIP_EDGES = (64, 64, 1, 1, 62, 150, 3)
 
 
 def uneven_sizes(n, parts):
@@ -292,6 +325,34 @@ class TestFillMatchesIndexOracle:
         for got, want in zip(new, oracle_decomposition(part, large, 0.4,
                                                        13, 1)):
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=FILL_SIZES,
+           laws=st.tuples(st.sampled_from(LAWS), st.sampled_from(LAWS)),
+           diagonal=st.booleans(), seed=st.integers(0, 2**64 - 1))
+    @example(sizes=STRIP_EDGES, laws=(LAWS[3], LAWS[4]), diagonal=True,
+             seed=3)
+    @example(sizes=STRIP_EDGES, laws=(LAWS[2], LAWS[3]), diagonal=False,
+             seed=4)
+    def test_fill_on_random_partitions(self, sizes, laws, diagonal, seed):
+        part = PartitionSpec(sum(sizes), sizes)
+        intra, cross = (law.from_uniform for law in laws)
+        got = _symmetric_fill(part, intra, cross, seed, 2, stream=1,
+                              diagonal=diagonal)
+        assert got.tobytes() == oracle_fill(part, intra, cross, seed, 2,
+                                            stream=1,
+                                            diagonal=diagonal).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=sizes_and_large(), p=st.sampled_from([0.0, 0.4, 1.0]))
+    @example(case=(STRIP_EDGES, {0, 3, 5}), p=0.4)
+    def test_decomposition_on_random_partitions(self, case, p):
+        sizes, large = case
+        part = PartitionSpec(sum(sizes), sizes)
+        new = _decomposition(part, large, p, 13, 1)
+        for got, want in zip(new, oracle_decomposition(part, large, p, 13, 1)):
+            assert got.tobytes() == want.tobytes()
+        assert _is_block_diagonal(new[2], part, large)
 
     def test_block_diagonal_check_finds_stray_entries(self):
         part = PartitionSpec(6, (2, 2, 2))

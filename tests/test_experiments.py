@@ -194,6 +194,22 @@ class TestReferenceRadius:
         s = self.spec(10, [0.5, 0.5], 0, 1)
         assert reference_radius(s) == pytest.approx(mixing_radius(2, 0.0, 1.0))
 
+    @pytest.mark.parametrize("kind, fractions, law", [
+        ("esd", [0.5, 0.5], "law_cross"), ("moments", [1.0], "law_intra")])
+    def test_zero_variance_radius_exits_two(self, tmp_path, capsys, kind,
+                                            fractions, law):
+        cfg = rademacher_cfg(kind, n=20, fractions=fractions)
+        cfg["ensemble"][law] = EntryLaw.constant_zero().to_dict()
+        assert cli_exit(tmp_path, cfg) == 2
+        assert "config error: ensemble:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, radius", [("stieltjes", 0.0),
+                                              ("esd", -1.0)])
+    def test_bad_override_exits_two(self, tmp_path, capsys, kind, radius):
+        cfg = rademacher_cfg(kind, n=20, reference_radius=radius)
+        assert cli_exit(tmp_path, cfg) == 2
+        assert "config error: reference_radius:" in capsys.readouterr().err
+
 
 class TestHistogram:
     def test_counts_and_density(self):
@@ -433,7 +449,8 @@ class TestCharfnRun:
         assert float(rows[-1]["t"]) > rep["witness"]
 
     @pytest.mark.parametrize("charfn", [{"step": 0.0}, {"sigma2": 0.0},
-                                        {"nuhat": 0.8}, {"t_max": 1e6}])
+                                        {"nuhat": 0.8}, {"t_max": 1e6},
+                                        {"step": 1e-300}])
     def test_law_rejections_are_config_errors(self, tmp_path, charfn):
         cfg = {"kind": "charfn", "charfn": {"nuhat": 0.5, **charfn}}
         with pytest.raises(ConfigError) as exc:

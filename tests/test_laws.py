@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rmtlab
 from rmtlab.laws import (LawError, bessel_i1, bessel_j1, catalan,
                          find_negativity_witness, gamma_bipartite_printed,
                          gamma_proposition_printed, hankel_matrix,
@@ -307,6 +313,28 @@ class TestBessel:
         t = np.linspace(0.1, 8.0, 50)
         vals = [bessel_i1(x) for x in t]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_non_finite_and_overflow_match_scipy(self):
+        # in a child process, so that a hang fails this test, not the suite
+        from scipy.special import i1, j1
+        i1_args = [math.nan, math.inf, -math.inf, 714.0, 800.0, -800.0,
+                   1e300, -1e300]
+        j1_args = [math.nan, math.inf, -math.inf]
+        code = ("import json, sys\n"
+                "from rmtlab.laws import bessel_i1, bessel_j1\n"
+                "i1_args, j1_args = json.loads(sys.argv[1])\n"
+                "print(json.dumps([list(map(bessel_i1, i1_args)),\n"
+                "                  list(map(bessel_j1, j1_args))]))\n")
+        src = str(Path(rmtlab.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps([i1_args, j1_args])],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        got_i1, got_j1 = json.loads(done.stdout)
+        for got, f, args in ((got_i1, i1, i1_args), (got_j1, j1, j1_args)):
+            want = [float(f(x)) for x in args]
+            assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 class TestPseudoChar:
