@@ -1,10 +1,13 @@
 """Command line front-end: `rmtlab <kind> --config <path> --out <dir>`.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.  The environment
-variable RMTLAB_THREADS caps replicate parallelism (default 1).  Replicate
-threads overlap their sampling; the eigen and singular value solves run one
-at a time on the full BLAS thread pool, so output does not depend on the
-thread count.
+variable RMTLAB_THREADS caps replicate parallelism (default 1; the pool is
+also capped by the replicate count and the core count).  Replicate threads
+overlap their sampling; the eigen and singular value solves run one at a
+time on the full BLAS thread pool, so output does not depend on the thread
+count.  A sampled two-part matrix whose diagonal blocks are both zero gets
+its spectrum from the singular values of its cross block, -sigma, the
+|n1 - n2| exact zeros and +sigma, instead of from a full eigensolve.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    mixing_radius, pseudo_char_grid, semicircle_cdf,
                    semicircle_moment, semicircle_stieltjes)
-from .spectral import (eigenvalues_sym, empirical_moment, esd, ks_distance,
-                       stieltjes_empirical)
+from .spectral import (eigenvalues_sym, eigenvalues_two_part,
+                       empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
 KINDS = ("esd", "moments", "stieltjes", "walks", "hankel", "charfn",
@@ -174,10 +174,12 @@ def _thread_count() -> int:
 
 
 def _map_replicates(fn, replicates: int):
-    threads = _thread_count()
-    if threads == 1 or replicates == 1:
+    # more workers than replicates or cores would only hold matrices while
+    # their solves wait on the solve lock
+    workers = min(_thread_count(), replicates, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(replicates)))
 
 
@@ -192,8 +194,14 @@ def _table(header, records):
 
 
 def _spectra(spec: EnsembleSpec, replicates: int):
+    # a two-part matrix takes the SVD shortcut when its sampled diagonal
+    # blocks are zero; eigenvalues_two_part checks that on the matrix
+    sizes = spec.partition.sizes
+
     def one(i):
-        return eigenvalues_sym(scale_matrix(sample_matrix(spec, i)))
+        M = scale_matrix(sample_matrix(spec, i))
+        return eigenvalues_two_part(M, sizes[0]) if len(sizes) == 2 \
+            else eigenvalues_sym(M)
     return _map_replicates(one, replicates)
 
 

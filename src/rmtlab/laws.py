@@ -250,16 +250,38 @@ def _bessel_j1_miller(x: float) -> float:
     return j1 / (norm + cur)
 
 
+def _bessel_j1_hankel(x: float) -> float:
+    # Hankel's expansion J1 = sqrt(2/(pi x)) (P cos c - Q sin c) with
+    # c = x - 3pi/4, from the terms a_k = prod_{j<=k} (4 - (2j-1)^2) /
+    # (k! (8x)^k): P = a_0 - a_2 + a_4 - ..., Q = a_1 - a_3 + ...  The terms
+    # grow again only from k near 2x; for x > 60 they are below 1e-17 by
+    # k = 12.  cos c and sin c are (sin x - cos x)/sqrt 2 and
+    # -(sin x + cos x)/sqrt 2, so math.sin and math.cos reduce the argument
+    # exactly.
+    p, q, term, k = 1.0, 0.0, 1.0, 0
+    while abs(term) > 1e-17:
+        k += 1
+        term *= (4.0 - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if k % 2:
+            q += term if k % 4 == 1 else -term
+        else:
+            p += term if k % 4 == 0 else -term
+    s, c = math.sin(x), math.cos(x)
+    return (p * (s - c) + q * (s + c)) / math.sqrt(math.pi * x)
+
+
 def bessel_j1(t: float) -> float:
     """Bessel function of the first kind, order 1.
 
     Power series for |t| < 8; above, the alternating series cancels away
-    its digits, so Miller's backward recurrence takes over.
+    its digits, so Miller's backward recurrence takes over up to |t| = 60,
+    and Hankel's asymptotic expansion beyond.
     """
     t = float(t)
     if abs(t) < 8.0 or not math.isfinite(t):
         return _bessel1_series(t, signed=True)
-    j1 = _bessel_j1_miller(abs(t))
+    x = abs(t)
+    j1 = _bessel_j1_miller(x) if x <= 60.0 else _bessel_j1_hankel(x)
     return -j1 if t < 0 else j1  # J1 is odd
 
 

@@ -38,11 +38,32 @@ def eigenvalues_sym(M: np.ndarray) -> np.ndarray:
         raise SpectralError(f"eigensolver did not converge: {exc}") from exc
 
 
-def singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values of a square matrix, nonincreasing."""
+def eigenvalues_two_part(M: np.ndarray, n1: int) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, sorted ascending.
+
+    When both diagonal blocks of the split after row n1 are zero, M is
+    [[0, B], [B^T, 0]] and its spectrum is -sigma(B), |n1 - n2| exact zeros
+    and sigma(B), from one SVD of the n1 x n2 block B.  Any other matrix
+    goes to `eigenvalues_sym`.
+    """
     M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("square matrix required")
+    n = M.shape[0]
+    if (M.shape != (n, n) or not 0 < n1 < n
+            or M[:n1, :n1].any() or M[n1:, n1:].any()):
+        return eigenvalues_sym(M)
+    B = M[:n1, n1:]
+    if not np.array_equal(B, M[n1:, :n1].T):
+        raise ValueError("matrix is not exactly symmetric")
+    s = singular_values(B)
+    # 0.0 - s, not -s: a zero singular value must not become -0.0
+    return np.concatenate((0.0 - s, np.zeros(abs(n - 2 * n1)), s[::-1]))
+
+
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, nonincreasing."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("matrix required")
     try:
         with _SOLVE_LOCK:
             return np.linalg.svd(M, compute_uv=False)

@@ -7,8 +7,9 @@ import pytest
 
 from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition
-from rmtlab.experiments import (KINDS, ConfigError, NumericError, histogram,
-                                reference_radius, run_experiment)
+from rmtlab.experiments import (KINDS, ConfigError, NumericError,
+                                _map_replicates, histogram, reference_radius,
+                                run_experiment)
 from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
                          semicircle_moment)
 from rmtlab.walks import enumerate_shapes, good_shape_count
@@ -26,6 +27,13 @@ def rademacher_cfg(kind, n=30, fractions=(0.5, 0.5), **extra):
         },
     }
     cfg.update(extra)
+    return cfg
+
+
+def zero_intra_cfg(kind, n=150, **extra):
+    """Two parts [.8, .2], zero intra blocks, Rademacher cross block."""
+    cfg = rademacher_cfg(kind, n=n, fractions=(0.8, 0.2), **extra)
+    cfg["ensemble"]["law_intra"] = EntryLaw.constant_zero().to_dict()
     return cfg
 
 
@@ -265,6 +273,16 @@ class TestEsdRun:
         assert sum(int(r["count"]) for r in rows) <= 40
         for r in rows:
             assert float(r["bin_lo"]) < float(r["bin_hi"])
+
+    def test_zero_intra_atom_is_exact(self, tmp_path):
+        # spectrum +-sigma(B) plus n1 - n2 = 120 - 30 exact zeros, none -0.0
+        run_experiment(zero_intra_cfg("esd"), tmp_path, replicates=3)
+        for i in range(3):
+            with open(tmp_path / f"eigenvalues_r{i}.csv") as fh:
+                cells = [row[0] for row in csv.reader(fh)][1:]
+            assert len(cells) == 150
+            assert sum(float(c) == 0.0 for c in cells) == 90
+            assert cells.count("0.0") == 90
 
 
 class TestMomentsRun:
@@ -523,6 +541,8 @@ class TestThreads:
         {"kind": "decomposition",
          "graph": {"n": 150, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
                    "large_parts": [0, 2], "seed": 5}},
+        pytest.param(zero_intra_cfg("moments"), id="moments_zero_intra"),
+        pytest.param(zero_intra_cfg("esd"), id="esd_zero_intra"),
     ], ids=lambda cfg: cfg["kind"])
     def test_outputs_do_not_depend_on_thread_count(self, tmp_path,
                                                    monkeypatch, cfg):
@@ -536,6 +556,38 @@ class TestThreads:
             csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
             outputs.append((report, csvs))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_pool_is_capped_by_replicates_and_cores(self, monkeypatch):
+        # a stand-in executor records max_workers and runs tasks in order,
+        # so no thread is started
+        sizes = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("rmtlab.experiments.ThreadPoolExecutor",
+                            SerialExecutor)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv("RMTLAB_THREADS", "64")
+        for replicates, want in ((64, [4]), (3, [3]), (1, [])):
+            sizes.clear()
+            got = _map_replicates(lambda i: i * i, replicates)
+            assert got == [i * i for i in range(replicates)]
+            assert sizes == want
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        sizes.clear()
+        assert _map_replicates(lambda i: i, 64) == list(range(64))
+        assert sizes == []
 
     def test_garbage_env_value_is_serial(self, monkeypatch, tmp_path):
         monkeypatch.setenv("RMTLAB_THREADS", "lots")

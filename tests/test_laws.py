@@ -305,6 +305,29 @@ class TestBessel:
             assert bessel_j1(x) == pytest.approx(
                 float(mpmath.besselj(1, x)), abs=1e-12, rel=0.0)
 
+    def test_j1_matches_mpmath_on_large_arguments(self):
+        # Hankel's expansion beyond 60: error against the envelope
+        # sqrt(2/(pi x)), which is what the zeros of J1 leave to compare
+        with mpmath.workdps(60):
+            for x in np.logspace(math.log10(60.0), 15.0, 400):
+                x = float(x)
+                envelope = math.sqrt(2.0 / (math.pi * x))
+                want = mpmath.besselj(1, mpmath.mpf(x))
+                assert abs(mpmath.mpf(bessel_j1(x)) - want) \
+                    <= 1e-15 * envelope, x
+
+    def test_j1_on_huge_argument_returns(self):
+        # in a child process, so that a hang fails this test, not the suite
+        code = ("import math\n"
+                "from rmtlab.laws import bessel_j1\n"
+                "v = bessel_j1(1e300), bessel_j1(-1e300), bessel_j1(1e6)\n"
+                "assert all(map(math.isfinite, v)), v\n")
+        src = str(Path(rmtlab.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+
     def test_j1_is_odd(self):
         for x in (0.5, 7.99, 8.0, 23.7, 60.0):
             assert bessel_j1(-x) == -bessel_j1(x)

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
     sample_matrix, scale_matrix
 from rmtlab.laws import semicircle_cdf
 from rmtlab.spectral import (check_rank_inequality,
                              check_stieltjes_perturbation, eigenvalues_sym,
-                             empirical_moment, esd, esd_sup_distance,
-                             ks_distance, numeric_rank, singular_values,
-                             stieltjes_empirical)
+                             eigenvalues_two_part, empirical_moment, esd,
+                             esd_sup_distance, ks_distance, numeric_rank,
+                             singular_values, stieltjes_empirical)
 
 
 def random_symmetric(n, rng):
@@ -46,6 +48,70 @@ class TestEigenvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigenvalues_sym(np.array([[0., 1.], [0., 0.]]))
+
+
+def two_part(B, C=None):
+    """[[0, B], [B^T, 0]], or [[0, B], [C, 0]] when C is given."""
+    n1, n2 = B.shape
+    M = np.zeros((n1 + n2, n1 + n2))
+    M[:n1, n1:] = B
+    M[n1:, :n1] = B.T if C is None else C
+    return M
+
+
+class TestEigenvaluesTwoPart:
+    @settings(max_examples=80, deadline=None)
+    @example(n1=1, n2=1, shape="random", seed=0)
+    @example(n1=1, n2=60, shape="random", seed=1)
+    @example(n1=60, n2=1, shape="repeated", seed=2)
+    @example(n1=30, n2=30, shape="repeated", seed=3)
+    @example(n1=17, n2=40, shape="zero", seed=4)
+    @given(n1=st.integers(1, 60), n2=st.integers(1, 60),
+           shape=st.sampled_from(["random", "repeated", "zero"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_eigensolve(self, n1, n2, shape, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n1, n2))
+        if shape == "repeated":  # rank at most 3: columns copied
+            B = B[:, rng.integers(0, min(3, n2), size=n2)]
+        elif shape == "zero":
+            B = np.zeros((n1, n2))
+        M = two_part(B)
+        got = eigenvalues_two_part(M, n1)
+        want = eigenvalues_sym(M)
+        assert got.shape == (n1 + n2,)
+        assert np.all(np.diff(got) >= 0)
+        tol = 1e-13 * max(1.0, np.linalg.norm(B, 2))
+        assert np.max(np.abs(got - want)) <= tol
+        assert not np.any(np.signbit(got[got == 0.0]))
+        assert np.sum(got == 0.0) >= abs(n1 - n2)
+
+    def test_nonzero_diagonal_block_falls_back(self):
+        rng = np.random.default_rng(41)
+        M = two_part(rng.normal(size=(7, 4)))
+        for i, j in ((0, 0), (9, 10), (10, 9), (2, 5)):
+            N = M.copy()
+            N[i, j] = N[j, i] = 0.5
+            assert eigenvalues_two_part(N, 7).tobytes() == \
+                eigenvalues_sym(N).tobytes()
+
+    def test_split_outside_matrix_falls_back(self):
+        M = random_symmetric(6, np.random.default_rng(43))
+        for n1 in (0, 6):
+            assert eigenvalues_two_part(M, n1).tobytes() == \
+                eigenvalues_sym(M).tobytes()
+
+    def test_not_symmetric_raises(self):
+        rng = np.random.default_rng(47)
+        B = rng.normal(size=(5, 3))
+        C = B.T.copy()
+        C[1, 2] = np.nextafter(C[1, 2], np.inf)
+        with pytest.raises(ValueError):
+            eigenvalues_two_part(two_part(B, C), 5)
+        M = two_part(B)
+        M[0, 1] = 1.0  # nonzero diagonal block, not symmetric either
+        with pytest.raises(ValueError):
+            eigenvalues_two_part(M, 5)
 
 
 class TestESD:
@@ -213,6 +279,13 @@ class TestSingularValues:
 
     def test_zero_matrix(self):
         assert not np.any(singular_values(np.zeros((3, 3))))
+
+    def test_rectangular(self):
+        B = np.array([[3.0, 0.0, 0.0], [0.0, -4.0, 0.0]])
+        assert np.allclose(singular_values(B), [4, 3])
+        assert np.allclose(singular_values(B.T), [4, 3])
+        with pytest.raises(ValueError):
+            singular_values(np.ones(3))
 
     def test_matches_abs_eigenvalues(self):
         rng = np.random.default_rng(29)
