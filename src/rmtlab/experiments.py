@@ -2,9 +2,8 @@
 
 Each experiment kind samples and analyzes; `run_experiment` then writes a
 `report.json` plus kind-specific CSV files into an output directory.
-Outputs are a pure function of (config, seed): replicates may run on
-several threads but are aggregated in fixed order, and every random draw is
-counter-based.
+Outputs are a pure function of (config, seed): replicates run one after
+another in order, and every random draw is counter-based.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,14 +21,15 @@ from . import __version__
 from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, check_fractions,
                        make_partition, sample_matrix, scale_matrix,
                        singleton_partition)
-from .graphenergy import (energy_bounds_unbalanced, energy_decomposition_check,
-                          graph_energy, predicted_energy_gnp,
-                          predicted_energy_multipartite, sample_graph)
+from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
+                          energy_decomposition_check, graph_energy,
+                          predicted_energy_gnp, predicted_energy_multipartite,
+                          sample_graph)
 from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    mixing_radius, pseudo_char_grid, semicircle_cdf,
                    semicircle_moment, semicircle_stieltjes)
-from .spectral import (eigenvalues_sym, eigenvalues_two_part,
+from .spectral import (SpectralError, eigenvalues_sym, eigenvalues_two_part,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
@@ -165,22 +163,9 @@ def _write_csv(fh, header, rows) -> None:
     w.writerows([_cell(x) for x in row] for row in rows)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RMTLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _map_replicates(fn, replicates: int):
-    # more workers than replicates or cores would only hold matrices while
-    # their solves wait on the solve lock
-    workers = min(_thread_count(), replicates, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicates)))
+    # kept as a named function: the benchmark's tracer times replicates here
+    return [fn(i) for i in range(replicates)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +381,8 @@ def _graph_setup(cfg, seed):
         raise ConfigError("graph.p", "must lie in [0, 1]")
     fractions = _get(cfg, "graph.fractions", list)
     gseed = seed if seed is not None else _get(cfg, "graph.seed", int, default=0)
+    if not 0 <= gseed < 2**64:  # EnsembleSpec's rule for ensemble.seed
+        raise ConfigError("graph.seed", "seed must fit in 64 unsigned bits")
     try:
         partition = singleton_partition(n) if fractions is None \
             else make_partition(n, _items(fractions, "graph.fractions"))
@@ -445,6 +432,10 @@ def _run_decomposition(cfg, seed, replicates):
         raise ConfigError("graph.fractions", "decomposition needs explicit parts")
     large = _items(_get(cfg, "graph.large_parts", list, required=True),
                    "graph.large_parts", int)
+    try:
+        check_large_parts(partition.m, large)
+    except EnsembleError as exc:
+        raise ConfigError("graph.large_parts", str(exc)) from exc
 
     def one(i):
         return energy_decomposition_check(partition, large, p, gseed, i)
@@ -481,7 +472,9 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
 
     The runner computes every table first; files are written only once it
     has returned.  Raises ConfigError for bad configs and NumericError for
-    runtime numerical failures; a failed run leaves no files behind.
+    a failed solve, floating-point trouble or a failed write; any other
+    exception is a bug and propagates unchanged.  A failed run leaves no
+    files behind.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -519,6 +512,7 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     except Exception as exc:
         for f in written:
             f.unlink(missing_ok=True)
-        if isinstance(exc, ConfigError):
-            raise
-        raise NumericError(f"{kind} experiment failed: {exc}") from exc
+        if isinstance(exc, (SpectralError, np.linalg.LinAlgError,
+                            ArithmeticError, OSError)):
+            raise NumericError(f"{kind} experiment failed: {exc}") from exc
+        raise

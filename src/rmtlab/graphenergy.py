@@ -66,33 +66,42 @@ def singular_value_sum(M: np.ndarray) -> float:
     return float(np.sum(singular_values(M)))
 
 
-def predicted_energy_gnp(n: int, p: float) -> float:
-    """Leading term n^(3/2) (8/(3 pi)) sqrt(p(1-p)) for the binomial graph."""
+def _leading_energy(n: int, p: float, c: float = 1.0) -> float:
+    """n^(3/2) (8/(3 pi)) sqrt(c p (1-p)), the semicircle leading term."""
     if not 0.0 < p < 1.0:
         raise EnsembleError("prediction requires 0 < p < 1")
-    return n**1.5 * (8.0 / (3.0 * math.pi)) * math.sqrt(p * (1.0 - p))
+    return n**1.5 * (8.0 / (3.0 * math.pi)) * math.sqrt(c * p * (1.0 - p))
+
+
+def predicted_energy_gnp(n: int, p: float) -> float:
+    """Leading term n^(3/2) (8/(3 pi)) sqrt(p(1-p)) for the binomial graph."""
+    return _leading_energy(n, p)
 
 
 def predicted_energy_multipartite(n: int, m: int, p: float) -> float:
     """Leading term n^(3/2) (8/(3 pi)) sqrt((m-1)/m * p(1-p)) for balanced hosts."""
     if m < 2:
         raise EnsembleError("at least two parts required")
-    if not 0.0 < p < 1.0:
-        raise EnsembleError("prediction requires 0 < p < 1")
-    return n**1.5 * (8.0 / (3.0 * math.pi)) \
-        * math.sqrt((m - 1) / m * p * (1.0 - p))
+    return _leading_energy(n, p, (m - 1) / m)
+
+
+def check_large_parts(m: int, large_part_indices) -> None:
+    """Raise unless there is a large part, each in 0..m-1 and none twice."""
+    if not large_part_indices:
+        raise EnsembleError("at least one large part required")
+    if any(not 0 <= i < m for i in large_part_indices):
+        raise EnsembleError("large part index out of range")
+    if len(set(large_part_indices)) < len(large_part_indices):
+        raise EnsembleError("large part index repeated")
 
 
 def energy_bounds_unbalanced(n: int, fractions, large_part_indices,
                              p: float) -> dict:
     """Sandwich bounds (1 -+ sum nu_i^(3/2)) * leading term, sum over large parts."""
     fracs = [float(f) for f in fractions]
-    if not large_part_indices:
-        raise EnsembleError("at least one large part required")
-    if any(not 0 <= i < len(fracs) for i in large_part_indices):
-        raise EnsembleError("large part index out of range")
+    check_large_parts(len(fracs), large_part_indices)
     s = sum(fracs[i] ** 1.5 for i in large_part_indices)
-    lead = n**1.5 * (8.0 / (3.0 * math.pi)) * math.sqrt(p * (1.0 - p))
+    lead = _leading_energy(n, p)
     return {"lower": (1.0 - s) * lead, "upper": (1.0 + s) * lead}
 
 

@@ -17,9 +17,8 @@ class SpectralError(RuntimeError):
     """Eigen/singular value computation failed to converge."""
 
 
-# One LAPACK solve at a time: each runs alone on the whole BLAS thread pool,
-# so replicate threads overlap their sampling, not their solves, and a
-# spectrum does not depend on how many replicate threads run.
+# One LAPACK solve at a time, alone on the whole BLAS thread pool, so a caller
+# that solves on threads of its own gets the spectra one thread would get.
 _SOLVE_LOCK = threading.Lock()
 
 

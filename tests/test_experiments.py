@@ -7,9 +7,8 @@ import pytest
 
 from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition
-from rmtlab.experiments import (KINDS, ConfigError, NumericError,
-                                _map_replicates, histogram, reference_radius,
-                                run_experiment)
+from rmtlab.experiments import (KINDS, ConfigError, NumericError, histogram,
+                                reference_radius, run_experiment)
 from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
                          semicircle_moment)
 from rmtlab.walks import enumerate_shapes, good_shape_count
@@ -134,6 +133,16 @@ class TestConfigValidation:
 
         monkeypatch.setattr("rmtlab.experiments.histogram", broken)
         with pytest.raises(NumericError):
+            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bug_propagates_and_leaves_no_outputs(self, tmp_path,
+                                                 monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr("rmtlab.experiments.histogram", broken)
+        with pytest.raises(TypeError, match="injected"):
             run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
         assert list(tmp_path.iterdir()) == []
 
@@ -524,6 +533,38 @@ class TestDecompositionRun:
             run_experiment(cfg, tmp_path)
 
 
+def _decomposition_cfg(fractions, large_parts):
+    return {"kind": "decomposition",
+            "graph": {"n": 40, "p": 0.5, "fractions": fractions,
+                      "large_parts": large_parts}}
+
+
+class TestGraphConfigErrors:
+    @pytest.mark.parametrize("cfg, field", [
+        (_decomposition_cfg([0.5, 0.5], [7]), "graph.large_parts"),
+        (_decomposition_cfg([0.5, 0.5], [-1]), "graph.large_parts"),
+        (_decomposition_cfg([0.5, 0.5], []), "graph.large_parts"),
+        (_decomposition_cfg([0.6, 0.2, 0.2], [0, 0]), "graph.large_parts"),
+        ({"kind": "energy", "graph": {"n": 40, "p": 0.5, "seed": -1}},
+         "graph.seed"),
+        ({"kind": "energy", "graph": {"n": 40, "p": 0.5, "seed": 2**64}},
+         "graph.seed"),
+    ], ids=["index_past_end", "negative_index", "none_large",
+            "repeated_index", "negative_seed", "seed_past_64_bits"])
+    def test_exits_two(self, tmp_path, capsys, cfg, field):
+        assert cli_exit(tmp_path, cfg) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "energy",
+                                    "graph": {"n": 40, "p": 0.5}}))
+        assert cli_main(["energy", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--seed", "-3"]) == 2
+        assert "config error: graph.seed" in capsys.readouterr().err
+
+
 class TestThreads:
     def test_multithreaded_matches_serial(self, tmp_path, monkeypatch):
         cfg = rademacher_cfg("esd", n=40)
@@ -557,37 +598,22 @@ class TestThreads:
             outputs.append((report, csvs))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_pool_is_capped_by_replicates_and_cores(self, monkeypatch):
-        # a stand-in executor records max_workers and runs tasks in order,
-        # so no thread is started
-        sizes = []
+    def test_run_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a thread was started")
 
-        class SerialExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("rmtlab.experiments.ThreadPoolExecutor",
-                            SerialExecutor)
+        monkeypatch.setattr("threading.Thread.start", refuse)
         monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv("RMTLAB_THREADS", "64")
-        for replicates, want in ((64, [4]), (3, [3]), (1, [])):
-            sizes.clear()
-            got = _map_replicates(lambda i: i * i, replicates)
-            assert got == [i * i for i in range(replicates)]
-            assert sizes == want
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        sizes.clear()
-        assert _map_replicates(lambda i: i, 64) == list(range(64))
-        assert sizes == []
+        monkeypatch.setenv("RMTLAB_THREADS", "4")
+        for cfg in [rademacher_cfg("esd", n=40),
+                    {"kind": "energy",
+                     "graph": {"n": 40, "p": 0.5, "seed": 3}},
+                    {"kind": "decomposition",
+                     "graph": {"n": 40, "p": 0.5,
+                               "fractions": [0.6, 0.2, 0.2],
+                               "large_parts": [0], "seed": 3}}]:
+            rep = run_experiment(cfg, tmp_path / cfg["kind"], replicates=4)
+            assert rep["replicate_count"] == 4
 
     def test_garbage_env_value_is_serial(self, monkeypatch, tmp_path):
         monkeypatch.setenv("RMTLAB_THREADS", "lots")

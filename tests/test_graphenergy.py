@@ -138,6 +138,10 @@ class TestPredictions:
             energy_bounds_unbalanced(100, [0.5, 0.5], [], 0.5)
         with pytest.raises(EnsembleError):
             energy_bounds_unbalanced(100, [0.5, 0.5], [2], 0.5)
+        with pytest.raises(EnsembleError, match="repeated"):
+            energy_bounds_unbalanced(100, [0.6, 0.2, 0.2], [0, 0], 0.5)
+        with pytest.raises(EnsembleError):
+            energy_bounds_unbalanced(100, [0.5, 0.5], [0], 1.0)
 
 
 def test_empirical_energy_near_prediction():
