@@ -103,8 +103,6 @@ def _law(cfg: dict, field: str) -> EntryLaw:
         return EntryLaw.from_dict(_get(cfg, field, dict, required=True))
     except EnsembleError as exc:
         raise ConfigError(field, str(exc)) from exc
-    except KeyError as exc:
-        raise ConfigError(field, f"missing law parameter {exc}") from exc
 
 
 def reference_radius(spec: EnsembleSpec, override=None) -> float:
@@ -376,6 +374,8 @@ def _run_charfn(cfg, seed, replicates):
 
 def _graph_setup(cfg, seed):
     n = _get(cfg, "graph.n", int, required=True)
+    if n < 1:
+        raise ConfigError("graph.n", "must be at least 1")
     p = _get(cfg, "graph.p", float, required=True)
     if not 0.0 <= p <= 1.0:
         raise ConfigError("graph.p", "must lie in [0, 1]")

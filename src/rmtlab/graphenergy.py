@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +25,10 @@ _FILL_STREAM = 1
 _ZERO = EntryLaw.constant_zero()
 
 
-@dataclass(frozen=True)
-class GraphSample:
-    """A 0/1 symmetric adjacency with zero diagonal on a multipartite host."""
-
-    adjacency: np.ndarray
-    partition: PartitionSpec
-    p: float
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-
 def sample_graph(partition: PartitionSpec, p: float, seed: int,
-                 replicate: int = 0) -> GraphSample:
-    """Cross-part pairs appear independently with probability p.
+                 replicate: int = 0) -> np.ndarray:
+    """A 0/1 symmetric adjacency in which cross-part pairs appear
+    independently with probability p.
 
     Intra-part pairs and the diagonal are always absent (the host is the
     complete multipartite graph); with singleton parts this is the ordinary
@@ -49,15 +36,13 @@ def sample_graph(partition: PartitionSpec, p: float, seed: int,
     """
     if not 0.0 <= p <= 1.0:
         raise EnsembleError("edge probability outside [0, 1]")
-    A = _symmetric_fill(partition, _ZERO.from_uniform,
-                        EntryLaw.bernoulli(p).from_uniform, seed, replicate,
-                        stream=_EDGE_STREAM, diagonal=False)
-    return GraphSample(adjacency=A, partition=partition, p=p)
+    return _symmetric_fill(partition, _ZERO.from_uniform,
+                           EntryLaw.bernoulli(p).from_uniform, seed, replicate,
+                           stream=_EDGE_STREAM, diagonal=False)
 
 
-def graph_energy(G) -> float:
+def graph_energy(A: np.ndarray) -> float:
     """Sum of absolute adjacency eigenvalues."""
-    A = G.adjacency if isinstance(G, GraphSample) else np.asarray(G, float)
     return float(np.sum(np.abs(eigenvalues_sym(A))))
 
 
@@ -125,7 +110,7 @@ def _decomposition(partition: PartitionSpec, large, p: float, seed: int,
                    replicate: int):
     """(A, X, D): the sample A, D = Bernoulli(p) on the strict-upper pairs
     of each large part (mirrored, from its own stream) and X = A + D."""
-    A = sample_graph(partition, p, seed, replicate).adjacency
+    A = sample_graph(partition, p, seed, replicate)
     D = _symmetric_fill(partition, EntryLaw.bernoulli(p).from_uniform,
                         _ZERO.from_uniform, seed, replicate,
                         stream=_FILL_STREAM, diagonal=False)

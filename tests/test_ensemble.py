@@ -104,6 +104,157 @@ class TestEntryLaw:
             assert EntryLaw.from_dict(law.to_dict()) == law
 
 
+# ---------------------------------------------------------------------------
+# The per-kind formulas EntryLaw used before its table of kinds; kept as the
+# oracle the table must reproduce exactly.
+# ---------------------------------------------------------------------------
+
+def oracle_raw_moment(law, k):
+    if k == 0:
+        return Fraction(1)
+    if law.kind == "constant_zero":
+        return Fraction(0)
+    if law.kind == "rademacher":
+        return Fraction(1) if k % 2 == 0 else Fraction(0)
+    if law.kind == "bernoulli":
+        (p,) = law.params
+        return p
+    if law.kind == "two_point":
+        a, b, q = law.params
+        return q * a**k + (1 - q) * b**k
+    lo, hi = law.params
+    return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
+
+
+def oracle_bound(law):
+    if law.kind == "constant_zero":
+        return Fraction(0)
+    if law.kind in ("rademacher", "bernoulli"):
+        return Fraction(1)
+    if law.kind == "two_point":
+        a, b, _ = law.params
+        return max(abs(a), abs(b))
+    lo, hi = law.params
+    return max(abs(lo), abs(hi))
+
+
+def oracle_from_uniform(law, u):
+    if law.kind == "constant_zero":
+        return np.zeros_like(u)
+    if law.kind == "rademacher":
+        return np.where(u < 0.5, -1.0, 1.0)
+    if law.kind == "bernoulli":
+        (p,) = law.params
+        return (u < float(p)).astype(float)
+    if law.kind == "two_point":
+        a, b, q = law.params
+        return np.where(u < float(q), float(a), float(b))
+    lo, hi = law.params
+    return float(lo) + u * float(hi - lo)
+
+
+def oracle_to_dict(law):
+    names = {"bernoulli": ("p",),
+             "two_point": ("a", "b", "q"),
+             "uniform_interval": ("lo", "hi")}
+    params = {k: float(v)
+              for k, v in zip(names.get(law.kind, ()), law.params)}
+    return {"kind": law.kind, "params": params}
+
+
+# every kind; two-point laws with a == b, with (a, b) = (1, 0) and (0, 1),
+# with negative atoms and with q = 0 or 1; intervals with lo < 0.  Every
+# parameter is a float or a dyadic rational, so to_dict keeps it exactly.
+ORACLE_LAWS = [
+    EntryLaw.constant_zero(), EntryLaw.rademacher(),
+    EntryLaw.bernoulli(0), EntryLaw.bernoulli(1),
+    EntryLaw.bernoulli(Fraction(3, 8)), EntryLaw.bernoulli(0.3),
+    EntryLaw.two_point(2, 2, 1 / 3),
+    EntryLaw.two_point(-1.5, -1.5, 1),
+    EntryLaw.two_point(1, 0, 0.4), EntryLaw.two_point(0, 1, 0.4),
+    EntryLaw.two_point(-3, Fraction(-1, 2), 0.25),
+    EntryLaw.two_point(-1, 2, 0), EntryLaw.two_point(-1, 2, 1),
+    EntryLaw.two_point(-1, 2, 2 / 3),
+    EntryLaw.uniform_interval(-2, 3), EntryLaw.uniform_interval(0, 1),
+    EntryLaw.uniform_interval(Fraction(-1, 2), -0.25),
+]
+
+
+def law_id(law):
+    return "_".join([law.kind, *(str(float(x)) for x in law.params)])
+
+
+def uniform_grid(law):
+    """u in [0, 1) that includes 0, 1 - 2**-53, every parameter in [0, 1)
+    (so q itself) with its two neighbours, and a 2-d strided view."""
+    points = [0.0, 0.5, 1.0 - 2.0**-53]
+    for x in map(float, law.params):
+        if 0.0 <= x < 1.0:
+            points += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+    u = np.concatenate([points, np.linspace(0.0, 1.0, 1000, endpoint=False),
+                        np.random.default_rng(3).random(1000)])
+    return [u, np.random.default_rng(4).random((8, 40))[:, 5:30]]
+
+
+class TestEntryLawMatchesPerKindOracle:
+    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=law_id)
+    def test_moments_and_bound(self, law):
+        for k in range(9):
+            got = law.raw_moment(k)
+            assert isinstance(got, Fraction)
+            assert got == oracle_raw_moment(law, k)
+        m1, m2 = oracle_raw_moment(law, 1), oracle_raw_moment(law, 2)
+        assert law.mean == m1 and isinstance(law.mean, Fraction)
+        assert law.variance == m2 - m1**2
+        assert isinstance(law.bound, Fraction)
+        assert law.bound == oracle_bound(law)
+
+    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=law_id)
+    def test_dict(self, law):
+        assert law.to_dict() == oracle_to_dict(law)
+        assert EntryLaw.from_dict(law.to_dict()) == law
+
+    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=law_id)
+    def test_from_uniform(self, law):
+        for u in uniform_grid(law):
+            got, want = law.from_uniform(u), oracle_from_uniform(law, u)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,params", [
+        ("constant_zero", (Fraction(0),)), ("rademacher", (Fraction(1),)),
+        ("bernoulli", ()), ("bernoulli", (Fraction(1, 2),) * 2),
+        ("two_point", (Fraction(1), Fraction(0))),
+        ("uniform_interval", (Fraction(0), Fraction(1), Fraction(2)))])
+    def test_wrong_parameter_count_rejected(self, kind, params):
+        with pytest.raises(EnsembleError, match="parameters"):
+            EntryLaw(kind, params)
+
+    def test_numpy_scalars_and_fractions_are_parameters(self):
+        quarter = EntryLaw.bernoulli(Fraction(1, 4))
+        for p in (0.25, np.float64(0.25), np.float32(0.25)):
+            assert EntryLaw.bernoulli(p) == quarter
+        assert EntryLaw.two_point(np.int64(-2), np.int8(3), 0.5) == \
+            EntryLaw.two_point(-2, 3, Fraction(1, 2))
+
+    @pytest.mark.parametrize("p", [True, None, "0.5", [1], np.bool_(True)])
+    def test_non_numbers_rejected(self, p):
+        with pytest.raises(EnsembleError, match="law parameter p"):
+            EntryLaw.bernoulli(p)
+
+    @pytest.mark.parametrize("d", [
+        [], {"kind": "bernoulli", "params": [0.5]},
+        {"kind": "bernoulli", "params": None}])
+    def test_from_dict_needs_objects(self, d):
+        with pytest.raises(EnsembleError):
+            EntryLaw.from_dict(d)
+
+    @pytest.mark.parametrize("kind", ["poisson", None, ["bernoulli"]])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(EnsembleError, match="unknown law kind"):
+            EntryLaw.from_dict({"kind": kind, "params": {}})
+
+
 class TestSampling:
     def test_zero_laws_give_zero_matrix(self):
         spec = EnsembleSpec(make_partition(6, [0.5, 0.5]),
@@ -178,6 +329,20 @@ class TestSampling:
         assert again.partition == spec.partition
         assert sample_matrix(again, replicate).tobytes() == \
             sample_matrix(spec, replicate).tobytes()
+
+
+@pytest.mark.parametrize("stream", [-1, 2, 3])
+def test_counter_uniforms_other_streams_rejected(stream):
+    # key 2*replicate + stream: stream 2 at replicate 0 would be stream 0
+    # at replicate 1
+    with pytest.raises(EnsembleError, match="stream"):
+        counter_uniforms(5, 0, 10, stream)
+
+
+def test_counter_uniforms_streams_and_replicates_differ():
+    draws = {counter_uniforms(5, r, 10, s).tobytes()
+             for r in range(3) for s in (0, 1)}
+    assert len(draws) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +459,7 @@ class TestFillMatchesIndexOracle:
 
     def test_singleton_graph_longer_than_a_row_block(self):
         part = singleton_partition(300)
-        assert sample_graph(part, 0.3, 11, 2).adjacency.tobytes() == \
+        assert sample_graph(part, 0.3, 11, 2).tobytes() == \
             oracle_sample_graph(part, 0.3, 11, 2).tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -303,7 +468,7 @@ class TestFillMatchesIndexOracle:
             [PartitionSpec(7, (3, 4)), PartitionSpec(50, (10, 25, 15)),
              PartitionSpec(50, uneven_sizes(50, 5))]
         for part in hosts:
-            assert sample_graph(part, p, 11, 2).adjacency.tobytes() == \
+            assert sample_graph(part, p, 11, 2).tobytes() == \
                 oracle_sample_graph(part, p, 11, 2).tobytes()
 
     @pytest.mark.parametrize("sizes,large", [

@@ -190,6 +190,19 @@ class TestConfigValidation:
         assert cli_exit(tmp_path, cfg) == 2
         assert "config error: ensemble.law_cross:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law", [
+        {"kind": "bernoulli", "params": [0.5]},
+        {"kind": "bernoulli", "params": {"p": None}},
+        {"kind": "bernoulli", "params": {"p": [1]}},
+        {"kind": "bernoulli", "params": {"p": True}},
+        {"kind": "bernoulli", "params": {"p": "0.5"}},
+    ], ids=["params_list", "null", "list", "bool", "string"])
+    def test_law_parameter_not_a_number_exits_two(self, tmp_path, capsys,
+                                                  law):
+        assert cli_exit(tmp_path, _law_cfg(law)) == 2
+        assert "config error: ensemble.law_cross:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReferenceRadius:
     def spec(self, n, fractions, s_intra, s_cross):
@@ -549,8 +562,16 @@ class TestGraphConfigErrors:
          "graph.seed"),
         ({"kind": "energy", "graph": {"n": 40, "p": 0.5, "seed": 2**64}},
          "graph.seed"),
+        ({"kind": "energy", "graph": {"n": -5, "p": 0.5}}, "graph.n"),
+        ({"kind": "energy",
+          "graph": {"n": 0, "p": 0.5, "fractions": [0.5, 0.5]}}, "graph.n"),
+        ({"kind": "decomposition",
+          "graph": {"n": -3, "p": 0.5, "fractions": [0.5, 0.5],
+                    "large_parts": [0]}}, "graph.n"),
     ], ids=["index_past_end", "negative_index", "none_large",
-            "repeated_index", "negative_seed", "seed_past_64_bits"])
+            "repeated_index", "negative_seed", "seed_past_64_bits",
+            "negative_n", "zero_n_with_fractions",
+            "negative_n_with_fractions"])
     def test_exits_two(self, tmp_path, capsys, cfg, field):
         assert cli_exit(tmp_path, cfg) == 2
         assert f"config error: {field}" in capsys.readouterr().err

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from rmtlab.ensemble import EnsembleError, make_partition, singleton_partition
-from rmtlab.graphenergy import (GraphSample, _decomposition,
-                                energy_bounds_unbalanced,
+from rmtlab.graphenergy import (_decomposition, energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, predicted_energy_gnp,
                                 predicted_energy_multipartite, sample_graph,
                                 singular_value_sum)
 from rmtlab.laws import semicircle_abs_mean
-from rmtlab.spectral import eigenvalues_sym
 
 
 class TestGraphEnergyKnownGraphs:
@@ -46,40 +44,39 @@ class TestGraphEnergyKnownGraphs:
 
 class TestSampleGraph:
     def test_p_zero_empty(self):
-        G = sample_graph(singleton_partition(8), 0.0, seed=1)
-        assert not np.any(G.adjacency)
+        A = sample_graph(singleton_partition(8), 0.0, seed=1)
+        assert not np.any(A)
 
     def test_p_one_is_complete_multipartite(self):
         part = make_partition(6, [0.5, 0.5])
-        G = sample_graph(part, 1.0, seed=2)
+        A = sample_graph(part, 1.0, seed=2)
         labels = part.part_labels()
         cross = labels[:, None] != labels[None, :]
-        assert np.array_equal(G.adjacency, cross.astype(float))
+        assert np.array_equal(A, cross.astype(float))
 
     def test_p_one_singletons_energy(self):
         n = 10
-        G = sample_graph(singleton_partition(n), 1.0, seed=0)
-        assert graph_energy(G) == pytest.approx(2 * (n - 1))
+        A = sample_graph(singleton_partition(n), 1.0, seed=0)
+        assert graph_energy(A) == pytest.approx(2 * (n - 1))
 
     def test_symmetric_zero_diag_binary(self):
-        G = sample_graph(singleton_partition(20), 0.4, seed=7)
-        A = G.adjacency
+        A = sample_graph(singleton_partition(20), 0.4, seed=7)
         assert np.array_equal(A, A.T)
         assert not np.any(np.diag(A))
         assert set(np.unique(A)) <= {0.0, 1.0}
 
     def test_no_intra_edges(self):
         part = make_partition(12, [0.5, 0.25, 0.25])
-        G = sample_graph(part, 0.9, seed=3)
+        A = sample_graph(part, 0.9, seed=3)
         labels = part.part_labels()
         intra = labels[:, None] == labels[None, :]
-        assert not np.any(G.adjacency[intra])
+        assert not np.any(A[intra])
 
     def test_determinism(self):
         part = make_partition(15, [0.6, 0.4])
-        A = sample_graph(part, 0.3, seed=5, replicate=2).adjacency
-        B = sample_graph(part, 0.3, seed=5, replicate=2).adjacency
-        C = sample_graph(part, 0.3, seed=5, replicate=3).adjacency
+        A = sample_graph(part, 0.3, seed=5, replicate=2)
+        B = sample_graph(part, 0.3, seed=5, replicate=2)
+        C = sample_graph(part, 0.3, seed=5, replicate=3)
         assert np.array_equal(A, B)
         assert not np.array_equal(A, C)
 
@@ -87,7 +84,7 @@ class TestSampleGraph:
         # total cross edges over replicates: 4 standard errors
         part = make_partition(30, [0.5, 0.5])
         p, pairs = 0.35, 15 * 15
-        counts = [sample_graph(part, p, seed=11, replicate=r).adjacency.sum()
+        counts = [sample_graph(part, p, seed=11, replicate=r).sum()
                   / 2 for r in range(200)]
         total, trials = sum(counts), 200 * pairs
         se = math.sqrt(trials * p * (1 - p))
@@ -148,8 +145,8 @@ def test_empirical_energy_near_prediction():
     # single n=500 sample should land within a few percent of the
     # leading-order prediction
     n, p = 500, 0.5
-    G = sample_graph(singleton_partition(n), p, seed=13)
-    assert graph_energy(G) == pytest.approx(predicted_energy_gnp(n, p),
+    A = sample_graph(singleton_partition(n), p, seed=13)
+    assert graph_energy(A) == pytest.approx(predicted_energy_gnp(n, p),
                                             rel=0.05)
 
 
@@ -242,9 +239,3 @@ class TestEnergyDecomposition:
         assert r["energy_D"] == graph_energy(stray["D"])
         assert r["energy_D"] != pytest.approx(graph_energy(D0[:15, :15]))
 
-
-def test_graph_sample_n_property():
-    part = make_partition(9, [1.0 / 3] * 3)
-    G = GraphSample(adjacency=np.zeros((9, 9)), partition=part, p=0.1)
-    assert G.n == 9
-    assert eigenvalues_sym(G.adjacency).size == 9
