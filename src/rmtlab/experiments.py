@@ -84,6 +84,8 @@ def _items(values: list, field: str, typ=(int, float)) -> list:
 
 def _ensemble_spec(cfg: dict, seed_override=None) -> EnsembleSpec:
     n = _get(cfg, "ensemble.n", int, required=True)
+    if n < 1:
+        raise ConfigError("ensemble.n", "must be at least 1")
     fractions = _items(_get(cfg, "ensemble.fractions", list, required=True),
                        "ensemble.fractions")
     law_intra = _law(cfg, "ensemble.law_intra")

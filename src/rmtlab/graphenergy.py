@@ -150,9 +150,8 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     block-diagonal, E(D) is the sum of its large blocks' energies; a D
     that fails the check is solved whole.
     """
+    check_large_parts(partition.m, large_part_indices)
     large = set(large_part_indices)
-    if any(not 0 <= i < partition.m for i in large):
-        raise EnsembleError("large part index out of range")
     A, X, D = _decomposition(partition, large, p, seed, replicate)
     block_diagonal = _is_block_diagonal(D, partition, large)
     eA, eX = graph_energy(A), graph_energy(X)

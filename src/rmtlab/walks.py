@@ -3,22 +3,24 @@
 Closed walks of length k in the complete graph (loops allowed) are
 canonicalized by first-occurrence labeling; counting the "good" ones (those
 whose expected entry product is nonzero) yields the walk-count function
-g(v, k), the good-walk totals W_{v,k,n}, exact finite-n expected trace
-moments, and, as a small-k reference, exact limit moments as rational
-polynomials in the part fractions and entry variances.  Everything here
-is exact rational arithmetic: these values are the ground truth the
-floating formulas are judged against.
+g(v, k) and the good-walk totals W_{v,k,n}.  One sum over shapes and maps
+of their labels to parts, of at most 2*10^6 terms, gives exact finite-n
+expected trace moments at any n and exact limit moments as rational
+polynomials in the part fractions and entry variances.  These exact
+rationals are the ground truth the floating formulas are judged against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 from .ensemble import EnsembleSpec
 
 _MAX_K = 12
+_MAX_TERMS = 2 * 10**6  # shapes x part maps one _walk_sum may visit
 
 
 class WalkError(ValueError):
@@ -70,14 +72,10 @@ def is_good_zero_mean(shape) -> bool:
     return 1 not in walk_edges(shape).values()
 
 
-def good_shape_count(k: int, v: int, zero_mean: bool = True) -> int:
-    """g(v, k): canonical shapes surviving the goodness filter.
-
-    Under zero-mean laws a shape with any multiplicity-1 edge has zero
-    expectation; without that assumption every shape can contribute.
-    """
-    shapes = enumerate_shapes(k, v)
-    return sum(map(is_good_zero_mean, shapes)) if zero_mean else len(shapes)
+def good_shape_count(k: int, v: int) -> int:
+    """g(v, k): canonical shapes with no multiplicity-1 edge, the only ones
+    with nonzero expectation under zero-mean laws."""
+    return sum(map(is_good_zero_mean, enumerate_shapes(k, v)))
 
 
 def falling_factorial(n: int, v: int) -> int:
@@ -87,98 +85,95 @@ def falling_factorial(n: int, v: int) -> int:
     return out
 
 
-def count_good_walks(v: int, k: int, n: int, zero_mean: bool = True) -> int:
+def count_good_walks(v: int, k: int, n: int) -> int:
     """W_{v,k,n} = n(n-1)...(n-v+1) * g(v, k)."""
     if v > n:
         return 0
-    return falling_factorial(n, v) * good_shape_count(k, v, zero_mean)
+    return falling_factorial(n, v) * good_shape_count(k, v)
+
+
+def _walk_sum(k: int, v: int, m: int, weight, factor) -> Fraction:
+    """Sum over shapes of length k on v labels and maps of labels to parts.
+
+    The term of `parts` (the part, 0..m-1, of labels 1..v) is weight(parts)
+    times factor(same_part, multiplicity) for each distinct edge.  A shape
+    with an edge whose factor is 0 wherever it falls is skipped, which
+    keeps zero-mean laws cheap.  Kept shapes times m^v above _MAX_TERMS
+    raise WalkError before any map is enumerated.
+    """
+    kept = []
+    for shape in enumerate_shapes(k, v):
+        edges = [(a - 1, b - 1, factor(True, c), factor(False, c))
+                 for (a, b), c in walk_edges(shape).items()]
+        if all(f_in or (a != b and f_out) for a, b, f_in, f_out in edges):
+            kept.append(edges)
+    if len(kept) * m**v > _MAX_TERMS:
+        raise WalkError(f"{len(kept)} shapes x {m}^{v} part maps exceed "
+                        f"the budget of {_MAX_TERMS} terms")
+    total = Fraction(0)
+    for parts in itertools.product(range(m), repeat=v):
+        w = weight(parts)
+        if not w:
+            continue
+        for edges in kept:
+            total += w * math.prod(f_in if parts[a] == parts[b] else f_out
+                                   for a, b, f_in, f_out in edges)
+    return total
 
 
 def exact_trace_moment_by_order(spec: EnsembleSpec, k: int) -> dict:
     """Order-v contributions S_{v,k,n} to the expected trace moment.
 
     S_{v,k,n} sums 2^-k n^(-1-k/2) E(a_{i1 i2} ... a_{ik i1}) over index
-    tuples of order v; returned values are exact rationals up to the
-    n^(-k/2) scaling, which is folded in exactly for even k and left as a
-    float factor for odd k (where all zero-mean contributions vanish
-    anyway).
+    tuples of order v, as a walk sum over shapes and part maps.  Only
+    orders with a nonzero sum are returned.  Values are exact rationals up
+    to the n^(-k/2) scaling, which is folded in exactly for even k and left
+    as a float factor for odd k (where zero-mean contributions vanish).
     """
-    n = spec.n
-    if n > 8 or k > 6:
-        raise WalkError("exact enumeration limited to n <= 8, k <= 6")
     if k < 1:
         raise WalkError("k must be at least 1")
-    labels = spec.partition.part_labels()
+    n, sizes = spec.n, spec.partition.sizes
     intra_m = [spec.law_intra.raw_moment(j) for j in range(k + 1)]
     cross_m = [spec.law_cross.raw_moment(j) for j in range(k + 1)]
-    sums: dict[int, Fraction] = {}
-    for tup in itertools.product(range(n), repeat=k):
-        expect = Fraction(1)
-        for (a, b), mult in walk_edges(tup).items():
-            moms = intra_m if labels[a] == labels[b] else cross_m
-            expect *= moms[mult]
-            if expect == 0:
-                break
-        if expect == 0:
-            continue
-        v = len(set(tup))
-        sums[v] = sums.get(v, Fraction(0)) + expect
-    if k % 2 == 0:
-        scale = Fraction(1, 2**k * n ** (1 + k // 2))
-        return {v: s * scale for v, s in sums.items()}
-    scale = 1.0 / (2**k * float(n) ** (1 + k / 2))
-    return {v: float(s) * scale for v, s in sums.items()}
+
+    def weight(parts):  # Prod_a falling_factorial(size_a, labels in a)
+        out = 1
+        for i, a in enumerate(parts):
+            out *= sizes[a] - parts[:i].count(a)
+        return out
+
+    sums = {v: _walk_sum(k, v, len(sizes), weight,
+                         lambda same, j: (intra_m if same else cross_m)[j])
+            for v in range(1, min(k, n) + 1)}
+    scale = Fraction(1, 2**k * n ** (1 + k // 2)) if k % 2 == 0 \
+        else 1.0 / (2**k * float(n) ** (1 + k / 2))
+    return {v: s * scale for v, s in sums.items() if s}
 
 
 def exact_expected_trace_moment(spec: EnsembleSpec, k: int):
-    """Exact E[M_{k,n}] = E[tr(B^k)]/n by full index-tuple enumeration."""
-    parts = exact_trace_moment_by_order(spec, k)
-    total = sum(parts.values())
-    if not parts:
-        return Fraction(0) if k % 2 == 0 else 0.0
-    return total
+    """Exact E[M_{k,n}] = E[tr(B^k)]/n, the sum of the order contributions."""
+    return sum(exact_trace_moment_by_order(spec, k).values(),
+               Fraction(0) if k % 2 == 0 else 0.0)
 
 
 def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int) -> Fraction:
-    """Exact limit moment gamma_k by brute-force walk enumeration.
+    """Exact limit moment gamma_k by walk enumeration.
 
-    Sums, over good shapes of order k/2+1 (each edge appearing exactly
-    twice) and over all assignments of parts to the shape labels, the
-    product of the part fractions and of one variance factor per distinct
-    edge (intra variance when the endpoints share a part, cross variance
-    otherwise), scaled by 2^-k.  It costs m^(k/2+1) terms per shape, so it
-    is kept as the small-k reference for laws.limit_moments.
+    Sums, over shapes of order k/2+1 whose edges each appear exactly twice
+    and over all maps of the shape labels to parts, the product of the
+    part fractions and of one variance factor per distinct edge (intra
+    variance when the endpoints share a part, cross variance otherwise),
+    scaled by 2^-k.  It is the walk reference for laws.limit_moments.
     """
     if k % 2 == 1:
         raise WalkError("limit moments are computed for even k only")
     if k == 0:
         return Fraction(1)
-    if k > 10:
-        raise WalkError("limit enumeration limited to k <= 10")
     nus = [Fraction(f) for f in fractions]
-    m = len(nus)
-    if m > 6:
-        raise WalkError("at most 6 parts supported")
-    s1 = Fraction(sigma1sq)
-    s2 = Fraction(sigma2sq)
-    v = k // 2 + 1
-    total = Fraction(0)
-    for shape in enumerate_shapes(k, v):
-        edges = walk_edges(shape)
-        if any(c != 2 for c in edges.values()):
-            continue
-        distinct = list(edges)
-        for assign in itertools.product(range(m), repeat=v):
-            factor = Fraction(1)
-            for p in assign:
-                factor *= nus[p]
-            if factor == 0:
-                continue
-            for a, b in distinct:
-                factor *= s1 if assign[a - 1] == assign[b - 1] else s2
-                if factor == 0:
-                    break
-            total += factor
+    variance = {True: Fraction(sigma1sq), False: Fraction(sigma2sq)}
+    total = _walk_sum(k, k // 2 + 1, len(nus),
+                      lambda parts: math.prod(nus[p] for p in parts),
+                      lambda same, mult: variance[same] if mult == 2 else 0)
     return total / 2**k
 
 

@@ -203,6 +203,14 @@ class TestConfigValidation:
         assert "config error: ensemble.law_cross:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n, fractions", [(-5, (0.5, 0.5)), (0, (1.0,))],
+                             ids=["negative", "zero"])
+    def test_order_below_one_exits_two(self, tmp_path, capsys, n, fractions):
+        cfg = rademacher_cfg("esd", n=n, fractions=fractions)
+        assert cli_exit(tmp_path, cfg) == 2
+        assert "config error: ensemble.n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReferenceRadius:
     def spec(self, n, fractions, s_intra, s_cross):

@@ -200,19 +200,20 @@ class TestEnergyDecomposition:
         assert r["block_diagonal"]
         assert r["energy_D"] > 0.0
 
-    def test_no_large_parts_means_zero_correction(self):
-        part = make_partition(12, [0.5, 0.5])
-        r = energy_decomposition_check(part, [], 0.5, seed=23)
-        assert r["energy_D"] == 0.0
-        assert r["energy_A"] == pytest.approx(r["energy_X"])
-        assert r["holds"]
-
     def test_index_validation(self):
         with pytest.raises(EnsembleError):
             energy_decomposition_check(make_partition(8, [0.5, 0.5]), [5],
                                        0.5, seed=0)
 
-    @pytest.mark.parametrize("large", [[], [0], [0, 2], [0, 1, 2]])
+    @pytest.mark.parametrize("large", [[], [0, 0]], ids=["none", "repeated"])
+    def test_large_parts_checked_like_the_bounds(self, large):
+        # the rule of energy_bounds_unbalanced and the CLI: at least one
+        # large part, none twice
+        part = make_partition(12, [0.5, 0.5])
+        with pytest.raises(EnsembleError):
+            energy_decomposition_check(part, large, 0.5, seed=23)
+
+    @pytest.mark.parametrize("large", [[1], [0], [0, 2], [0, 1, 2]])
     def test_block_energy_equals_whole_d(self, large):
         part = make_partition(90, [0.5, 0.3, 0.2])
         r = energy_decomposition_check(part, large, 0.4, seed=29, replicate=1)

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmtlab.ensemble import (EnsembleSpec, EntryLaw, make_partition,
-                             sample_matrix, scale_matrix)
+from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
+                             make_partition, sample_matrix, scale_matrix,
+                             singleton_partition)
 from rmtlab.laws import catalan, limit_moments
 from rmtlab.spectral import eigenvalues_sym, empirical_moment
 from rmtlab.walks import (WalkError, count_good_walks, enumerate_shapes,
@@ -127,10 +128,6 @@ class TestGoodShapeCount:
         brute = sum(1 for s in enumerate_shapes(6, 3) if is_good_zero_mean(s))
         assert g == brute
 
-    def test_non_zero_mean_counts_all_shapes(self):
-        assert good_shape_count(4, 3, zero_mean=False) == \
-            len(enumerate_shapes(4, 3))
-
 
 class TestCountGoodWalks:
     def test_v3_k4_n5_raw_enumeration(self):
@@ -151,6 +148,73 @@ class TestCountGoodWalks:
     def test_falling_factorial(self):
         assert falling_factorial(6, 3) == 120
         assert falling_factorial(5, 0) == 1
+
+
+# ---------------------------------------------------------------------------
+# The n^k index-tuple enumeration the walk-shape sum replaced, kept as the
+# oracle exact_trace_moment_by_order must reproduce exactly.
+# ---------------------------------------------------------------------------
+
+def oracle_trace_moment_by_order(spec, k):
+    n = spec.n
+    labels = spec.partition.part_labels()
+    intra_m = [spec.law_intra.raw_moment(j) for j in range(k + 1)]
+    cross_m = [spec.law_cross.raw_moment(j) for j in range(k + 1)]
+    sums = {}
+    for tup in itertools.product(range(n), repeat=k):
+        expect = Fraction(1)
+        for (a, b), mult in walk_edges(tup).items():
+            expect *= (intra_m if labels[a] == labels[b] else cross_m)[mult]
+            if expect == 0:
+                break
+        if expect == 0:
+            continue
+        v = len(set(tup))
+        sums[v] = sums.get(v, Fraction(0)) + expect
+    if k % 2 == 0:
+        scale = Fraction(1, 2**k * n ** (1 + k // 2))
+        return {v: s * scale for v, s in sums.items()}
+    scale = 1.0 / (2**k * float(n) ** (1 + k / 2))
+    return {v: float(s) * scale for v, s in sums.items()}
+
+
+ORACLE_LAWS = {
+    "zero": EntryLaw.constant_zero(),
+    "rademacher": EntryLaw.rademacher(),
+    "bernoulli": EntryLaw.bernoulli(Fraction(3, 10)),
+    "two_point": EntryLaw.two_point(Fraction(-1, 2), 2, Fraction(1, 3)),
+    "uniform": EntryLaw.uniform_interval(Fraction(-1, 4), 1),
+}
+
+
+def assert_matches_oracle(spec, k):
+    got = exact_trace_moment_by_order(spec, k)
+    want = {v: s for v, s in oracle_trace_moment_by_order(spec, k).items()
+            if s != 0}
+    assert got == want
+    assert all(type(got[v]) is type(want[v]) for v in want)
+    total = exact_expected_trace_moment(spec, k)
+    assert type(total) is (Fraction if k % 2 == 0 else float)
+    assert total == sum(want.values())
+
+
+class TestWalkSumMatchesTupleOracle:
+    @pytest.mark.parametrize("cross", sorted(ORACLE_LAWS))
+    @pytest.mark.parametrize("intra", sorted(ORACLE_LAWS))
+    def test_laws_parts_orders(self, intra, cross):
+        for n in range(1, 7):
+            for sizes in ((n,), (n - 1, 1), (n - 2, 1, 1))[:n]:
+                spec = EnsembleSpec(PartitionSpec(n, sizes),
+                                    ORACLE_LAWS[intra], ORACLE_LAWS[cross], 0)
+                for k in range(1, 5 if n > 4 else 6):
+                    assert_matches_oracle(spec, k)
+
+    def test_singletons_at_the_old_size_limit(self):
+        # n = 8, k = 6 was the largest input the tuple enumeration accepted;
+        # the cross law has zero mean but a nonzero third moment
+        spec = EnsembleSpec(singleton_partition(8), EntryLaw.rademacher(),
+                            EntryLaw.two_point(-1, 2, Fraction(2, 3)), 0)
+        assert_matches_oracle(spec, 6)
 
 
 def bipartite_zero_intra_spec(n, seed=1):
@@ -188,9 +252,30 @@ class TestExactExpectedTraceMoment:
         assert abs(vals.mean() - exact) <= 4 * se
 
     def test_size_bounds(self):
-        spec = bipartite_zero_intra_spec(2)
+        # 2000 singleton parts put 2000^2 part maps on order 2 at k = 4:
+        # over the term budget, refused before they are enumerated
+        spec = EnsembleSpec(singleton_partition(2000), EntryLaw.rademacher(),
+                            EntryLaw.rademacher(), 0)
+        with pytest.raises(WalkError, match="budget"):
+            exact_expected_trace_moment(spec, 4)
         with pytest.raises(WalkError):
-            exact_expected_trace_moment(spec, 8)
+            exact_expected_trace_moment(bipartite_zero_intra_spec(2), 14)
+        with pytest.raises(WalkError):
+            exact_expected_trace_moment(bipartite_zero_intra_spec(2), 0)
+
+    @pytest.mark.parametrize("fractions", [[0.8, 0.2], [0.5, 0.5]])
+    def test_production_n_bipartite_closed_form(self, fractions):
+        # zero intra, Rademacher cross: E tr(A^4) = 2 sum d^2 - sum d over
+        # the vertices' cross degrees d (walks i-j-i-j, i-j-i-k, i-j-k-j)
+        n = 2000
+        spec = EnsembleSpec(make_partition(n, fractions),
+                            EntryLaw.constant_zero(), EntryLaw.rademacher(), 0)
+        degrees = [n - s for s in spec.partition.sizes for _ in range(s)]
+        trace = 2 * sum(d * d for d in degrees) - sum(degrees)
+        got = exact_expected_trace_moment(spec, 4)
+        assert got == Fraction(trace, 2**4 * n**3)
+        if fractions == [0.8, 0.2]:
+            assert got == Fraction(1999, 100000)
 
 
 class TestOrderContributions:
@@ -252,6 +337,15 @@ class TestLimitGammaWalks:
             # exact polynomial: off by the (m-1)/m edge factors only
             assert walk == main[k] == target * Fraction(m - 1, m) ** (k // 2)
             assert abs(float(walk - target)) <= float(target) * k / m
+
+    def test_term_budget(self):
+        # three parts at k = 10 are 42 shapes x 3^6 maps, within budget;
+        # seven are 42 x 7^6, over it
+        fracs = [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)]
+        assert limit_gamma_walks(fracs, Fraction(1, 3), 1, 10) == \
+            limit_moments(fracs, Fraction(1, 3), 1, 10)[10]
+        with pytest.raises(WalkError, match="budget"):
+            limit_gamma_walks([Fraction(1, 7)] * 7, 1, 1, 10)
 
     def test_gamma0_and_odd_k(self):
         assert limit_gamma_walks([Fraction(1, 2)] * 2, 0, 1, 0) == 1
