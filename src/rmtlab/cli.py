@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 config error, 3 numeric failure; any other error
 is a bug and ends with its traceback.  Replicates run one after another.
-A sampled two-part matrix whose diagonal blocks are both zero gets
-its spectrum from the singular values of its cross block, -sigma, the
-|n1 - n2| exact zeros and +sigma, instead of from a full eigensolve.
+A two-part ensemble whose intra law is the point mass at 0 samples only
+its cross block and gets its spectrum from the block's singular values,
+-sigma, the |n1 - n2| exact zeros and +sigma, instead of from a full
+eigensolve.
 """
 
 from __future__ import annotations

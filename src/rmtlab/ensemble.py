@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,9 +239,13 @@ class EntryLaw:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """Parameters as floats, or as "p/q" strings where no float holds
+        them exactly, so from_dict rebuilds the same law."""
         return {"kind": self.kind,
-                "params": {name: float(v) for name, v
-                           in zip(_LAWS[self.kind][0], self.params)}}
+                "params": {name: float(v) if Fraction(float(v)) == v
+                           else f"{v.numerator}/{v.denominator}"
+                           for name, v in zip(_LAWS[self.kind][0],
+                                              self.params)}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EntryLaw":
@@ -251,7 +256,15 @@ class EntryLaw:
         for name in names:
             if name not in params:
                 raise EnsembleError(f"missing law parameter {name!r}")
-        return cls._of(d["kind"], *(params[name] for name in names))
+        return cls._of(d["kind"], *(_ratio(params[name])
+                                    for name in names))
+
+
+def _ratio(x):
+    """A "p/q" string of to_dict as its Fraction; anything else unchanged."""
+    if isinstance(x, str) and re.fullmatch(r"-?\d+/[1-9]\d*", x):
+        return Fraction(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +345,34 @@ def counter_uniforms(seed: int, replicate: int, count: int,
 _ROW_BLOCK = 64
 
 
+def _row_start(i: int, width: int) -> int:
+    """Stream offset of row i of an upper triangle filled row by row, row 0
+    holding `width` entries and each later row one fewer."""
+    return i * width - i * (i - 1) // 2
+
+
 def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
                     stream: int = 0, diagonal: bool = True) -> np.ndarray:
     """Symmetric matrix whose upper triangle is one counter_uniforms stream.
 
     The stream fills the upper triangle row by row, row i taking columns
-    i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0).  It is
-    mapped in strips of _ROW_BLOCK rows from the strip's first row r on.
-    With mid the end of the part of the strip's last row, columns mid.. take
-    `cross`; columns r..mid take `intra` if the strip lies in one part, else
-    `intra` or `cross` by whether row and column share a part.  The maps act
+    i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0) from
+    offset _row_start.  It is mapped in strips of _ROW_BLOCK rows from the
+    strip's first row r on.  With mid the end of the part of the strip's
+    last row, columns mid.. take `cross`; columns r..mid take `intra` if the
+    strip lies in one part, else `intra` or `cross` by whether row and
+    column share a part.  The maps act
     elementwise on uniforms, and what they write below the diagonal is
     overwritten when the upper triangle is mirrored into the lower one.
     """
     n = partition.n
     k = 0 if diagonal else 1
-    u = counter_uniforms(seed, replicate, (n - k) * (n + 1 - k) // 2, stream)
+    width = n - k
+    u = counter_uniforms(seed, replicate, _row_start(width, width), stream)
     A = np.zeros((n, n))
-    start = 0
-    for i in range(n - k):
-        A[i, i + k:] = u[start:start + n - i - k]
-        start += n - i - k
+    for i in range(width):
+        start = _row_start(i, width)
+        A[i, i + k:] = u[start:start + width - i]
     del u  # free the stream before the maps allocate their blocks
     labels = partition.part_labels()
     for r in range(0, n, _ROW_BLOCK):
@@ -378,9 +398,28 @@ def sample_matrix(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
                            spec.law_cross.from_uniform, spec.seed, replicate)
 
 
-def scale_matrix(A: np.ndarray) -> np.ndarray:
-    """Divide every entry by 2*sqrt(n)."""
-    n = A.shape[0]
-    if A.shape != (n, n) or n < 1:
-        raise EnsembleError("square matrix of positive order required")
+def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
+    """sample_matrix(spec, replicate)[:n1, n1:], n1 the size of the first
+    part, drawn without the rest of the matrix.
+
+    Rows 0..n1-1 are the stream's prefix up to _row_start(n1, n); row i
+    reaches the block's columns at offset n1 - i.  Every entry of the block
+    joins two parts, so it takes the cross law.
+    """
+    n, n1 = spec.n, spec.partition.sizes[0]
+    u = counter_uniforms(spec.seed, replicate, _row_start(n1, n))
+    B = np.empty((n1, n - n1))
+    for i in range(n1):
+        start = _row_start(i, n) + n1 - i
+        B[i] = u[start:start + n - n1]
+    return spec.law_cross.from_uniform(B)
+
+
+def scale_matrix(A: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Divide every entry by 2*sqrt(n), n the order of the square matrix A;
+    a block of a matrix of order n is scaled by passing that n."""
+    if n is None:
+        n = A.shape[0]
+        if A.shape != (n, n) or n < 1:
+            raise EnsembleError("square matrix of positive order required")
     return A / (2.0 * math.sqrt(n))

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, check_fractions,
-                       make_partition, sample_matrix, scale_matrix,
-                       singleton_partition)
+                       make_partition, sample_cross_block, sample_matrix,
+                       scale_matrix, singleton_partition)
 from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
                           energy_decomposition_check, graph_energy,
                           predicted_energy_gnp, predicted_energy_multipartite,
@@ -29,7 +29,7 @@ from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    mixing_radius, pseudo_char_grid, semicircle_cdf,
                    semicircle_moment, semicircle_stieltjes)
-from .spectral import (SpectralError, eigenvalues_sym, eigenvalues_two_part,
+from .spectral import (SpectralError, eigenvalues_bipartite, eigenvalues_sym,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
@@ -179,14 +179,16 @@ def _table(header, records):
 
 
 def _spectra(spec: EnsembleSpec, replicates: int):
-    # a two-part matrix takes the SVD shortcut when its sampled diagonal
-    # blocks are zero; eigenvalues_two_part checks that on the matrix
-    sizes = spec.partition.sizes
-
-    def one(i):
-        M = scale_matrix(sample_matrix(spec, i))
-        return eigenvalues_two_part(M, sizes[0]) if len(sizes) == 2 \
-            else eigenvalues_sym(M)
+    # a two-part ensemble whose intra law is the point mass at 0 has
+    # matrices [[0, B], [B^T, 0]]: only the cross block B is sampled, and
+    # the spectrum is +-sigma(B).  Every other ensemble is solved whole.
+    if spec.partition.m == 2 and spec.law_intra.raw_moment(2) == 0:
+        def one(i):
+            return eigenvalues_bipartite(
+                scale_matrix(sample_cross_block(spec, i), spec.n))
+    else:
+        def one(i):
+            return eigenvalues_sym(scale_matrix(sample_matrix(spec, i)))
     return _map_replicates(one, replicates)
 
 

@@ -7,7 +7,6 @@ rank inequality and the Stieltjes perturbation bound.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,8 @@ class SpectralError(RuntimeError):
     """Eigen/singular value computation failed to converge."""
 
 
-# One LAPACK solve at a time, alone on the whole BLAS thread pool, so a caller
-# that solves on threads of its own gets the spectra one thread would get.
-_SOLVE_LOCK = threading.Lock()
+# rows per strip of the symmetry check; a strip and its transpose stay in cache
+_STRIP = 64
 
 
 def eigenvalues_sym(M: np.ndarray) -> np.ndarray:
@@ -28,34 +26,28 @@ def eigenvalues_sym(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     if M.shape != (n, n) or n < 1:
         raise ValueError("square matrix of positive order required")
-    if not np.array_equal(M, M.T):
+    # strip r compares rows r.. of the upper triangle with columns r.. of the
+    # lower one; NaN equals nothing, so a NaN anywhere fails
+    if not all(np.array_equal(M[r:r + _STRIP, r:], M[r:, r:r + _STRIP].T)
+               for r in range(0, n, _STRIP)):
         raise ValueError("matrix is not exactly symmetric")
     try:
-        with _SOLVE_LOCK:
-            return np.linalg.eigvalsh(M)
+        return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SpectralError(f"eigensolver did not converge: {exc}") from exc
 
 
-def eigenvalues_two_part(M: np.ndarray, n1: int) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending.
+def eigenvalues_bipartite(B: np.ndarray) -> np.ndarray:
+    """All eigenvalues of [[0, B], [B^T, 0]], sorted ascending.
 
-    When both diagonal blocks of the split after row n1 are zero, M is
-    [[0, B], [B^T, 0]] and its spectrum is -sigma(B), |n1 - n2| exact zeros
-    and sigma(B), from one SVD of the n1 x n2 block B.  Any other matrix
-    goes to `eigenvalues_sym`.
+    For an n1 x n2 block B they are -sigma(B), |n1 - n2| exact zeros and
+    sigma(B), from one SVD of B.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if (M.shape != (n, n) or not 0 < n1 < n
-            or M[:n1, :n1].any() or M[n1:, n1:].any()):
-        return eigenvalues_sym(M)
-    B = M[:n1, n1:]
-    if not np.array_equal(B, M[n1:, :n1].T):
-        raise ValueError("matrix is not exactly symmetric")
+    B = np.asarray(B, dtype=float)
     s = singular_values(B)
     # 0.0 - s, not -s: a zero singular value must not become -0.0
-    return np.concatenate((0.0 - s, np.zeros(abs(n - 2 * n1)), s[::-1]))
+    return np.concatenate((0.0 - s, np.zeros(abs(B.shape[0] - B.shape[1])),
+                           s[::-1]))
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
@@ -64,8 +56,7 @@ def singular_values(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2:
         raise ValueError("matrix required")
     try:
-        with _SOLVE_LOCK:
-            return np.linalg.svd(M, compute_uv=False)
+        return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SpectralError(f"SVD did not converge: {exc}") from exc
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
                              EntryLaw, PartitionSpec, _symmetric_fill,
-                             counter_uniforms, make_partition, sample_matrix,
-                             scale_matrix, singleton_partition)
+                             counter_uniforms, make_partition,
+                             sample_cross_block, sample_matrix, scale_matrix,
+                             singleton_partition)
 from rmtlab.graphenergy import (_decomposition, _is_block_diagonal,
                                 sample_graph)
 
@@ -102,6 +104,24 @@ class TestEntryLaw:
                     EntryLaw.bernoulli(0.5), EntryLaw.two_point(-1, 1, 0.25),
                     EntryLaw.uniform_interval(-1, 1)):
             assert EntryLaw.from_dict(law.to_dict()) == law
+
+    def test_json_round_trip_keeps_non_dyadic_parameters(self):
+        assert EntryLaw.bernoulli(Fraction(3, 10)).to_dict() == \
+            {"kind": "bernoulli", "params": {"p": "3/10"}}
+        for law in (EntryLaw.bernoulli(Fraction(3, 10)),
+                    EntryLaw.two_point(Fraction(-1, 3), 2, Fraction(2, 3)),
+                    EntryLaw.uniform_interval(Fraction(-1, 10),
+                                              Fraction(2**60 + 1))):
+            again = EntryLaw.from_dict(json.loads(json.dumps(law.to_dict())))
+            assert again == law
+            assert [again.raw_moment(k) for k in range(6)] == \
+                [law.raw_moment(k) for k in range(6)]
+
+    @pytest.mark.parametrize("p", ["0.3", "3/0", "3 /10", "1/-2", "nan",
+                                   "3/10.0"])
+    def test_only_ratio_strings_are_read(self, p):
+        with pytest.raises(EnsembleError, match="law parameter p"):
+            EntryLaw.from_dict({"kind": "bernoulli", "params": {"p": p}})
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +346,7 @@ class TestSampling:
         spec = EnsembleSpec(PartitionSpec(sum(sizes), tuple(sizes)), *laws,
                             seed=seed)
         again = EnsembleSpec.from_json(spec.to_json())
-        assert again.partition == spec.partition
+        assert again == spec  # exact parameters too: bernoulli(3/10)
         assert sample_matrix(again, replicate).tobytes() == \
             sample_matrix(spec, replicate).tobytes()
 
@@ -456,6 +476,22 @@ class TestFillMatchesIndexOracle:
                                 law_cross, seed=9)
             assert sample_matrix(spec, 2).tobytes() == \
                 oracle_sample_matrix(spec, 2).tobytes()
+
+    @pytest.mark.parametrize("law_cross", LAWS, ids=lambda law: law.kind)
+    def test_cross_block(self, law_cross):
+        # first part smaller and larger than the rest, ending inside a strip
+        # and on its edge, and one host of three parts
+        hosts = [PartitionSpec(n, (n1, n - n1)) for n in (2, 7, 50, 65, 129)
+                 for n1 in sorted({1, n // 3, n // 2, n - n // 3, n - 1,
+                                   _ROW_BLOCK} & set(range(1, n)))]
+        hosts.append(PartitionSpec(50, (10, 25, 15)))
+        for part in hosts:
+            spec = EnsembleSpec(part, LAWS[4], law_cross, seed=part.sizes[0])
+            n1 = part.sizes[0]
+            want = np.ascontiguousarray(oracle_sample_matrix(spec, 3)[:n1, n1:])
+            got = sample_cross_block(spec, 3)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_singleton_graph_longer_than_a_row_block(self):
         part = singleton_partition(300)

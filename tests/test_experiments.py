@@ -1,16 +1,20 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rmtlab import experiments
 from rmtlab.cli import main as cli_main
-from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition
-from rmtlab.experiments import (KINDS, ConfigError, NumericError, histogram,
-                                reference_radius, run_experiment)
+from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
+                             make_partition, sample_matrix, scale_matrix)
+from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
+                                histogram, reference_radius, run_experiment)
 from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
                          semicircle_moment)
+from rmtlab.spectral import eigenvalues_bipartite, eigenvalues_sym
 from rmtlab.walks import enumerate_shapes, good_shape_count
 
 
@@ -313,6 +317,69 @@ class TestEsdRun:
             assert len(cells) == 150
             assert sum(float(c) == 0.0 for c in cells) == 90
             assert cells.count("0.0") == 90
+
+
+# point masses at 0, each written as a different kind
+ZERO_LAWS = [EntryLaw.constant_zero(), EntryLaw.bernoulli(0),
+             EntryLaw.two_point(0, 0, Fraction(1, 2)),
+             EntryLaw.two_point(3, 0, 0), EntryLaw.two_point(0, 3, 1)]
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+class TestSpectraRoute:
+    @pytest.mark.parametrize("fractions", [(0.7, 0.3), (0.3, 0.7)],
+                             ids=["n1>n2", "n1<n2"])
+    @pytest.mark.parametrize("law_intra", ZERO_LAWS, ids=lambda law: "_".join(
+        [law.kind, *map(str, law.params)]))
+    def test_zero_intra_law_samples_only_the_cross_block(
+            self, monkeypatch, law_intra, fractions):
+        spec = EnsembleSpec(make_partition(37, fractions), law_intra,
+                            EntryLaw.uniform_interval(-1, 2), seed=5)
+        n1 = spec.partition.sizes[0]
+        want = [eigenvalues_bipartite(scale_matrix(sample_matrix(spec, r))
+                                      [:n1, n1:]) for r in range(3)]
+        monkeypatch.setattr(experiments, "sample_matrix",
+                            _refuse("sample_matrix"))
+        got = _spectra(spec, 3)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("sizes, law_intra", [
+        ((25, 12), EntryLaw.rademacher()),
+        ((12, 25), EntryLaw.bernoulli(Fraction(3, 10))),
+        ((25, 12), EntryLaw.two_point(0, 3, Fraction(1, 2))),
+        ((25, 12), EntryLaw.uniform_interval(-1, 1)),
+        ((37,), EntryLaw.constant_zero()),
+        ((20, 10, 7), EntryLaw.constant_zero())],
+        ids=["rademacher", "bernoulli", "two_point", "uniform", "one_part",
+             "three_parts"])
+    def test_every_other_ensemble_is_solved_whole(self, monkeypatch, sizes,
+                                                  law_intra):
+        spec = EnsembleSpec(PartitionSpec(sum(sizes), sizes), law_intra,
+                            EntryLaw.rademacher(), seed=6)
+        want = [eigenvalues_sym(scale_matrix(sample_matrix(spec, r)))
+                for r in range(3)]
+        monkeypatch.setattr(experiments, "sample_cross_block",
+                            _refuse("sample_cross_block"))
+        got = _spectra(spec, 3)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_zero_sampled_blocks_of_a_random_law_are_solved_whole(self):
+        # the intra law, not the sample, picks the route; the two routes
+        # agree on such a matrix to the eigenvalues_bipartite tolerance
+        spec = EnsembleSpec(PartitionSpec(9, (5, 4)),
+                            EntryLaw.bernoulli(2.0**-60),
+                            EntryLaw.rademacher(), seed=8)
+        M = scale_matrix(sample_matrix(spec, 0))
+        assert not M[:5, :5].any() and not M[5:, 5:].any()
+        (got,) = _spectra(spec, 1)
+        assert got.tobytes() == eigenvalues_sym(M).tobytes()
+        assert np.max(np.abs(got - eigenvalues_bipartite(M[:5, 5:]))) <= \
+            1e-13 * max(1.0, np.linalg.norm(M[:5, 5:], 2))
 
 
 class TestMomentsRun:

@@ -9,8 +9,9 @@ from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
     sample_matrix, scale_matrix
 from rmtlab.laws import semicircle_cdf
 from rmtlab.spectral import (check_rank_inequality,
-                             check_stieltjes_perturbation, eigenvalues_sym,
-                             eigenvalues_two_part, empirical_moment, esd,
+                             check_stieltjes_perturbation,
+                             eigenvalues_bipartite, eigenvalues_sym,
+                             empirical_moment, esd,
                              esd_sup_distance, ks_distance, numeric_rank,
                              singular_values, stieltjes_empirical)
 
@@ -50,16 +51,41 @@ class TestEigenvalues:
             eigenvalues_sym(np.array([[0., 1.], [0., 0.]]))
 
 
-def two_part(B, C=None):
-    """[[0, B], [B^T, 0]], or [[0, B], [C, 0]] when C is given."""
+def two_part(B):
+    """[[0, B], [B^T, 0]]."""
     n1, n2 = B.shape
     M = np.zeros((n1 + n2, n1 + n2))
     M[:n1, n1:] = B
-    M[n1:, :n1] = B.T if C is None else C
+    M[n1:, :n1] = B.T
     return M
 
 
-class TestEigenvaluesTwoPart:
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_symmetric_passes_with_signed_zeros(self, n):
+        M = random_symmetric(n, np.random.default_rng(n))
+        M[0, -1], M[-1, 0] = 0.0, -0.0
+        assert eigenvalues_sym(M).tobytes() == np.linalg.eigvalsh(M).tobytes()
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (70, 5), (128, 129),
+                                      (129, 128), (129, 0), (0, 129)])
+    def test_asymmetry_found_in_every_strip(self, i, j):
+        # n = 130: strips of 64 rows at 0 and 64, then a partial one at 128
+        M = random_symmetric(130, np.random.default_rng(53))
+        M[i, j] = np.nextafter(M[i, j], np.inf)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            eigenvalues_sym(M)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (129, 129), (64, 64), (3, 100),
+                                      (100, 3)])
+    def test_nan_raises(self, i, j):
+        M = random_symmetric(130, np.random.default_rng(59))
+        M[i, j] = M[j, i] = np.nan
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            eigenvalues_sym(M)
+
+
+class TestEigenvaluesBipartite:
     @settings(max_examples=80, deadline=None)
     @example(n1=1, n2=1, shape="random", seed=0)
     @example(n1=1, n2=60, shape="random", seed=1)
@@ -76,42 +102,14 @@ class TestEigenvaluesTwoPart:
             B = B[:, rng.integers(0, min(3, n2), size=n2)]
         elif shape == "zero":
             B = np.zeros((n1, n2))
-        M = two_part(B)
-        got = eigenvalues_two_part(M, n1)
-        want = eigenvalues_sym(M)
+        got = eigenvalues_bipartite(B)
+        want = eigenvalues_sym(two_part(B))
         assert got.shape == (n1 + n2,)
         assert np.all(np.diff(got) >= 0)
         tol = 1e-13 * max(1.0, np.linalg.norm(B, 2))
         assert np.max(np.abs(got - want)) <= tol
         assert not np.any(np.signbit(got[got == 0.0]))
         assert np.sum(got == 0.0) >= abs(n1 - n2)
-
-    def test_nonzero_diagonal_block_falls_back(self):
-        rng = np.random.default_rng(41)
-        M = two_part(rng.normal(size=(7, 4)))
-        for i, j in ((0, 0), (9, 10), (10, 9), (2, 5)):
-            N = M.copy()
-            N[i, j] = N[j, i] = 0.5
-            assert eigenvalues_two_part(N, 7).tobytes() == \
-                eigenvalues_sym(N).tobytes()
-
-    def test_split_outside_matrix_falls_back(self):
-        M = random_symmetric(6, np.random.default_rng(43))
-        for n1 in (0, 6):
-            assert eigenvalues_two_part(M, n1).tobytes() == \
-                eigenvalues_sym(M).tobytes()
-
-    def test_not_symmetric_raises(self):
-        rng = np.random.default_rng(47)
-        B = rng.normal(size=(5, 3))
-        C = B.T.copy()
-        C[1, 2] = np.nextafter(C[1, 2], np.inf)
-        with pytest.raises(ValueError):
-            eigenvalues_two_part(two_part(B, C), 5)
-        M = two_part(B)
-        M[0, 1] = 1.0  # nonzero diagonal block, not symmetric either
-        with pytest.raises(ValueError):
-            eigenvalues_two_part(M, 5)
 
 
 class TestESD:
