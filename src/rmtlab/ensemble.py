@@ -119,18 +119,26 @@ def _param_names(kind) -> tuple[str, ...]:
     return _LAWS[kind][0]
 
 
+def is_finite(x) -> bool:
+    """math.isfinite, with a number too large for a float counted as infinite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _exact(x, name: str) -> Fraction:
     """A law parameter as an exact rational.  It must be a real number that
-    is not a bool; NaN and infinities are refused."""
+    is not a bool; NaN, infinities and rationals too large for a float are
+    refused."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise EnsembleError(f"law parameter {name} must be a real number, "
                             f"got {type(x).__name__}")
+    if not is_finite(x):
+        raise EnsembleError(f"law parameter {name} must be finite, got {x}")
     if isinstance(x, numbers.Rational):
         return Fraction(x)
-    x = float(x)  # Fraction takes float64, not numpy's other floats
-    if not math.isfinite(x):
-        raise EnsembleError(f"law parameter {name} must be finite, got {x}")
-    return Fraction(x)
+    return Fraction(float(x))  # Fraction takes float64, not numpy's other floats
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, check_fractions,
-                       make_partition, sample_cross_block, sample_matrix,
-                       scale_matrix, singleton_partition)
+                       is_finite, make_partition, sample_cross_block,
+                       sample_matrix, scale_matrix, singleton_partition)
 from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
                           energy_decomposition_check, graph_energy,
                           predicted_energy_gnp, predicted_energy_multipartite,
@@ -59,14 +59,15 @@ def _get(cfg: dict, field: str, typ, default=None, required: bool = False):
             raise ConfigError(field, "missing required field")
         return default
     val = cur[parts[-1]]
-    if isinstance(val, bool) and typ in (int, float):
-        raise ConfigError(field, f"expected {typ}, got bool")
-    if typ is float and isinstance(val, int):
-        val = float(val)
+    if typ in (int, float) and isinstance(val, (int, float)):
+        if isinstance(val, bool):
+            raise ConfigError(field, f"expected {typ}, got bool")
+        if not is_finite(val):
+            raise ConfigError(field, f"expected a finite number, got {val}")
+        if typ is float:
+            val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(field, f"expected {typ}, got {type(val).__name__}")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(field, f"expected a finite number, got {val}")
     return val
 
 
@@ -76,7 +77,7 @@ def _items(values: list, field: str, typ=(int, float)) -> list:
         if isinstance(v, bool) or not isinstance(v, typ):
             raise ConfigError(f"{field}[{i}]",
                               f"expected {typ}, got {type(v).__name__}")
-        if isinstance(v, float) and not math.isfinite(v):
+        if not is_finite(v):
             raise ConfigError(f"{field}[{i}]",
                               f"expected a finite number, got {v}")
     return values

@@ -2,9 +2,9 @@
 
 The semicircle family (density, CDF, moments, absolute mean, Stieltjes
 transform), Catalan numbers, the exact limit moments of the block
-ensembles, Hankel positivity reports, and the Bessel-series
-pseudo-characteristic function used in the no-limit argument for
-unbalanced bipartite ensembles.
+ensembles, Hankel positivity reports, and the pseudo-characteristic
+function used in the no-limit argument for unbalanced bipartite
+ensembles, computed as one semicircle average by a fixed midpoint rule.
 """
 
 from __future__ import annotations
@@ -213,99 +213,52 @@ def hankel_report(gammas, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions and the pseudo-characteristic function
+# the pseudo-characteristic function
 # ---------------------------------------------------------------------------
 
-def _bessel1_series(t: float, signed: bool) -> float:
-    # sum_j s^j / (j! (j+1)!) (t/2)^(2j+1), s = -1 for J1, +1 for I1;
-    # terms added until the relative term drops below 1e-16 or the sum
-    # overflows; NaN for a NaN or infinite t, as scipy.special gives
-    if not math.isfinite(t):
-        return math.nan
-    half = t / 2.0
-    term = half
-    total = term
-    j = 0
-    while True:
-        j += 1
-        term *= half * half / (j * (j + 1))
-        contrib = -term if (signed and j % 2 == 1) else term
-        total += contrib
-        if abs(term) < 1e-16 * max(abs(total), 1e-300) or math.isinf(total):
-            return total
+# Domain of pseudo_char and its grid: |x| <= 60 for x = nuhat*sigma2*t.
+_X_MAX = 60.0
+
+# Midpoint rule in theta for the unit semicircle law S = cos(theta), whose
+# density (2/pi) sin^2(theta) d(theta) makes the integrand periodic: with
+# theta_j = (j + 1/2) pi / N, the (weight, node) pairs (sin^2(theta_j) / (2N),
+# cos(theta_j)) give sum_j w_j g(c_j) = E[g(S)] / 4.  For g = cos(x s) or
+# cosh(x s) the rule errs by terms of order (x/2)^(2N) / (2N)!, below 1e-25
+# relative at N = 64 and |x| <= 60.
+_N = 64
+_NODES = [(math.sin(theta) ** 2 / (2 * _N), math.cos(theta))
+          for theta in ((j + 0.5) * math.pi / _N for j in range(_N))]
 
 
-def _bessel_j1_miller(x: float) -> float:
-    # J_{k-1} = (2k/x) J_k - J_{k+1}, run down from an even order N far
-    # enough above x (the transition zone widens like x^(1/3)) and scaled
-    # by J_0 + 2 (J_2 + J_4 + ...) = 1; error below 1e-15 for 8 <= x <= 60
-    N = 2 * (int(x + 30.0 + 6.0 * x ** (1.0 / 3.0)) // 2)
-    nxt, cur, norm = 0.0, 1.0, 0.0
-    for k in range(N, 0, -1):
-        nxt, cur = cur, 2.0 * k / x * cur - nxt  # cur is now J_{k-1}
-        if k == 2:
-            j1 = cur
-        elif k % 2 == 1 and k > 1:
-            norm += 2.0 * cur
-    return j1 / (norm + cur)
-
-
-def _bessel_j1_hankel(x: float) -> float:
-    # Hankel's expansion J1 = sqrt(2/(pi x)) (P cos c - Q sin c) with
-    # c = x - 3pi/4, from the terms a_k = prod_{j<=k} (4 - (2j-1)^2) /
-    # (k! (8x)^k): P = a_0 - a_2 + a_4 - ..., Q = a_1 - a_3 + ...  The terms
-    # grow again only from k near 2x; for x > 60 they are below 1e-17 by
-    # k = 12.  cos c and sin c are (sin x - cos x)/sqrt 2 and
-    # -(sin x + cos x)/sqrt 2, so math.sin and math.cos reduce the argument
-    # exactly.
-    p, q, term, k = 1.0, 0.0, 1.0, 0
-    while abs(term) > 1e-17:
-        k += 1
-        term *= (4.0 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if k % 2:
-            q += term if k % 4 == 1 else -term
-        else:
-            p += term if k % 4 == 0 else -term
-    s, c = math.sin(x), math.cos(x)
-    return (p * (s - c) + q * (s + c)) / math.sqrt(math.pi * x)
-
-
-def bessel_j1(t: float) -> float:
-    """Bessel function of the first kind, order 1.
-
-    Power series for |t| < 8; above, the alternating series cancels away
-    its digits, so Miller's backward recurrence takes over up to |t| = 60,
-    and Hankel's asymptotic expansion beyond.
-    """
-    t = float(t)
-    if abs(t) < 8.0 or not math.isfinite(t):
-        return _bessel1_series(t, signed=True)
-    x = abs(t)
-    j1 = _bessel_j1_miller(x) if x <= 60.0 else _bessel_j1_hankel(x)
-    return -j1 if t < 0 else j1  # J1 is odd
-
-
-def bessel_i1(t: float) -> float:
-    """Modified Bessel function of the first kind, order 1, by power series."""
-    return _bessel1_series(float(t), signed=False)
+def _argument(t, nuhat: float, sigma2: float) -> float:
+    """x = nuhat*sigma2*t, or LawError when nuhat or x is out of range."""
+    if not 0 < nuhat < math.sqrt(0.5):
+        raise LawError("nuhat must lie in (0, sqrt(1/2))")
+    x = nuhat * sigma2 * float(t)
+    if not abs(x) <= _X_MAX:  # NaN fails too
+        raise LawError(f"|nuhat*sigma2*t| must be at most {_X_MAX}, got {x}")
+    return x
 
 
 def pseudo_char(t: float, nuhat: float, sigma2: float) -> float:
     """Would-be characteristic function of the unbalanced bipartite limit.
 
     f(t) = [(2 + 1/nuhat^2) J1(x)/x + (2 - 1/nuhat^2) I1(x)/x] / 2 with
-    x = nuhat*sigma2*t, normalized so f(0) = 1.  A genuine characteristic
-    function satisfies |f| <= 1; the I1 term eventually drives f below -1
-    whenever nuhat^2 < 1/2, which is what find_negativity_witness hunts for.
+    x = nuhat*sigma2*t, normalized so f(0) = 1.  As 2 J1(x)/x and 2 I1(x)/x
+    are E[cos(xS)] and E[cosh(xS)] for S semicircular on [-1, 1], f is
+    E[(2 + 1/nuhat^2) cos(xS) + (2 - 1/nuhat^2) cosh(xS)] / 4, computed by
+    one fixed midpoint quadrature.  The domain is |x| <= 60; beyond it, and
+    for a NaN or infinite t, LawError.  A genuine characteristic function
+    satisfies |f| <= 1; the cosh term eventually drives f below -1 whenever
+    nuhat^2 < 1/2, which is what find_negativity_witness hunts for.
     """
-    if not 0 < nuhat < math.sqrt(0.5):
-        raise LawError("nuhat must lie in (0, sqrt(1/2))")
-    x = nuhat * sigma2 * float(t)
+    x = _argument(t, nuhat, sigma2)
     if x == 0.0:
         return 1.0
     ca = 2.0 + 1.0 / nuhat**2
     cb = 2.0 - 1.0 / nuhat**2
-    return 0.5 * (ca * bessel_j1(x) / x + cb * bessel_i1(x) / x)
+    return math.fsum([w * (ca * math.cos(x * c) + cb * math.cosh(x * c))
+                      for w, c in _NODES])
 
 
 def pseudo_char_grid(nuhat: float, sigma2: float, t_max: float, step: float):
@@ -314,12 +267,9 @@ def pseudo_char_grid(nuhat: float, sigma2: float, t_max: float, step: float):
     t is accumulated by repeated addition of step.  The scan stops after
     the first value below -1e6, where the divergence is unambiguous.
     """
-    if not 0 < nuhat < math.sqrt(0.5):
-        raise LawError("nuhat must lie in (0, sqrt(1/2))")
     if sigma2 <= 0 or step <= 0:
         raise LawError("sigma2 and step must be positive")
-    if t_max > 60.0 / (nuhat * sigma2):
-        raise LawError("t_max too large for the series budget")
+    _argument(t_max, nuhat, sigma2)  # every grid point t <= t_max passes
     if t_max / step > 10**6:
         raise LawError("t_max / step exceeds 10**6 grid points")
     t = step

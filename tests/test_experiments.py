@@ -62,8 +62,9 @@ def _law_cfg(law):
     return cfg
 
 
-# a non-finite number (JSON NaN / Infinity) in a numeric field, and the
-# field the error must name
+# a non-finite number in a numeric field (JSON NaN / Infinity, or an
+# integer too large for a float), and the field the error must name
+HUGE = 10 ** 400
 NON_FINITE = [
     ("hankel.sigma1sq",
      {"kind": "hankel",
@@ -77,6 +78,17 @@ NON_FINITE = [
     ("charfn.t_max",
      {"kind": "charfn", "charfn": {"nuhat": 0.5, "t_max": math.nan}}),
     ("graph.p", {"kind": "energy", "graph": {"n": 20, "p": math.nan}}),
+    ("charfn.t_max",
+     {"kind": "charfn", "charfn": {"nuhat": 0.5, "t_max": HUGE}}),
+    ("graph.p", {"kind": "energy", "graph": {"n": 20, "p": HUGE}}),
+    ("ensemble.n", rademacher_cfg("esd", n=HUGE)),
+    ("ensemble.fractions[0]", rademacher_cfg("esd", fractions=[HUGE, 0.5])),
+    ("z_grid[0][0]", rademacher_cfg("stieltjes", z_grid=[[HUGE, 1.0]])),
+    ("hankel.sigma2sq",
+     {"kind": "hankel",
+      "hankel": {"source": "uniform", "sigma2sq": HUGE, "k": 3}}),
+    ("ensemble.law_cross",
+     _law_cfg({"kind": "uniform_interval", "params": {"lo": 0, "hi": HUGE}})),
 ]
 
 

@@ -1,10 +1,5 @@
-import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rmtlab
-from rmtlab.laws import (LawError, bessel_i1, bessel_j1, catalan,
-                         find_negativity_witness, gamma_bipartite_printed,
-                         gamma_proposition_printed, hankel_matrix,
+from rmtlab.laws import (LawError, catalan, find_negativity_witness,
+                         gamma_bipartite_printed, gamma_proposition_printed,
+                         hankel_matrix,
                          hankel_report, limit_moments, mixing_radius,
                          pseudo_char, pseudo_char_grid, semicircle_abs_mean,
                          semicircle_cdf, semicircle_density,
@@ -283,98 +277,52 @@ class TestHankel:
             hankel_matrix([1.0, 0.0, 0.25], 2)
 
 
-class TestBessel:
-    # 1e-12 references from exact rational partial sums of the defining series
-    REFS = {
-        1.0: (0.4400505857449335, 0.565159103992485),
-        5.0: (-0.32757913759146523, 24.335642142450528),
-        10.0: (0.04347274616886144, 2670.9883037012546),
-    }
-
-    def test_reference_values(self):
-        for t, (j1, i1) in self.REFS.items():
-            assert bessel_j1(t) == pytest.approx(j1, abs=1e-12)
-            assert bessel_i1(t) == pytest.approx(i1, rel=1e-12)
-
-    def test_leading_term(self):
-        assert bessel_j1(1e-8) / 1e-8 == pytest.approx(0.5)
-
-    def test_j1_matches_mpmath_on_accepted_domain(self):
-        # pseudo_char_grid accepts arguments up to 60
-        for x in np.linspace(0.0, 60.0, 6001):
-            assert bessel_j1(x) == pytest.approx(
-                float(mpmath.besselj(1, x)), abs=1e-12, rel=0.0)
-
-    def test_j1_matches_mpmath_on_large_arguments(self):
-        # Hankel's expansion beyond 60: error against the envelope
-        # sqrt(2/(pi x)), which is what the zeros of J1 leave to compare
-        with mpmath.workdps(60):
-            for x in np.logspace(math.log10(60.0), 15.0, 400):
-                x = float(x)
-                envelope = math.sqrt(2.0 / (math.pi * x))
-                want = mpmath.besselj(1, mpmath.mpf(x))
-                assert abs(mpmath.mpf(bessel_j1(x)) - want) \
-                    <= 1e-15 * envelope, x
-
-    def test_j1_on_huge_argument_returns(self):
-        # in a child process, so that a hang fails this test, not the suite
-        code = ("import math\n"
-                "from rmtlab.laws import bessel_j1\n"
-                "v = bessel_j1(1e300), bessel_j1(-1e300), bessel_j1(1e6)\n"
-                "assert all(map(math.isfinite, v)), v\n")
-        src = str(Path(rmtlab.__file__).parents[1])
-        done = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=20,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 0, done.stderr
-
-    def test_j1_is_odd(self):
-        for x in (0.5, 7.99, 8.0, 23.7, 60.0):
-            assert bessel_j1(-x) == -bessel_j1(x)
-
-    def test_i1_monotone(self):
-        t = np.linspace(0.1, 8.0, 50)
-        vals = [bessel_i1(x) for x in t]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_non_finite_and_overflow_match_scipy(self):
-        # in a child process, so that a hang fails this test, not the suite
-        from scipy.special import i1, j1
-        i1_args = [math.nan, math.inf, -math.inf, 714.0, 800.0, -800.0,
-                   1e300, -1e300]
-        j1_args = [math.nan, math.inf, -math.inf]
-        code = ("import json, sys\n"
-                "from rmtlab.laws import bessel_i1, bessel_j1\n"
-                "i1_args, j1_args = json.loads(sys.argv[1])\n"
-                "print(json.dumps([list(map(bessel_i1, i1_args)),\n"
-                "                  list(map(bessel_j1, j1_args))]))\n")
-        src = str(Path(rmtlab.__file__).parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code, json.dumps([i1_args, j1_args])],
-            capture_output=True, text=True, timeout=20,
-            env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 0, done.stderr
-        got_i1, got_j1 = json.loads(done.stdout)
-        for got, f, args in ((got_i1, i1, i1_args), (got_j1, j1, j1_args)):
-            want = [float(f(x)) for x in args]
-            assert [repr(v) for v in got] == [repr(v) for v in want]
-
-
 class TestPseudoChar:
     def test_limit_at_zero(self):
         assert pseudo_char(0.0, 0.5, 1.0) == 1.0
+        assert pseudo_char(-0.0, 0.3, 2.5) == 1.0
         assert pseudo_char(1e-10, 0.5, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("nuhat", [0.5, math.sqrt(0.3), 0.2, 0.7])
+    def test_matches_mpmath_on_domain(self, nuhat):
+        # the Bessel form at 40 digits, taken at the float x the function
+        # itself forms from t
+        with mpmath.workdps(40):
+            for i in range(1, 401):
+                t = 60.0 * i / 400 / nuhat
+                x = mpmath.mpf(nuhat * 1.0 * t)
+                if x > 60:
+                    continue
+                inv = 1 / mpmath.mpf(nuhat) ** 2
+                want = ((2 + inv) * mpmath.besselj(1, x)
+                        + (2 - inv) * mpmath.besseli(1, x)) / (2 * x)
+                got = pseudo_char(t, nuhat, 1.0)
+                assert abs(got - want) <= 1e-14 * max(abs(want), 1), t
+
+    def test_is_even(self):
+        for t in (0.3, 7.9, 41.0, 109.0):
+            assert pseudo_char(-t, 0.55, 1.0) == pseudo_char(t, 0.55, 1.0)
+
+    def test_domain_enforced(self):
+        assert math.isfinite(pseudo_char(120.0, 0.5, 1.0))
+        assert math.isfinite(pseudo_char(-120.0, 0.5, 1.0))
+        for t in (math.nextafter(120.0, math.inf), -121.0, 1e300,
+                  math.nan, math.inf, -math.inf):
+            with pytest.raises(LawError):
+                pseudo_char(t, 0.5, 1.0)
 
     def test_negativity_witness_exists(self):
         nuhat = math.sqrt(0.3)
         t = find_negativity_witness(nuhat, 1.0, 60.0)
-        assert t is not None and t <= 60.0
+        assert t == 6.259999999999911
         assert pseudo_char(t, nuhat, 1.0) < -1.0
 
     def test_witness_for_nu1_09(self):
         nuhat = (0.9 * 0.1) ** 0.25  # about 0.547
-        t = find_negativity_witness(nuhat, 1.0, 60.0)
-        assert t is not None
+        assert find_negativity_witness(nuhat, 1.0, 60.0) == 6.259999999999911
+        # the charfn default step
+        assert find_negativity_witness(nuhat, 1.0, 60.0, 0.05) \
+            == 6.299999999999986
 
     def test_nuhat_range_enforced(self):
         with pytest.raises(LawError):
@@ -399,8 +347,22 @@ class TestPseudoChar:
         assert [t for t, _ in rows] == [0.5, 1.0, 1.5, 2.0]
         assert find_negativity_witness(0.5, 1.0, 2.0, 0.5) is None
 
+    @pytest.mark.parametrize("nuhat, sigma2", [(0.5, 1.0), (0.3 ** 0.5, 1.0),
+                                               (0.2, 0.37), (0.7, 2.5)])
+    def test_grid_runs_to_the_boundary(self, nuhat, sigma2):
+        # the largest t_max the grid accepts is a point pseudo_char accepts
+        t_max = 60.0 / (nuhat * sigma2)
+        while nuhat * sigma2 * t_max > 60.0:
+            t_max = math.nextafter(t_max, 0.0)
+        while nuhat * sigma2 * math.nextafter(t_max, math.inf) <= 60.0:
+            t_max = math.nextafter(t_max, math.inf)
+        rows = list(pseudo_char_grid(nuhat, sigma2, t_max, t_max))
+        assert rows == [(t_max, pseudo_char(t_max, nuhat, sigma2))]
+        with pytest.raises(LawError):
+            next(pseudo_char_grid(nuhat, sigma2,
+                                  math.nextafter(t_max, math.inf), t_max))
+
     def test_grid_rejects_nonpositive_step_and_sigma2(self):
         for sigma2, step in ((1.0, 0.0), (1.0, -0.1), (0.0, 0.1)):
             with pytest.raises(LawError):
                 next(pseudo_char_grid(0.5, sigma2, 1.0, step))
-
