@@ -1,7 +1,10 @@
 """Command line front-end: `rmtlab <kind> --config <path> --out <dir>`.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure; any other error
-is a bug and ends with its traceback.  Replicates run one after another.
+is a bug and ends with its traceback.  Several replicates run
+concurrently, one per thread of numpy's OpenBLAS pool, each on a
+one-thread pool (see `rmtlab.experiments`); one replicate runs on the
+whole pool.
 A two-part ensemble whose intra law is the point mass at 0 samples only
 its cross block and gets its spectrum from the block's singular values,
 -sigma, the |n1 - n2| exact zeros and +sigma, instead of from a full
@@ -37,7 +40,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError, bad UTF-8 and the 4,300-digit limit
+    # on integers
+    except (OSError, ValueError) as exc:
         print(f"config error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return 2

@@ -331,6 +331,18 @@ class EnsembleSpec:
         return cls.from_dict(json.loads(s))
 
 
+def _philox(seed: int, replicate: int, stream: int = 0):
+    """The Generator behind counter_uniforms; consecutive `random` calls
+    continue its stream."""
+    if replicate < 0:
+        raise EnsembleError("replicate must be nonnegative")
+    if stream not in (0, 1):  # the key 2*replicate + stream must not collide
+        raise EnsembleError("stream must be 0 or 1")
+    key = np.array([np.uint64(seed), np.uint64(2 * replicate + stream)],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def counter_uniforms(seed: int, replicate: int, count: int,
                      stream: int = 0) -> np.ndarray:
     """Deterministic uniform [0,1) stream keyed by (seed, replicate, stream).
@@ -340,13 +352,7 @@ def counter_uniforms(seed: int, replicate: int, count: int,
     to matrix entries in a fixed order, making sampling independent of
     traversal and safe to parallelize across replicates.
     """
-    if replicate < 0:
-        raise EnsembleError("replicate must be nonnegative")
-    if stream not in (0, 1):  # the key 2*replicate + stream must not collide
-        raise EnsembleError("stream must be 0 or 1")
-    key = np.array([np.uint64(seed), np.uint64(2 * replicate + stream)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(count)
+    return _philox(seed, replicate, stream).random(count)
 
 
 # rows per strip of _symmetric_fill; a strip's blocks stay in cache
@@ -365,26 +371,28 @@ def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
 
     The stream fills the upper triangle row by row, row i taking columns
     i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0) from
-    offset _row_start.  It is mapped in strips of _ROW_BLOCK rows from the
-    strip's first row r on.  With mid the end of the part of the strip's
-    last row, columns mid.. take `cross`; columns r..mid take `intra` if the
-    strip lies in one part, else `intra` or `cross` by whether row and
-    column share a part.  The maps act
-    elementwise on uniforms, and what they write below the diagonal is
-    overwritten when the upper triangle is mirrored into the lower one.
+    offset _row_start.  It is drawn and mapped in strips of _ROW_BLOCK rows,
+    each strip's draw continuing the stream, from the strip's first row r
+    on.  With mid the end of the part of the strip's last row, columns
+    mid.. take `cross`; columns r..mid take `intra` if the strip lies in one
+    part, else `intra` or `cross` by whether row and column share a part.
+    The maps act elementwise on uniforms, and what they write below the
+    diagonal is overwritten when the upper triangle is mirrored into the
+    lower one.
     """
     n = partition.n
     k = 0 if diagonal else 1
     width = n - k
-    u = counter_uniforms(seed, replicate, _row_start(width, width), stream)
+    uniforms = _philox(seed, replicate, stream)
     A = np.zeros((n, n))
-    for i in range(width):
-        start = _row_start(i, width)
-        A[i, i + k:] = u[start:start + width - i]
-    del u  # free the stream before the maps allocate their blocks
     labels = partition.part_labels()
     for r in range(0, n, _ROW_BLOCK):
         last = min(r + _ROW_BLOCK, n) - 1
+        top = min(last + 1, width)  # rows r..top-1 hold stream entries
+        u = uniforms.random(_row_start(top, width) - _row_start(r, width))
+        for i in range(r, top):
+            start = _row_start(i, width) - _row_start(r, width)
+            A[i, i + k:] = u[start:start + width - i]
         mid = int(np.searchsorted(labels, labels[last], "right"))
         near = A[r:last + 1, r:mid]
         if labels[r] == labels[last]:
@@ -410,24 +418,31 @@ def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """sample_matrix(spec, replicate)[:n1, n1:], n1 the size of the first
     part, drawn without the rest of the matrix.
 
-    Rows 0..n1-1 are the stream's prefix up to _row_start(n1, n); row i
-    reaches the block's columns at offset n1 - i.  Every entry of the block
-    joins two parts, so it takes the cross law.
+    Rows 0..n1-1 are the stream's prefix up to _row_start(n1, n), drawn in
+    strips of _ROW_BLOCK rows; row i reaches the block's columns at offset
+    n1 - i.  Every entry of the block joins two parts, so it takes the
+    cross law.
     """
     n, n1 = spec.n, spec.partition.sizes[0]
-    u = counter_uniforms(spec.seed, replicate, _row_start(n1, n))
+    uniforms = _philox(spec.seed, replicate)
     B = np.empty((n1, n - n1))
-    for i in range(n1):
-        start = _row_start(i, n) + n1 - i
-        B[i] = u[start:start + n - n1]
-    return spec.law_cross.from_uniform(B)
+    for r in range(0, n1, _ROW_BLOCK):
+        top = min(r + _ROW_BLOCK, n1)
+        u = uniforms.random(_row_start(top, n) - _row_start(r, n))
+        for i in range(r, top):
+            start = _row_start(i, n) - _row_start(r, n) + n1 - i
+            B[i] = u[start:start + n - n1]
+        B[r:top] = spec.law_cross.from_uniform(B[r:top])
+    return B
 
 
-def scale_matrix(A: np.ndarray, n: int | None = None) -> np.ndarray:
+def scale_matrix(A: np.ndarray, n: int | None = None,
+                 overwrite: bool = False) -> np.ndarray:
     """Divide every entry by 2*sqrt(n), n the order of the square matrix A;
-    a block of a matrix of order n is scaled by passing that n."""
+    a block of a matrix of order n is scaled by passing that n.  With
+    `overwrite`, A is divided in place and returned."""
     if n is None:
         n = A.shape[0]
         if A.shape != (n, n) or n < 1:
             raise EnsembleError("square matrix of positive order required")
-    return A / (2.0 * math.sqrt(n))
+    return np.divide(A, 2.0 * math.sqrt(n), out=A if overwrite else None)

@@ -2,8 +2,16 @@
 
 Each experiment kind samples and analyzes; `run_experiment` then writes a
 `report.json` plus kind-specific CSV files into an output directory.
-Outputs are a pure function of (config, seed): replicates run one after
-another in order, and every random draw is counter-based.
+Outputs are a pure function of (config, seed) on one host: every random
+draw is counter-based, and each replicate's result lands at its own index.
+
+A call with several replicates runs them on the caller's thread and on
+helper threads, one per further thread of numpy's OpenBLAS pool, and pins
+that pool to one thread for the length of the map: the pin is
+process-global.  Each replicate is then solved on one BLAS thread whatever
+the pool size, so multi-replicate outputs do not depend on it.  A
+one-replicate call, and every call where the pool cannot be reached, runs
+serially on the pool as found.
 """
 
 from __future__ import annotations
@@ -11,7 +19,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,12 +40,15 @@ from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    mixing_radius, pseudo_char_grid, semicircle_cdf,
                    semicircle_moment, semicircle_stieltjes)
-from .spectral import (SpectralError, eigenvalues_bipartite, eigenvalues_sym,
+from .spectral import (SpectralError, _set_blas_threads, blas_threads,
+                       eigenvalues_bipartite, eigenvalues_sym,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
 KINDS = ("esd", "moments", "stieltjes", "walks", "hankel", "charfn",
          "energy", "decomposition")
+_BLAS_NAME = np.show_config(mode="dicts").get("Build Dependencies", {}) \
+    .get("blas", {}).get("name")
 
 
 class ConfigError(ValueError):
@@ -164,9 +178,71 @@ def _write_csv(fh, header, rows) -> None:
     w.writerows([_cell(x) for x in row] for row in rows)
 
 
+# helper threads of every replicate map, one fewer than the BLAS pool found
+# at import; each starts on first use and then lives on, so its malloc arena
+# and what that arena holds are reused by every later map
+_HELPER_COUNT = max(1, (blas_threads() or 1) - 1)
+_HELPERS = ThreadPoolExecutor(_HELPER_COUNT, thread_name_prefix="replicate")
+
+
+def _replicate_workers(pool: int | None, replicates: int) -> int:
+    """Threads a map of `replicates` replicates runs on, for a BLAS pool
+    of `pool` threads (None: not reachable)."""
+    if pool is None or replicates < 2:
+        return 1
+    return min(pool, replicates, _HELPER_COUNT + 1)
+
+
 def _map_replicates(fn, replicates: int):
-    # kept as a named function: the benchmark's tracer times replicates here
-    return [fn(i) for i in range(replicates)]
+    """[fn(0), ..., fn(replicates - 1)].
+
+    With more than one replicate and a reachable BLAS pool, the caller and
+    one helper thread per further pool thread take replicates in index
+    order, each solving on a one-thread pool; the pool size is restored
+    however the map ends.  A failure stops new replicates from starting,
+    and the failure with the lowest index is raised once the started ones
+    are done, as the serial map would raise it.  (A named function: the
+    benchmark's tracer times replicates here.)
+    """
+    pool = blas_threads()
+    if pool is None or replicates < 2:
+        return [fn(i) for i in range(replicates)]
+    results = [None] * replicates
+    failures = {}
+    todo = list(range(replicates))[::-1]  # popped from the end
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = todo.pop()
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+                    todo.clear()
+                if not isinstance(exc, Exception):  # an interrupt or exit
+                    raise
+
+    helpers = []
+    _set_blas_threads(1)
+    try:
+        try:
+            for _ in range(_replicate_workers(pool, replicates) - 1):
+                helpers.append(_HELPERS.submit(work))
+            work()
+        finally:
+            with lock:
+                todo.clear()
+            wait(helpers)  # work() puts every failure into `failures`
+    finally:
+        _set_blas_threads(pool)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +259,16 @@ def _spectra(spec: EnsembleSpec, replicates: int):
     # a two-part ensemble whose intra law is the point mass at 0 has
     # matrices [[0, B], [B^T, 0]]: only the cross block B is sampled, and
     # the spectrum is +-sigma(B).  Every other ensemble is solved whole.
+    # Each replicate scales and solves its own fresh sample in place.
     if spec.partition.m == 2 and spec.law_intra.raw_moment(2) == 0:
         def one(i):
-            return eigenvalues_bipartite(
-                scale_matrix(sample_cross_block(spec, i), spec.n))
+            return eigenvalues_bipartite(scale_matrix(
+                sample_cross_block(spec, i), spec.n, overwrite=True))
     else:
         def one(i):
-            return eigenvalues_sym(scale_matrix(sample_matrix(spec, i)))
+            return eigenvalues_sym(scale_matrix(sample_matrix(spec, i),
+                                                overwrite=True),
+                                   overwrite=True)
     return _map_replicates(one, replicates)
 
 
@@ -412,7 +491,8 @@ def _run_energy(cfg, seed, replicates):
         prediction = predicted_energy_multipartite(n, m_report, p)
 
     def one(i):
-        return graph_energy(sample_graph(partition, p, gseed, i))
+        return graph_energy(sample_graph(partition, p, gseed, i),
+                            overwrite=True)
 
     energies = _map_replicates(one, replicates)
     rows = []
@@ -493,6 +573,11 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     out = Path(out_dir)
     written: list[Path] = []
     t0 = time.monotonic()
+    # which BLAS pool computed the bits; runs differ in it only across hosts
+    pool = blas_threads()
+    env = {"numpy": np.__version__, "blas": _BLAS_NAME, "blas_threads": pool,
+           "cpu_count": os.cpu_count(),
+           "replicate_workers": _replicate_workers(pool, replicates)}
     try:
         fragment, tables = _RUNNERS[kind](config, seed, replicates)
         report = {
@@ -502,6 +587,7 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
             "replicate_count": replicates,
             "version": __version__,
             "wall_clock_s": time.monotonic() - t0,
+            "env": env,
             **fragment,
         }
         out.mkdir(parents=True, exist_ok=True)

@@ -41,9 +41,10 @@ def sample_graph(partition: PartitionSpec, p: float, seed: int,
                            stream=_EDGE_STREAM, diagonal=False)
 
 
-def graph_energy(A: np.ndarray) -> float:
-    """Sum of absolute adjacency eigenvalues."""
-    return float(np.sum(np.abs(eigenvalues_sym(A))))
+def graph_energy(A: np.ndarray, overwrite: bool = False) -> float:
+    """Sum of absolute adjacency eigenvalues; with `overwrite` the solve may
+    use A as its workspace (see eigenvalues_sym)."""
+    return float(np.sum(np.abs(eigenvalues_sym(A, overwrite=overwrite))))
 
 
 def singular_value_sum(M: np.ndarray) -> float:
@@ -106,17 +107,16 @@ def _kyfan_verdict(lhs: float, rhs: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-9 * scale}
 
 
-def _decomposition(partition: PartitionSpec, large, p: float, seed: int,
-                   replicate: int):
-    """(A, X, D): the sample A, D = Bernoulli(p) on the strict-upper pairs
-    of each large part (mirrored, from its own stream) and X = A + D."""
-    A = sample_graph(partition, p, seed, replicate)
+def _correction(partition: PartitionSpec, large, p: float, seed: int,
+                replicate: int) -> np.ndarray:
+    """D: Bernoulli(p) on the strict-upper pairs of each large part,
+    mirrored, from its own stream; 0 elsewhere."""
     D = _symmetric_fill(partition, EntryLaw.bernoulli(p).from_uniform,
                         _ZERO.from_uniform, seed, replicate,
                         stream=_FILL_STREAM, diagonal=False)
     # D is 0 across parts: zeroing the small parts' rows zeroes their blocks
     D[~np.isin(partition.part_labels(), list(large))] = 0.0
-    return A, A + D, D
+    return D
 
 
 def _part_bounds(partition: PartitionSpec) -> list[tuple[int, int]]:
@@ -149,18 +149,33 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     sums follow from E(A), E(X) and E(D).  Once D is confirmed
     block-diagonal, E(D) is the sum of its large blocks' energies; a D
     that fails the check is solved whole.
+
+    Each solve overwrites its matrix.  Once checked, D is kept as its large
+    blocks; X is built in a fresh sample of A, and A is drawn again for its
+    own solve, so one n x n matrix and D's blocks are held at a time.
     """
     check_large_parts(partition.m, large_part_indices)
     large = set(large_part_indices)
-    A, X, D = _decomposition(partition, large, p, seed, replicate)
+    D = _correction(partition, large, p, seed, replicate)
     block_diagonal = _is_block_diagonal(D, partition, large)
-    eA, eX = graph_energy(A), graph_energy(X)
+    # (index range, block) pairs that hold every entry of D
     if block_diagonal:
-        eD = sum((graph_energy(D[lo:hi, lo:hi])
+        blocks = [(slice(lo, hi), D[lo:hi, lo:hi].copy())
                   for a, (lo, hi) in enumerate(_part_bounds(partition))
-                  if a in large), 0.0)
+                  if a in large]
     else:
-        eD = graph_energy(D)
+        blocks = [(slice(None), D)]
+    del D
+    X = sample_graph(partition, p, seed, replicate)
+    for s, block in blocks:
+        X[s, s] += block
+    eX = graph_energy(X, overwrite=True)
+    del X
+    eD = sum((graph_energy(block, overwrite=True) for _, block in blocks),
+             0.0)
+    del blocks
+    eA = graph_energy(sample_graph(partition, p, seed, replicate),
+                      overwrite=True)
     upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
     lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)
     return {

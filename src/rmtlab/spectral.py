@@ -3,11 +3,19 @@
 Spectra, empirical spectral distributions (step CDFs), empirical moments,
 empirical Stieltjes transforms, singular values, and numeric checks of the
 rank inequality and the Stieltjes perturbation bound.
+
+Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd` are
+reached through ctypes: `blas_threads` reads the pool size and a symmetric
+solve can overwrite its input instead of copying it.  Elsewhere the pool
+size is unknown (None) and every solve is `np.linalg.eigvalsh`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +28,52 @@ class SpectralError(RuntimeError):
 _STRIP = 64
 
 
-def eigenvalues_sym(M: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending."""
+def _openblas():
+    """(get_num_threads, set_num_threads, LAPACKE_dsyevd) of the OpenBLAS
+    that numpy ships, the 64-bit-integer scipy-openblas build; None when
+    there is none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        try:
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+            evd = lib.scipy_LAPACKE_dsyevd64_
+        except AttributeError:
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        # (layout, jobz, uplo, n, a, lda, w) -> info, lapack_int = int64
+        evd.restype = ctypes.c_int64
+        evd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                        ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                        ctypes.c_void_p]
+        return get, put, evd
+    return None
+
+
+_OPENBLAS = _openblas()
+_COL_MAJOR = 102
+
+
+def blas_threads() -> int | None:
+    """Size of numpy's OpenBLAS thread pool; None where it cannot be read."""
+    return None if _OPENBLAS is None else _OPENBLAS[0]()
+
+
+def _set_blas_threads(k: int) -> None:
+    """Resize numpy's OpenBLAS pool, for the whole process (binding needed)."""
+    _OPENBLAS[1](k)
+
+
+def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, sorted ascending.
+
+    With `overwrite`, a float64 contiguous M is the solver's workspace and
+    holds garbage afterwards; otherwise the solve works on a copy.  Both
+    are LAPACK's `dsyevd` on the lower triangle, as `np.linalg.eigvalsh`
+    calls it, so they give the same bits.
+    """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n) or n < 1:
@@ -31,10 +83,24 @@ def eigenvalues_sym(M: np.ndarray) -> np.ndarray:
     if not all(np.array_equal(M[r:r + _STRIP, r:], M[r:, r:r + _STRIP].T)
                for r in range(0, n, _STRIP)):
         raise ValueError("matrix is not exactly symmetric")
-    try:
-        return np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SpectralError(f"eigensolver did not converge: {exc}") from exc
+    if _OPENBLAS is None:
+        try:
+            return np.linalg.eigvalsh(M)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise SpectralError(f"eigensolver did not converge: {exc}") \
+                from exc
+    if not (overwrite and M.flags.writeable
+            and (M.flags.c_contiguous or M.flags.f_contiguous)):
+        M = np.array(M, order="F")
+    # M is exactly symmetric, so its memory read column-major is M itself
+    w = np.empty(n)
+    info = _OPENBLAS[2](_COL_MAJOR, b"N", b"L", n, M.ctypes.data, n,
+                        w.ctypes.data)
+    if info > 0:  # pragma: no cover - LAPACK failure
+        raise SpectralError(f"eigensolver did not converge (info {info})")
+    if info < 0:  # pragma: no cover - a bad argument or no memory: a bug
+        raise RuntimeError(f"LAPACKE_dsyevd failed (info {info})")
+    return w
 
 
 def eigenvalues_bipartite(B: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
                              counter_uniforms, make_partition,
                              sample_cross_block, sample_matrix, scale_matrix,
                              singleton_partition)
-from rmtlab.graphenergy import (_decomposition, _is_block_diagonal,
-                                sample_graph)
+from rmtlab.graphenergy import (_correction, _is_block_diagonal,
+                                _part_bounds, energy_decomposition_check,
+                                graph_energy, sample_graph)
 
 LAWS = [EntryLaw.constant_zero(), EntryLaw.rademacher(),
         EntryLaw.bernoulli(Fraction(3, 10)),
@@ -367,14 +368,27 @@ def test_counter_uniforms_streams_and_replicates_differ():
 
 # ---------------------------------------------------------------------------
 # The index-array constructions the samplers used before the row-by-row fill;
-# kept as the oracle the fill must reproduce bit for bit.
+# kept as the oracle the fill must reproduce bit for bit.  Each draws its
+# whole stream at once, where the samplers draw it one strip at a time.
 # ---------------------------------------------------------------------------
+
+def oracle_stream(seed, replicate, count, stream):
+    """The whole uniform stream of (seed, replicate, stream) in one draw."""
+    key = np.array([seed, 2 * replicate + stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+def test_counter_uniforms_is_the_oracle_stream():
+    for seed, replicate, stream in [(0, 0, 0), (5, 3, 1), (2**64 - 1, 7, 0)]:
+        assert counter_uniforms(seed, replicate, 1000, stream).tobytes() == \
+            oracle_stream(seed, replicate, 1000, stream).tobytes()
+
 
 def oracle_fill(partition, intra, cross, seed, replicate, stream=0,
                 diagonal=True):
     n = partition.n
     iu = np.triu_indices(n, k=0 if diagonal else 1)
-    u = counter_uniforms(seed, replicate, iu[0].size, stream)
+    u = oracle_stream(seed, replicate, iu[0].size, stream)
     labels = partition.part_labels()
     same = labels[iu[0]] == labels[iu[1]]
     vals = np.empty(u.size)
@@ -394,7 +408,7 @@ def oracle_sample_matrix(spec, replicate):
 def oracle_sample_graph(partition, p, seed, replicate):
     n = partition.n
     iu = np.triu_indices(n, k=1)
-    u = counter_uniforms(seed, replicate, iu[0].size, stream=0)
+    u = oracle_stream(seed, replicate, iu[0].size, stream=0)
     labels = partition.part_labels()
     cross = labels[iu[0]] != labels[iu[1]]
     A = np.zeros((n, n))
@@ -409,13 +423,31 @@ def oracle_decomposition(partition, large, p, seed, replicate):
     iu = np.triu_indices(n, k=1)
     in_large = np.isin(labels, sorted(large))
     fill = (labels[iu[0]] == labels[iu[1]]) & in_large[iu[0]]
-    u = counter_uniforms(seed, replicate, iu[0].size, stream=1)
+    u = oracle_stream(seed, replicate, iu[0].size, stream=1)
     X = A.copy()
     upper = X[iu]
     upper[fill] = (u[fill] < p).astype(float)
     X[iu] = upper
     X[(iu[1], iu[0])] = upper
     return A, X, X - A
+
+
+def check_decomposition(part, large, p, seed, replicate):
+    """A and D as energy_decomposition_check samples them equal the oracle's
+    bit for bit, and so do the energies it finds for A, X and D."""
+    A, X, D = oracle_decomposition(part, large, p, seed, replicate)
+    assert sample_graph(part, p, seed, replicate).tobytes() == A.tobytes()
+    got = _correction(part, large, p, seed, replicate)
+    assert got.tobytes() == D.tobytes()
+    assert _is_block_diagonal(got, part, large)
+    if large:
+        r = energy_decomposition_check(part, large, p, seed, replicate)
+        assert (r["energy_A"], r["energy_X"]) == \
+            (graph_energy(A), graph_energy(X))
+        assert r["energy_D"] == sum(
+            (graph_energy(D[lo:hi, lo:hi])
+             for a, (lo, hi) in enumerate(_part_bounds(part)) if a in large),
+            0.0)
 
 
 def _at_most_400(sizes):
@@ -480,8 +512,10 @@ class TestFillMatchesIndexOracle:
     @pytest.mark.parametrize("law_cross", LAWS, ids=lambda law: law.kind)
     def test_cross_block(self, law_cross):
         # first part smaller and larger than the rest, ending inside a strip
-        # and on its edge, and one host of three parts
-        hosts = [PartitionSpec(n, (n1, n - n1)) for n in (2, 7, 50, 65, 129)
+        # and on its edge, blocks of up to four strips, and one host of
+        # three parts
+        hosts = [PartitionSpec(n, (n1, n - n1))
+                 for n in (2, 7, 50, 65, 129, 300)
                  for n1 in sorted({1, n // 3, n // 2, n - n // 3, n - 1,
                                    _ROW_BLOCK} & set(range(1, n)))]
         hosts.append(PartitionSpec(50, (10, 25, 15)))
@@ -511,21 +545,13 @@ class TestFillMatchesIndexOracle:
         ((7,), {0}), ((3, 4), {1}), ((30, 10, 10), {0, 1, 2}),
         ((10, 25, 15), {0, 2}), ((20, 20), set())])
     def test_decomposition(self, sizes, large):
-        part = PartitionSpec(sum(sizes), sizes)
-        new = _decomposition(part, large, 0.4, 13, 1)
-        for got, want in zip(new, oracle_decomposition(part, large, 0.4,
-                                                       13, 1)):
-            assert got.tobytes() == want.tobytes()
-        assert _is_block_diagonal(new[2], part, large)
+        check_decomposition(PartitionSpec(sum(sizes), sizes), large, 0.4,
+                            13, 1)
 
     def test_decomposition_with_singleton_parts(self):
         # large and small singletons have different intra maps
-        part = PartitionSpec(12, (1, 1, 1, 5, 1, 1, 2))
-        large = {0, 2, 3, 6}
-        new = _decomposition(part, large, 0.4, 13, 1)
-        for got, want in zip(new, oracle_decomposition(part, large, 0.4,
-                                                       13, 1)):
-            assert got.tobytes() == want.tobytes()
+        check_decomposition(PartitionSpec(12, (1, 1, 1, 5, 1, 1, 2)),
+                            {0, 2, 3, 6}, 0.4, 13, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(sizes=FILL_SIZES,
@@ -549,11 +575,7 @@ class TestFillMatchesIndexOracle:
     @example(case=(STRIP_EDGES, {0, 3, 5}), p=0.4)
     def test_decomposition_on_random_partitions(self, case, p):
         sizes, large = case
-        part = PartitionSpec(sum(sizes), sizes)
-        new = _decomposition(part, large, p, 13, 1)
-        for got, want in zip(new, oracle_decomposition(part, large, p, 13, 1)):
-            assert got.tobytes() == want.tobytes()
-        assert _is_block_diagonal(new[2], part, large)
+        check_decomposition(PartitionSpec(sum(sizes), sizes), large, p, 13, 1)
 
     def test_block_diagonal_check_finds_stray_entries(self):
         part = PartitionSpec(6, (2, 2, 2))

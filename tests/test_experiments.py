@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +18,8 @@ from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
                                 histogram, reference_radius, run_experiment)
 from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
                          semicircle_moment)
-from rmtlab.spectral import eigenvalues_bipartite, eigenvalues_sym
+from rmtlab.spectral import (SpectralError, _set_blas_threads, blas_threads,
+                             eigenvalues_bipartite, eigenvalues_sym)
 from rmtlab.walks import enumerate_shapes, good_shape_count
 
 
@@ -673,6 +678,17 @@ class TestGraphConfigErrors:
         assert "config error: graph.seed" in capsys.readouterr().err
 
 
+def _outputs(out):
+    """report.json without its host record and timing, and every CSV."""
+    report = json.loads((out / "report.json").read_text())
+    del report["wall_clock_s"], report["env"]
+    return report, {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+
+
+needs_openblas = pytest.mark.skipif(blas_threads() is None,
+                                    reason="numpy's OpenBLAS is not reachable")
+
+
 class TestThreads:
     def test_multithreaded_matches_serial(self, tmp_path, monkeypatch):
         cfg = rademacher_cfg("esd", n=40)
@@ -700,28 +716,134 @@ class TestThreads:
             monkeypatch.setenv("RMTLAB_THREADS", threads)
             out = tmp_path / threads
             run_experiment(cfg, out, replicates=5)
-            report = json.loads((out / "report.json").read_text())
-            del report["wall_clock_s"]
-            csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
-            outputs.append((report, csvs))
+            outputs.append(_outputs(out))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_run_starts_no_thread(self, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a thread was started")
+    GRAPH_CFGS = [{"kind": "energy",
+                   "graph": {"n": 40, "p": 0.5, "seed": 3}},
+                  {"kind": "decomposition",
+                   "graph": {"n": 40, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
+                             "large_parts": [0], "seed": 3}}]
+
+    def test_one_replicate_and_the_fallback_start_no_thread(self, tmp_path,
+                                                            monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a thread was started or used")
 
         monkeypatch.setattr("threading.Thread.start", refuse)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv("RMTLAB_THREADS", "4")
-        for cfg in [rademacher_cfg("esd", n=40),
-                    {"kind": "energy",
-                     "graph": {"n": 40, "p": 0.5, "seed": 3}},
-                    {"kind": "decomposition",
-                     "graph": {"n": 40, "p": 0.5,
-                               "fractions": [0.6, 0.2, 0.2],
-                               "large_parts": [0], "seed": 3}}]:
-            rep = run_experiment(cfg, tmp_path / cfg["kind"], replicates=4)
+        monkeypatch.setattr(experiments._HELPERS, "submit", refuse)
+        cfgs = [rademacher_cfg("esd", n=40)] + self.GRAPH_CFGS
+        for cfg in cfgs:
+            rep = run_experiment(cfg, tmp_path / "one" / cfg["kind"])
+            assert rep["env"]["replicate_workers"] == 1
+        # without the OpenBLAS binding the map is serial and eigvalsh solves
+        monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
+        for cfg in cfgs:
+            rep = run_experiment(cfg, tmp_path / "fallback" / cfg["kind"],
+                                 replicates=4)
             assert rep["replicate_count"] == 4
+            assert rep["env"]["blas_threads"] is None
+            assert rep["env"]["replicate_workers"] == 1
+
+    @needs_openblas
+    @pytest.mark.parametrize("failing, raised", [
+        ({3: np.linalg.LinAlgError, 1: SpectralError, 2: KeyError},
+         NumericError),
+        ({4: ZeroDivisionError, 2: KeyError}, KeyError),
+        ({0: OSError}, NumericError)])
+    def test_map_restores_the_blas_pool_and_raises_the_first_failure(
+            self, tmp_path, monkeypatch, failing, raised):
+        pool = blas_threads()
+        seen = []
+
+        def sample(spec, i):
+            seen.append(blas_threads())
+            if i in failing:
+                raise failing[i](f"replicate {i}")
+            return sample_matrix(spec, i)
+
+        monkeypatch.setattr(experiments, "sample_matrix", sample)
+        with pytest.raises(raised) as info:
+            run_experiment(rademacher_cfg("esd", n=40), tmp_path / "out",
+                           replicates=6)
+        first = min(failing)
+        cause = info.value.__cause__ if raised is NumericError else info.value
+        assert type(cause) is failing[first]
+        assert f"replicate {first}" in str(cause)
+        assert set(seen) == {1}  # every replicate ran on a one-thread pool
+        assert blas_threads() == pool
+        assert not (tmp_path / "out").exists()
+
+    def test_every_replicate_runs_once_in_its_slot(self, monkeypatch):
+        # more workers than cores, switching threads as often as possible:
+        # a lost update of the shared queue would run an index twice or
+        # never
+        pins, ran, threads = [], [], set()
+        monkeypatch.setattr(experiments, "blas_threads", lambda: 8)
+        monkeypatch.setattr(experiments, "_set_blas_threads", pins.append)
+        helpers = ThreadPoolExecutor(7)
+        monkeypatch.setattr(experiments, "_HELPERS", helpers)
+        monkeypatch.setattr(experiments, "_HELPER_COUNT", 7)
+
+        def fn(i):
+            ran.append(i)
+            threads.add(threading.current_thread())
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = experiments._map_replicates(fn, 400)
+        finally:
+            sys.setswitchinterval(interval)
+            helpers.shutdown(wait=True)
+        assert got == [-i for i in range(400)]
+        assert sorted(ran) == list(range(400))
+        assert pins == [1, 8]
+        assert len(threads) <= 8
+
+    @pytest.mark.skipif((blas_threads() or 1) < 2,
+                        reason="needs a BLAS pool of two threads")
+    @pytest.mark.parametrize("first, second, raised", [
+        (SpectralError, KeyError, NumericError),
+        (KeyError, SpectralError, KeyError)])
+    def test_lowest_index_wins_among_concurrent_failures(
+            self, tmp_path, monkeypatch, first, second, raised):
+        both_started = threading.Barrier(2, timeout=30)
+
+        def sample(spec, i):
+            both_started.wait()  # replicates 0 and 1 are both in flight
+            raise (first, second)[i](f"replicate {i}")
+
+        monkeypatch.setattr(experiments, "sample_matrix", sample)
+        with pytest.raises(raised) as info:
+            run_experiment(rademacher_cfg("esd", n=40), tmp_path / "out",
+                           replicates=2)
+        cause = info.value.__cause__ if raised is NumericError else info.value
+        assert type(cause) is first and "replicate 0" in str(cause)
+
+    @needs_openblas
+    @pytest.mark.parametrize("cfg", [
+        rademacher_cfg("esd", n=300),
+        pytest.param(zero_intra_cfg("moments", n=300), id="moments"),
+        {"kind": "energy", "graph": {"n": 300, "p": 0.3, "seed": 4}},
+        {"kind": "decomposition",
+         "graph": {"n": 300, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
+                   "large_parts": [0, 2], "seed": 5}},
+    ], ids=lambda cfg: cfg["kind"])
+    def test_caller_only_map_matches_the_full_pool(self, tmp_path, cfg):
+        pool = blas_threads()
+        outputs = []
+        for size in (1, pool):
+            _set_blas_threads(size)
+            try:
+                rep = run_experiment(cfg, tmp_path / str(size), replicates=3)
+            finally:
+                _set_blas_threads(pool)
+            assert rep["env"]["blas_threads"] == size
+            assert rep["env"]["replicate_workers"] == min(size, 3)
+            outputs.append(_outputs(tmp_path / str(size)))
+        assert outputs[1] == outputs[0]
 
     def test_garbage_env_value_is_serial(self, monkeypatch, tmp_path):
         monkeypatch.setenv("RMTLAB_THREADS", "lots")
@@ -764,6 +886,17 @@ class TestCLI:
         assert cli_main(["walks", "--config", str(broken),
                          "--out", str(tmp_path / "out")]) == 2
 
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        # json.load refuses integers of more than 4,300 digits with a plain
+        # ValueError
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "charfn", "charfn": {"nuhat": 0.5, '
+                        '"t_max": ' + "1" * 5000 + '}}')
+        assert cli_main(["charfn", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: cannot read {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_two(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"kind": "walks", "max_k": 99})
         assert cli_main(["walks", "--config", cfg,
@@ -780,6 +913,22 @@ class TestCLI:
     def test_unknown_kind_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["bogus", "--config", "x", "--out", "y"])
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 5])
+def test_env_names_the_pool_that_computed_the_bits(tmp_path, replicates):
+    pool = blas_threads()
+    rep = run_experiment(rademacher_cfg("esd", n=20), tmp_path,
+                         replicates=replicates)
+    assert rep["env"] == {
+        "numpy": np.__version__,
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        ["name"],
+        "blas_threads": pool, "cpu_count": os.cpu_count(),
+        "replicate_workers": 1 if pool is None or replicates == 1
+        else min(pool, replicates)}
+    assert json.loads((tmp_path / "report.json").read_text())["env"] == \
+        rep["env"]
 
 
 def test_all_kinds_registered():

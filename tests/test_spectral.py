@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
     sample_matrix, scale_matrix
 from rmtlab.laws import semicircle_cdf
-from rmtlab.spectral import (check_rank_inequality,
+from rmtlab.spectral import (_set_blas_threads, blas_threads,
+                             check_rank_inequality,
                              check_stieltjes_perturbation,
                              eigenvalues_bipartite, eigenvalues_sym,
                              empirical_moment, esd,
@@ -49,6 +50,65 @@ class TestEigenvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigenvalues_sym(np.array([[0., 1.], [0., 0.]]))
+
+
+needs_openblas = pytest.mark.skipif(blas_threads() is None,
+                                    reason="numpy's OpenBLAS is not reachable")
+
+
+class TestInPlaceSolve:
+    @needs_openblas
+    @pytest.mark.parametrize("pool", [1, 2])
+    @pytest.mark.parametrize("entries", ["uniform", "zero_one"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 150, 400])
+    def test_matches_eigvalsh_bit_for_bit(self, pool, entries, n):
+        rng = np.random.default_rng(n)
+        M = rng.random((n, n))
+        if entries == "zero_one":
+            M = (M < 0.3).astype(float)
+        M = np.triu(M) + np.triu(M, 1).T
+        found = blas_threads()
+        _set_blas_threads(pool)
+        try:
+            want = np.linalg.eigvalsh(M)
+            copied = eigenvalues_sym(M)
+            kept = M.copy()
+            got = eigenvalues_sym(M, overwrite=True)
+        finally:
+            _set_blas_threads(found)
+        assert got.tobytes() == want.tobytes() == copied.tobytes()
+        if n >= 7:  # the solve used M as its workspace
+            assert not np.array_equal(kept, M)
+
+    @pytest.mark.parametrize("make", [
+        lambda M: M[::2, ::2],
+        lambda M: np.asfortranarray(M),
+        lambda M: M.astype(np.float32),
+        lambda M: M.tolist()],
+        ids=["strided", "fortran", "float32", "list"])
+    def test_other_layouts_match(self, make):
+        rng = np.random.default_rng(3)
+        M = random_symmetric(40, rng)
+        A = make(M)
+        want = np.linalg.eigvalsh(np.asarray(A, dtype=float))
+        assert eigenvalues_sym(A, overwrite=True).tobytes() == want.tobytes()
+
+    def test_read_only_input_is_not_written(self):
+        M = random_symmetric(30, np.random.default_rng(4))
+        M.flags.writeable = False
+        kept = M.copy()
+        assert eigenvalues_sym(M, overwrite=True).tobytes() == \
+            np.linalg.eigvalsh(kept).tobytes()
+        assert np.array_equal(M, kept)
+
+    def test_without_the_binding_eigvalsh_solves(self, monkeypatch):
+        monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
+        M = random_symmetric(30, np.random.default_rng(5))
+        kept = M.copy()
+        assert eigenvalues_sym(M, overwrite=True).tobytes() == \
+            np.linalg.eigvalsh(kept).tobytes()
+        assert np.array_equal(M, kept)
+        assert blas_threads() is None
 
 
 def two_part(B):
