@@ -5,12 +5,14 @@ Each experiment kind samples and analyzes; `run_experiment` then writes a
 Outputs are a pure function of (config, seed) on one host: every random
 draw is counter-based, and each replicate's result lands at its own index.
 
-A call with several replicates runs them on the caller's thread and on
-helper threads, one per further thread of numpy's OpenBLAS pool, and pins
-that pool to one thread for the length of the map: the pin is
-process-global.  Each replicate is then solved on one BLAS thread whatever
-the pool size, so multi-replicate outputs do not depend on it.  A
-one-replicate call, and every call where the pool cannot be reached, runs
+A call with several replicates queues them on a module thread pool, one
+thread per thread of numpy's OpenBLAS pool as found at import, and waits
+for them.  For the length of the map the BLAS pool is pinned to one thread:
+the pin is process-global.  Each replicate is then solved on one BLAS
+thread whatever the pool size, so multi-replicate outputs do not depend on
+it.  No replicate starts after one has failed, and the failure with the
+lowest index is raised.  A one-replicate call, and every call where the
+BLAS pool cannot be reached or has, or had at import, one thread, runs
 serially on the pool as found.
 """
 
@@ -178,11 +180,11 @@ def _write_csv(fh, header, rows) -> None:
     w.writerows([_cell(x) for x in row] for row in rows)
 
 
-# helper threads of every replicate map, one fewer than the BLAS pool found
+# the threads of every replicate map, one per thread of the BLAS pool found
 # at import; each starts on first use and then lives on, so its malloc arena
 # and what that arena holds are reused by every later map
-_HELPER_COUNT = max(1, (blas_threads() or 1) - 1)
-_HELPERS = ThreadPoolExecutor(_HELPER_COUNT, thread_name_prefix="replicate")
+_HELPER_THREADS = blas_threads() or 1
+_HELPERS = ThreadPoolExecutor(_HELPER_THREADS, thread_name_prefix="replicate")
 
 
 def _replicate_workers(pool: int | None, replicates: int) -> int:
@@ -190,59 +192,48 @@ def _replicate_workers(pool: int | None, replicates: int) -> int:
     of `pool` threads (None: not reachable)."""
     if pool is None or replicates < 2:
         return 1
-    return min(pool, replicates, _HELPER_COUNT + 1)
+    return min(pool, replicates, _HELPER_THREADS)
 
 
 def _map_replicates(fn, replicates: int):
     """[fn(0), ..., fn(replicates - 1)].
 
-    With more than one replicate and a reachable BLAS pool, the caller and
-    one helper thread per further pool thread take replicates in index
-    order, each solving on a one-thread pool; the pool size is restored
-    however the map ends.  A failure stops new replicates from starting,
-    and the failure with the lowest index is raised once the started ones
-    are done, as the serial map would raise it.  (A named function: the
-    benchmark's tracer times replicates here.)
+    Where more than one thread can work, every replicate is queued on
+    `_HELPERS` and solves on a one-thread BLAS pool while the caller waits;
+    the pool size is restored once no replicate runs, however the map ends.
+    Replicates start in index order, and none starts after one has failed,
+    so the first failure in index order is the one with the lowest index,
+    as the serial map would raise it.  (A named function: the benchmark's
+    tracer times replicates here.)
     """
     pool = blas_threads()
-    if pool is None or replicates < 2:
+    if _replicate_workers(pool, replicates) < 2:
         return [fn(i) for i in range(replicates)]
-    results = [None] * replicates
-    failures = {}
-    todo = list(range(replicates))[::-1]  # popped from the end
-    lock = threading.Lock()
+    failed = threading.Event()
 
-    def work():
-        while True:
-            with lock:
-                if not todo:
-                    return
-                i = todo.pop()
-            try:
-                results[i] = fn(i)
-            except BaseException as exc:
-                with lock:
-                    failures[i] = exc
-                    todo.clear()
-                if not isinstance(exc, Exception):  # an interrupt or exit
-                    raise
+    def one(i):
+        if failed.is_set():  # a lower index failed; its error is raised
+            return None
+        try:
+            return fn(i)
+        except BaseException:
+            failed.set()
+            raise
 
-    helpers = []
+    futures = []
     _set_blas_threads(1)
     try:
-        try:
-            for _ in range(_replicate_workers(pool, replicates) - 1):
-                helpers.append(_HELPERS.submit(work))
-            work()
-        finally:
-            with lock:
-                todo.clear()
-            wait(helpers)  # work() puts every failure into `failures`
+        futures.extend(_HELPERS.submit(one, i) for i in range(replicates))
+        wait(futures)
+    except BaseException:
+        # an interrupted caller starts no queued replicate and waits for
+        # the running ones before the pool is resized
+        failed.set()
+        wait(futures)
+        raise
     finally:
         _set_blas_threads(pool)
-    if failures:
-        raise failures[min(failures)]
-    return results
+    return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -687,35 +688,63 @@ def _outputs(out):
 
 needs_openblas = pytest.mark.skipif(blas_threads() is None,
                                     reason="numpy's OpenBLAS is not reachable")
+needs_two_blas_threads = pytest.mark.skipif(
+    (blas_threads() or 1) < 2, reason="needs a BLAS pool of two threads")
+
+
+@pytest.fixture
+def replicate_threads(monkeypatch):
+    """Run replicate maps on a thread pool of a given size: a callable that
+    swaps `experiments._HELPERS` for a pool of `threads` threads."""
+    pools = []
+
+    def use(threads):
+        pools.append(ThreadPoolExecutor(threads))
+        monkeypatch.setattr(experiments, "_HELPERS", pools[-1])
+        monkeypatch.setattr(experiments, "_HELPER_THREADS", threads)
+
+    yield use
+    for pool in pools:
+        pool.shutdown(wait=True)
 
 
 class TestThreads:
-    def test_multithreaded_matches_serial(self, tmp_path, monkeypatch):
+    def test_multithreaded_matches_serial(self, tmp_path, replicate_threads):
+        # one replicate thread maps serially on the BLAS pool as found; at
+        # n = 40 a solve is not split over BLAS threads, so it must match
+        # a map over several replicate threads bit for bit
         cfg = rademacher_cfg("esd", n=40)
+        replicate_threads(1)
         serial = run_experiment(cfg, tmp_path / "s", seed=1, replicates=4)
-        monkeypatch.setenv("RMTLAB_THREADS", "4")
+        replicate_threads(4)
         threaded = run_experiment(cfg, tmp_path / "t", seed=1, replicates=4)
+        assert serial["env"]["replicate_workers"] == 1
+        assert threaded["env"]["replicate_workers"] == \
+            experiments._replicate_workers(blas_threads(), 4)
         assert serial["replicates"] == threaded["replicates"]
+        assert _outputs(tmp_path / "s") == _outputs(tmp_path / "t")
 
     # n = 150: from about this order OpenBLAS splits a solve over its
-    # threads, and a solve on fewer BLAS threads moves the last bits
+    # threads, and a solve on more than one BLAS thread moves the last bits
     @pytest.mark.parametrize("cfg", [
         rademacher_cfg("esd", n=150),
-        rademacher_cfg("moments", n=150, fractions=(0.8, 0.2)),
         {"kind": "energy", "graph": {"n": 150, "p": 0.3, "seed": 4}},
         {"kind": "decomposition",
          "graph": {"n": 150, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
                    "large_parts": [0, 2], "seed": 5}},
         pytest.param(zero_intra_cfg("moments"), id="moments_zero_intra"),
-        pytest.param(zero_intra_cfg("esd"), id="esd_zero_intra"),
     ], ids=lambda cfg: cfg["kind"])
-    def test_outputs_do_not_depend_on_thread_count(self, tmp_path,
-                                                   monkeypatch, cfg):
+    def test_outputs_do_not_depend_on_thread_count(self, tmp_path, cfg,
+                                                   replicate_threads):
+        # two or more replicate threads: every replicate solves on a
+        # one-thread BLAS pool, whichever thread takes it
         outputs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("RMTLAB_THREADS", threads)
-            out = tmp_path / threads
-            run_experiment(cfg, out, replicates=5)
+        for threads in (2, 3, 4):
+            replicate_threads(threads)
+            out = tmp_path / str(threads)
+            rep = run_experiment(cfg, out, replicates=5)
+            assert rep["env"]["replicate_workers"] == \
+                experiments._replicate_workers(blas_threads(), 5)
             outputs.append(_outputs(out))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
@@ -776,14 +805,14 @@ class TestThreads:
 
     def test_every_replicate_runs_once_in_its_slot(self, monkeypatch):
         # more workers than cores, switching threads as often as possible:
-        # a lost update of the shared queue would run an index twice or
-        # never
+        # a queue item lost or taken twice would run an index never or
+        # twice, and a result in the wrong slot would break the order
         pins, ran, threads = [], [], set()
         monkeypatch.setattr(experiments, "blas_threads", lambda: 8)
         monkeypatch.setattr(experiments, "_set_blas_threads", pins.append)
-        helpers = ThreadPoolExecutor(7)
+        helpers = ThreadPoolExecutor(8)
         monkeypatch.setattr(experiments, "_HELPERS", helpers)
-        monkeypatch.setattr(experiments, "_HELPER_COUNT", 7)
+        monkeypatch.setattr(experiments, "_HELPER_THREADS", 8)
 
         def fn(i):
             ran.append(i)
@@ -802,8 +831,7 @@ class TestThreads:
         assert pins == [1, 8]
         assert len(threads) <= 8
 
-    @pytest.mark.skipif((blas_threads() or 1) < 2,
-                        reason="needs a BLAS pool of two threads")
+    @needs_two_blas_threads
     @pytest.mark.parametrize("first, second, raised", [
         (SpectralError, KeyError, NumericError),
         (KeyError, SpectralError, KeyError)])
@@ -822,10 +850,74 @@ class TestThreads:
         cause = info.value.__cause__ if raised is NumericError else info.value
         assert type(cause) is first and "replicate 0" in str(cause)
 
+    @needs_two_blas_threads
+    def test_no_replicate_starts_after_a_failure(self):
+        # replicate 0 fails while replicate 1 runs; the later replicates
+        # are queued by then and must not call fn, and replicate 1 must
+        # keep its one-thread pool until it ends
+        pool = blas_threads()
+        workers = experiments._replicate_workers(pool, 24)
+        called, pools_seen = [], []
+        one_started, zero_raised = threading.Event(), threading.Event()
+
+        def fn(i):
+            called.append(i)
+            if i == 0:
+                assert one_started.wait(30)
+                zero_raised.set()
+                raise KeyError("replicate 0")
+            if i == 1:
+                one_started.set()
+                assert zero_raised.wait(30)
+                for _ in range(100):  # runs on after the failure
+                    pools_seen.append(blas_threads())
+                    time.sleep(0.001)
+            return i
+
+        with pytest.raises(KeyError, match="replicate 0"):
+            experiments._map_replicates(fn, 24)
+        assert 0 in called and 1 in called
+        assert len(called) <= workers
+        assert pools_seen == [1] * 100  # replicate 1 ended before the map
+        assert blas_threads() == pool
+
+    @needs_two_blas_threads
+    def test_an_interrupted_caller_starts_no_queued_replicate(
+            self, monkeypatch):
+        # the caller's wait is interrupted while the first replicates run:
+        # they finish on one BLAS thread, and no queued replicate starts
+        pool = blas_threads()
+        real_wait = experiments.wait
+        release, interrupted = threading.Event(), []
+        started, pools_seen = [], []
+
+        def interrupted_wait(futures):
+            if not interrupted:
+                interrupted.append(True)
+                raise KeyboardInterrupt
+            release.set()  # the caller now drains the queue
+            return real_wait(futures)
+
+        def fn(i):
+            started.append(i)
+            assert release.wait(30)
+            pools_seen.append(blas_threads())
+            return i
+
+        monkeypatch.setattr(experiments, "wait", interrupted_wait)
+        with pytest.raises(KeyboardInterrupt):
+            experiments._map_replicates(fn, 24)
+        assert len(started) <= experiments._replicate_workers(pool, 24)
+        assert pools_seen == [1] * len(started)
+        assert blas_threads() == pool
+
     @needs_openblas
     @pytest.mark.parametrize("cfg", [
         rademacher_cfg("esd", n=300),
         pytest.param(zero_intra_cfg("moments", n=300), id="moments"),
+        pytest.param(rademacher_cfg("moments", n=300, fractions=(0.8, 0.2)),
+                     id="moments_full_solve"),
+        pytest.param(zero_intra_cfg("esd", n=300), id="esd_zero_intra"),
         {"kind": "energy", "graph": {"n": 300, "p": 0.3, "seed": 4}},
         {"kind": "decomposition",
          "graph": {"n": 300, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
@@ -844,11 +936,6 @@ class TestThreads:
             assert rep["env"]["replicate_workers"] == min(size, 3)
             outputs.append(_outputs(tmp_path / str(size)))
         assert outputs[1] == outputs[0]
-
-    def test_garbage_env_value_is_serial(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("RMTLAB_THREADS", "lots")
-        rep = run_experiment(rademacher_cfg("esd", n=20), tmp_path)
-        assert rep["replicate_count"] == 1
 
 
 class TestCLI:
