@@ -1,15 +1,7 @@
 """Command line front-end: `rmtlab <kind> --config <path> --out <dir>`.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure; any other error
-is a bug and ends with its traceback.  Several replicates run
-concurrently on a thread pool sized at import to numpy's OpenBLAS pool,
-each solving on a one-thread BLAS pool while the caller waits; after a
-failure no replicate starts, and the lowest-index failure is raised (see
-`rmtlab.experiments`).  One replicate runs on the whole pool.
-A two-part ensemble whose intra law is the point mass at 0 samples only
-its cross block and gets its spectrum from the block's singular values,
--sigma, the |n1 - n2| exact zeros and +sigma, instead of from a full
-eigensolve.
+is a bug and ends with its traceback.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ traversal order or thread schedule.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import re
@@ -56,11 +55,6 @@ class PartitionSpec:
     def part_labels(self) -> np.ndarray:
         """Array of length n mapping each index to its part (0-based)."""
         return np.repeat(np.arange(self.m), self.sizes)
-
-    def part_of(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise EnsembleError(f"index {i} outside 0..{self.n - 1}")
-        return int(self.part_labels()[i])
 
 
 def check_fractions(fractions) -> list[float]:
@@ -323,17 +317,16 @@ class EnsembleSpec:
             seed=int(d["seed"]),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "EnsembleSpec":
-        return cls.from_dict(json.loads(s))
-
 
 def _philox(seed: int, replicate: int, stream: int = 0):
-    """The Generator behind counter_uniforms; consecutive `random` calls
-    continue its stream."""
+    """Generator of the uniform [0,1) stream keyed by (seed, replicate,
+    stream); consecutive `random` calls continue the stream.
+
+    Philox is counter-based, so value j of the stream is a pure function of
+    the key and j; stream is 0 or 1.  Consumers assign stream positions to
+    matrix entries in a fixed order, making sampling independent of
+    traversal and safe to parallelize across replicates.
+    """
     if replicate < 0:
         raise EnsembleError("replicate must be nonnegative")
     if stream not in (0, 1):  # the key 2*replicate + stream must not collide
@@ -341,18 +334,6 @@ def _philox(seed: int, replicate: int, stream: int = 0):
     key = np.array([np.uint64(seed), np.uint64(2 * replicate + stream)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def counter_uniforms(seed: int, replicate: int, count: int,
-                     stream: int = 0) -> np.ndarray:
-    """Deterministic uniform [0,1) stream keyed by (seed, replicate, stream).
-
-    Backed by the Philox counter-based generator, so value j of the stream
-    is a pure function of the key and j; stream is 0 or 1.  Consumers assign stream positions
-    to matrix entries in a fixed order, making sampling independent of
-    traversal and safe to parallelize across replicates.
-    """
-    return _philox(seed, replicate, stream).random(count)
 
 
 # rows per strip of _symmetric_fill; a strip's blocks stay in cache
@@ -367,7 +348,7 @@ def _row_start(i: int, width: int) -> int:
 
 def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
                     stream: int = 0, diagonal: bool = True) -> np.ndarray:
-    """Symmetric matrix whose upper triangle is one counter_uniforms stream.
+    """Symmetric matrix whose upper triangle is one _philox stream.
 
     The stream fills the upper triangle row by row, row i taking columns
     i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0) from

@@ -47,8 +47,6 @@ from .spectral import (SpectralError, _set_blas_threads, blas_threads,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
-KINDS = ("esd", "moments", "stieltjes", "walks", "hankel", "charfn",
-         "energy", "decomposition")
 _BLAS_NAME = np.show_config(mode="dicts").get("Build Dependencies", {}) \
     .get("blas", {}).get("name")
 
@@ -189,10 +187,11 @@ _HELPERS = ThreadPoolExecutor(_HELPER_THREADS, thread_name_prefix="replicate")
 
 def _replicate_workers(pool: int | None, replicates: int) -> int:
     """Threads a map of `replicates` replicates runs on, for a BLAS pool
-    of `pool` threads (None: not reachable)."""
-    if pool is None or replicates < 2:
+    of `pool` threads (None: not reachable): one where the pool has fewer
+    than two, else one per replicate up to the size of `_HELPERS`."""
+    if pool is None or pool < 2:
         return 1
-    return min(pool, replicates, _HELPER_THREADS)
+    return min(replicates, _HELPER_THREADS)
 
 
 def _map_replicates(fn, replicates: int):
@@ -541,6 +540,7 @@ _RUNNERS = {
     "energy": _run_energy,
     "decomposition": _run_decomposition,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:

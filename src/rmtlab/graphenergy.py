@@ -18,7 +18,7 @@ from .ensemble import (EnsembleError, EntryLaw, PartitionSpec,
                        _symmetric_fill)
 from .spectral import eigenvalues_sym, singular_values
 
-# stream tags for counter_uniforms so graph edges and decomposition fills
+# stream tags for _philox so graph edges and decomposition fills
 # never reuse the same uniforms
 _EDGE_STREAM = 0
 _FILL_STREAM = 1

@@ -6,8 +6,9 @@ rank inequality and the Stieltjes perturbation bound.
 
 Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd` are
 reached through ctypes: `blas_threads` reads the pool size and a symmetric
-solve can overwrite its input instead of copying it.  Elsewhere the pool
-size is unknown (None) and every solve is `np.linalg.eigvalsh`.
+solve may overwrite its input instead of copying it.  Every other solve,
+and every solve where the pool size is unknown (None), is
+`np.linalg.eigvalsh`.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
     With `overwrite`, a float64 contiguous M is the solver's workspace and
-    holds garbage afterwards; otherwise the solve works on a copy.  Both
-    are LAPACK's `dsyevd` on the lower triangle, as `np.linalg.eigvalsh`
-    calls it, so they give the same bits.
+    holds garbage afterwards; otherwise `np.linalg.eigvalsh` solves a copy.
+    The in-place solve is LAPACK's `dsyevd` on the lower triangle, as
+    `eigvalsh` calls it, so the two give the same bits.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -83,15 +84,13 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     if not all(np.array_equal(M[r:r + _STRIP, r:], M[r:, r:r + _STRIP].T)
                for r in range(0, n, _STRIP)):
         raise ValueError("matrix is not exactly symmetric")
-    if _OPENBLAS is None:
+    if not (_OPENBLAS and overwrite and M.flags.writeable
+            and (M.flags.c_contiguous or M.flags.f_contiguous)):
         try:
             return np.linalg.eigvalsh(M)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SpectralError(f"eigensolver did not converge: {exc}") \
                 from exc
-    if not (overwrite and M.flags.writeable
-            and (M.flags.c_contiguous or M.flags.f_contiguous)):
-        M = np.array(M, order="F")
     # M is exactly symmetric, so its memory read column-major is M itself
     w = np.empty(n)
     info = _OPENBLAS[2](_COL_MAJOR, b"N", b"L", n, M.ctypes.data, n,

@@ -78,18 +78,9 @@ def good_shape_count(k: int, v: int) -> int:
     return sum(map(is_good_zero_mean, enumerate_shapes(k, v)))
 
 
-def falling_factorial(n: int, v: int) -> int:
-    out = 1
-    for i in range(v):
-        out *= n - i
-    return out
-
-
 def count_good_walks(v: int, k: int, n: int) -> int:
-    """W_{v,k,n} = n(n-1)...(n-v+1) * g(v, k)."""
-    if v > n:
-        return 0
-    return falling_factorial(n, v) * good_shape_count(k, v)
+    """W_{v,k,n} = n(n-1)...(n-v+1) * g(v, k), which is 0 for v > n."""
+    return math.perm(n, v) * good_shape_count(k, v)
 
 
 def _walk_sum(k: int, v: int, m: int, weight, factor) -> Fraction:
@@ -136,11 +127,9 @@ def exact_trace_moment_by_order(spec: EnsembleSpec, k: int) -> dict:
     intra_m = [spec.law_intra.raw_moment(j) for j in range(k + 1)]
     cross_m = [spec.law_cross.raw_moment(j) for j in range(k + 1)]
 
-    def weight(parts):  # Prod_a falling_factorial(size_a, labels in a)
-        out = 1
-        for i, a in enumerate(parts):
-            out *= sizes[a] - parts[:i].count(a)
-        return out
+    def weight(parts):  # distinct indices of its part for each label
+        return math.prod(math.perm(sizes[a], parts.count(a))
+                         for a in set(parts))
 
     sums = {v: _walk_sum(k, v, len(sizes), weight,
                          lambda same, j: (intra_m if same else cross_m)[j])
@@ -179,7 +168,7 @@ def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int) -> Fraction:
 
 __all__ = [
     "WalkError", "walk_edges", "enumerate_shapes", "is_good_zero_mean",
-    "good_shape_count", "falling_factorial", "count_good_walks",
+    "good_shape_count", "count_good_walks",
     "exact_trace_moment_by_order", "exact_expected_trace_moment",
     "limit_gamma_walks",
 ]

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
-                             EntryLaw, PartitionSpec, _symmetric_fill,
-                             counter_uniforms, make_partition,
+                             EntryLaw, PartitionSpec, _philox,
+                             _symmetric_fill, make_partition,
                              sample_cross_block, sample_matrix, scale_matrix,
                              singleton_partition)
 from rmtlab.graphenergy import (_correction, _is_block_diagonal,
@@ -48,7 +48,7 @@ class TestMakePartition:
 
     def test_part_of(self):
         p = make_partition(5, [0.5, 0.5])
-        assert [p.part_of(i) for i in range(5)] == [0, 0, 0, 1, 1]
+        assert p.part_labels().tolist() == [0, 0, 0, 1, 1]
 
 
 class TestEntryLaw:
@@ -327,7 +327,7 @@ class TestSampling:
         spec = EnsembleSpec(make_partition(10, [0.8, 0.2]),
                             EntryLaw.uniform_interval(-1, 1),
                             EntryLaw.rademacher(), seed=77)
-        again = EnsembleSpec.from_json(spec.to_json())
+        again = EnsembleSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
         assert np.array_equal(sample_matrix(again, 5), sample_matrix(spec, 5))
 
@@ -346,7 +346,7 @@ class TestSampling:
                                               replicate):
         spec = EnsembleSpec(PartitionSpec(sum(sizes), tuple(sizes)), *laws,
                             seed=seed)
-        again = EnsembleSpec.from_json(spec.to_json())
+        again = EnsembleSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec  # exact parameters too: bernoulli(3/10)
         assert sample_matrix(again, replicate).tobytes() == \
             sample_matrix(spec, replicate).tobytes()
@@ -357,13 +357,15 @@ def test_counter_uniforms_other_streams_rejected(stream):
     # key 2*replicate + stream: stream 2 at replicate 0 would be stream 0
     # at replicate 1
     with pytest.raises(EnsembleError, match="stream"):
-        counter_uniforms(5, 0, 10, stream)
+        _philox(5, 0, stream)
 
 
 def test_counter_uniforms_streams_and_replicates_differ():
-    draws = {counter_uniforms(5, r, 10, s).tobytes()
+    draws = {_philox(5, r, s).random(10).tobytes()
              for r in range(3) for s in (0, 1)}
     assert len(draws) == 6
+    with pytest.raises(EnsembleError, match="replicate"):
+        _philox(5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +382,9 @@ def oracle_stream(seed, replicate, count, stream):
 
 def test_counter_uniforms_is_the_oracle_stream():
     for seed, replicate, stream in [(0, 0, 0), (5, 3, 1), (2**64 - 1, 7, 0)]:
-        assert counter_uniforms(seed, replicate, 1000, stream).tobytes() == \
+        uniforms = _philox(seed, replicate, stream)
+        drawn = np.concatenate([uniforms.random(c) for c in (1, 63, 936)])
+        assert drawn.tobytes() == \
             oracle_stream(seed, replicate, 1000, stream).tobytes()
 
 

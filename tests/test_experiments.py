@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -14,13 +15,15 @@ import pytest
 from rmtlab import experiments
 from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
-                             make_partition, sample_matrix, scale_matrix)
+                             make_partition, sample_cross_block,
+                             sample_matrix, scale_matrix)
 from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
                                 histogram, reference_radius, run_experiment)
 from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
                          semicircle_moment)
 from rmtlab.spectral import (SpectralError, _set_blas_threads, blas_threads,
-                             eigenvalues_bipartite, eigenvalues_sym)
+                             eigenvalues_bipartite, eigenvalues_sym,
+                             empirical_moment)
 from rmtlab.walks import enumerate_shapes, good_shape_count
 
 
@@ -317,6 +320,20 @@ class TestEsdRun:
         b = (tmp_path / "b" / "eigenvalues_r0.csv").read_text()
         assert a == b
 
+    def test_ensemble_record_replays_the_spectra(self, tmp_path):
+        # at n = 40 a solve is not split over BLAS threads, so the replayed
+        # bits do not depend on the pool size
+        run_experiment(rademacher_cfg("esd", n=40), tmp_path, seed=11,
+                       replicates=3)
+        report = json.loads((tmp_path / "report.json").read_text())
+        spec = EnsembleSpec.from_dict(report["ensemble"])
+        assert spec.seed == 11
+        eigs = eigenvalues_sym(scale_matrix(sample_matrix(spec, 2)))
+        replayed = io.StringIO(newline="")
+        experiments._write_csv(replayed, ["eigenvalue"], eigs[:, None])
+        assert replayed.getvalue().encode() == \
+            (tmp_path / "eigenvalues_r2.csv").read_bytes()
+
     def test_histogram_csv_parses(self, tmp_path):
         run_experiment(rademacher_cfg("esd", n=40, bins=8), tmp_path)
         with open(tmp_path / "histogram.csv") as fh:
@@ -413,6 +430,18 @@ class TestMomentsRun:
             disk = list(csv.DictReader(fh))
         assert len(disk) == 5
         assert float(disk[2]["theoretical"]) == pytest.approx(0.25)
+
+    def test_ensemble_record_replays_the_moments(self, tmp_path):
+        # zero intra blocks: the replay samples the cross block alone
+        run_experiment(zero_intra_cfg("moments", n=40), tmp_path, seed=11,
+                       replicates=3)
+        report = json.loads((tmp_path / "report.json").read_text())
+        spec = EnsembleSpec.from_dict(report["ensemble"])
+        spectra = [eigenvalues_bipartite(scale_matrix(
+            sample_cross_block(spec, i), spec.n)) for i in range(3)]
+        assert [float(np.mean([empirical_moment(e, k) for e in spectra]))
+                for k in range(9)] == \
+            [row["empirical"] for row in report["moments"]]
 
     def test_theoretical_moments_csv(self, tmp_path):
         cfg = rademacher_cfg("moments", n=40, fractions=(1.0,), max_k=2)
@@ -688,8 +717,6 @@ def _outputs(out):
 
 needs_openblas = pytest.mark.skipif(blas_threads() is None,
                                     reason="numpy's OpenBLAS is not reachable")
-needs_two_blas_threads = pytest.mark.skipif(
-    (blas_threads() or 1) < 2, reason="needs a BLAS pool of two threads")
 
 
 @pytest.fixture
@@ -708,8 +735,21 @@ def replicate_threads(monkeypatch):
         pool.shutdown(wait=True)
 
 
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS pool resized to two threads for the test, then
+    restored, so that maps run threaded on a host of one thread too."""
+    found = blas_threads()
+    if found is None:
+        pytest.skip("numpy's OpenBLAS is not reachable")
+    _set_blas_threads(2)
+    yield
+    _set_blas_threads(found)
+
+
 class TestThreads:
-    def test_multithreaded_matches_serial(self, tmp_path, replicate_threads):
+    def test_multithreaded_matches_serial(self, tmp_path, replicate_threads,
+                                          two_blas_threads):
         # one replicate thread maps serially on the BLAS pool as found; at
         # n = 40 a solve is not split over BLAS threads, so it must match
         # a map over several replicate threads bit for bit
@@ -719,8 +759,7 @@ class TestThreads:
         replicate_threads(4)
         threaded = run_experiment(cfg, tmp_path / "t", seed=1, replicates=4)
         assert serial["env"]["replicate_workers"] == 1
-        assert threaded["env"]["replicate_workers"] == \
-            experiments._replicate_workers(blas_threads(), 4)
+        assert threaded["env"]["replicate_workers"] == 4
         assert serial["replicates"] == threaded["replicates"]
         assert _outputs(tmp_path / "s") == _outputs(tmp_path / "t")
 
@@ -735,7 +774,8 @@ class TestThreads:
         pytest.param(zero_intra_cfg("moments"), id="moments_zero_intra"),
     ], ids=lambda cfg: cfg["kind"])
     def test_outputs_do_not_depend_on_thread_count(self, tmp_path, cfg,
-                                                   replicate_threads):
+                                                   replicate_threads,
+                                                   two_blas_threads):
         # two or more replicate threads: every replicate solves on a
         # one-thread BLAS pool, whichever thread takes it
         outputs = []
@@ -743,8 +783,7 @@ class TestThreads:
             replicate_threads(threads)
             out = tmp_path / str(threads)
             rep = run_experiment(cfg, out, replicates=5)
-            assert rep["env"]["replicate_workers"] == \
-                experiments._replicate_workers(blas_threads(), 5)
+            assert rep["env"]["replicate_workers"] == threads
             outputs.append(_outputs(out))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
@@ -831,12 +870,31 @@ class TestThreads:
         assert pins == [1, 8]
         assert len(threads) <= 8
 
-    @needs_two_blas_threads
+    def test_replicate_workers_counts_the_threads_that_ran(
+            self, tmp_path, monkeypatch, replicate_threads, two_blas_threads):
+        # four replicate threads on a two-thread BLAS pool: the map runs on
+        # all four, since the pool it queues on is not the BLAS pool
+        replicate_threads(4)
+        ran = set()
+        all_in_flight = threading.Barrier(4, timeout=30)
+
+        def sample(spec, i):
+            ran.add(threading.current_thread())
+            all_in_flight.wait()
+            return sample_matrix(spec, i)
+
+        monkeypatch.setattr(experiments, "sample_matrix", sample)
+        rep = run_experiment(rademacher_cfg("esd", n=40), tmp_path,
+                             replicates=8)
+        assert rep["env"]["replicate_workers"] == len(ran) == 4
+
     @pytest.mark.parametrize("first, second, raised", [
         (SpectralError, KeyError, NumericError),
         (KeyError, SpectralError, KeyError)])
     def test_lowest_index_wins_among_concurrent_failures(
-            self, tmp_path, monkeypatch, first, second, raised):
+            self, tmp_path, monkeypatch, replicate_threads, two_blas_threads,
+            first, second, raised):
+        replicate_threads(2)
         both_started = threading.Barrier(2, timeout=30)
 
         def sample(spec, i):
@@ -850,13 +908,12 @@ class TestThreads:
         cause = info.value.__cause__ if raised is NumericError else info.value
         assert type(cause) is first and "replicate 0" in str(cause)
 
-    @needs_two_blas_threads
-    def test_no_replicate_starts_after_a_failure(self):
+    def test_no_replicate_starts_after_a_failure(self, replicate_threads,
+                                                 two_blas_threads):
         # replicate 0 fails while replicate 1 runs; the later replicates
         # are queued by then and must not call fn, and replicate 1 must
         # keep its one-thread pool until it ends
-        pool = blas_threads()
-        workers = experiments._replicate_workers(pool, 24)
+        replicate_threads(2)
         called, pools_seen = [], []
         one_started, zero_raised = threading.Event(), threading.Event()
 
@@ -877,16 +934,15 @@ class TestThreads:
         with pytest.raises(KeyError, match="replicate 0"):
             experiments._map_replicates(fn, 24)
         assert 0 in called and 1 in called
-        assert len(called) <= workers
+        assert len(called) <= 2
         assert pools_seen == [1] * 100  # replicate 1 ended before the map
-        assert blas_threads() == pool
+        assert blas_threads() == 2
 
-    @needs_two_blas_threads
     def test_an_interrupted_caller_starts_no_queued_replicate(
-            self, monkeypatch):
+            self, monkeypatch, replicate_threads, two_blas_threads):
         # the caller's wait is interrupted while the first replicates run:
         # they finish on one BLAS thread, and no queued replicate starts
-        pool = blas_threads()
+        replicate_threads(2)
         real_wait = experiments.wait
         release, interrupted = threading.Event(), []
         started, pools_seen = [], []
@@ -907,11 +963,10 @@ class TestThreads:
         monkeypatch.setattr(experiments, "wait", interrupted_wait)
         with pytest.raises(KeyboardInterrupt):
             experiments._map_replicates(fn, 24)
-        assert len(started) <= experiments._replicate_workers(pool, 24)
+        assert len(started) <= 2
         assert pools_seen == [1] * len(started)
-        assert blas_threads() == pool
+        assert blas_threads() == 2
 
-    @needs_openblas
     @pytest.mark.parametrize("cfg", [
         rademacher_cfg("esd", n=300),
         pytest.param(zero_intra_cfg("moments", n=300), id="moments"),
@@ -923,17 +978,18 @@ class TestThreads:
          "graph": {"n": 300, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
                    "large_parts": [0, 2], "seed": 5}},
     ], ids=lambda cfg: cfg["kind"])
-    def test_caller_only_map_matches_the_full_pool(self, tmp_path, cfg):
-        pool = blas_threads()
+    def test_caller_only_map_matches_the_full_pool(self, tmp_path, cfg,
+                                                   replicate_threads,
+                                                   two_blas_threads):
+        # a serial map on a one-thread BLAS pool, then a map over two
+        # replicate threads from a two-thread pool
+        replicate_threads(2)
         outputs = []
-        for size in (1, pool):
+        for size in (1, 2):
             _set_blas_threads(size)
-            try:
-                rep = run_experiment(cfg, tmp_path / str(size), replicates=3)
-            finally:
-                _set_blas_threads(pool)
+            rep = run_experiment(cfg, tmp_path / str(size), replicates=3)
             assert rep["env"]["blas_threads"] == size
-            assert rep["env"]["replicate_workers"] == min(size, 3)
+            assert rep["env"]["replicate_workers"] == size
             outputs.append(_outputs(tmp_path / str(size)))
         assert outputs[1] == outputs[0]
 
@@ -997,6 +1053,33 @@ class TestCLI:
         rep = json.loads((out / "report.json").read_text())
         assert rep["seed"] == 9 and rep["replicate_count"] == 2
 
+    @pytest.mark.parametrize("error", [FloatingPointError, SpectralError])
+    def test_numeric_failure_exit_three(self, tmp_path, capsys, monkeypatch,
+                                        error):
+        def broken(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(experiments, "eigenvalues_sym", broken)
+        cfg = self.write_cfg(tmp_path, rademacher_cfg("esd"))
+        out = tmp_path / "out"
+        assert cli_main(["esd", "--config", cfg, "--out", str(out),
+                         "--replicates", "2"]) == 3
+        assert "numeric failure: esd experiment failed: injected" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bug_propagates_out_of_main(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(experiments, "eigenvalues_sym", broken)
+        cfg = self.write_cfg(tmp_path, rademacher_cfg("esd"))
+        out = tmp_path / "out"
+        with pytest.raises(TypeError, match="injected"):
+            cli_main(["esd", "--config", cfg, "--out", str(out),
+                      "--replicates", "2"])
+        assert not out.exists()
+
     def test_unknown_kind_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["bogus", "--config", "x", "--out", "y"])
@@ -1012,8 +1095,8 @@ def test_env_names_the_pool_that_computed_the_bits(tmp_path, replicates):
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         ["name"],
         "blas_threads": pool, "cpu_count": os.cpu_count(),
-        "replicate_workers": 1 if pool is None or replicates == 1
-        else min(pool, replicates)}
+        "replicate_workers": 1 if pool is None or pool < 2
+        else min(replicates, experiments._HELPER_THREADS)}
     assert json.loads((tmp_path / "report.json").read_text())["env"] == \
         rep["env"]
 

@@ -14,9 +14,8 @@ from rmtlab.laws import catalan, limit_moments
 from rmtlab.spectral import eigenvalues_sym, empirical_moment
 from rmtlab.walks import (WalkError, count_good_walks, enumerate_shapes,
                           exact_expected_trace_moment,
-                          exact_trace_moment_by_order, falling_factorial,
-                          good_shape_count, is_good_zero_mean,
-                          limit_gamma_walks, walk_edges)
+                          exact_trace_moment_by_order, good_shape_count,
+                          is_good_zero_mean, limit_gamma_walks, walk_edges)
 
 
 class TestEnumerateShapes:
@@ -146,8 +145,9 @@ class TestCountGoodWalks:
         assert count_good_walks(3, 4, 6) == 6 * 5 * 4 * 2
 
     def test_falling_factorial(self):
-        assert falling_factorial(6, 3) == 120
-        assert falling_factorial(5, 0) == 1
+        # the factor n(n-1)...(n-v+1) of W_{v,k,n}, 0 once v exceeds n
+        assert count_good_walks(3, 6, 6) == 120 * good_shape_count(6, 3)
+        assert count_good_walks(4, 6, 3) == 0 < good_shape_count(6, 4)
 
 
 # ---------------------------------------------------------------------------
