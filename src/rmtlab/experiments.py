@@ -462,12 +462,14 @@ def _graph_setup(cfg, seed):
             else make_partition(n, _items(fractions, "graph.fractions"))
     except EnsembleError as exc:
         raise ConfigError("graph.fractions", str(exc)) from exc
-    return partition, p, gseed, fractions
+    spec = EnsembleSpec(partition, EntryLaw.constant_zero(),
+                        EntryLaw.bernoulli(p), gseed)
+    return spec, p, fractions
 
 
 def _run_energy(cfg, seed, replicates):
-    partition, p, gseed, fractions = _graph_setup(cfg, seed)
-    n = partition.n
+    spec, p, fractions = _graph_setup(cfg, seed)
+    n = spec.n
     if not 0.0 < p < 1.0:
         raise ConfigError("graph.p", "energy prediction requires 0 < p < 1")
     if fractions is None:
@@ -481,8 +483,7 @@ def _run_energy(cfg, seed, replicates):
         prediction = predicted_energy_multipartite(n, m_report, p)
 
     def one(i):
-        return graph_energy(sample_graph(partition, p, gseed, i),
-                            overwrite=True)
+        return graph_energy(sample_graph(spec, i), overwrite=True)
 
     energies = _map_replicates(one, replicates)
     rows = []
@@ -491,7 +492,7 @@ def _run_energy(cfg, seed, replicates):
                      "energy": e, "normalized": e / n**1.5,
                      "prediction": prediction,
                      "rel_dev": (e - prediction) / prediction})
-    return {"rows": rows,
+    return {"ensemble": spec.to_dict(), "rows": rows,
             "aggregate": {
                 "mean_energy": float(np.mean(energies)),
                 "mean_normalized": float(np.mean(energies)) / n**1.5,
@@ -502,30 +503,28 @@ def _run_energy(cfg, seed, replicates):
 
 
 def _run_decomposition(cfg, seed, replicates):
-    partition, p, gseed, fractions = _graph_setup(cfg, seed)
+    spec, p, fractions = _graph_setup(cfg, seed)
     if fractions is None:
         raise ConfigError("graph.fractions", "decomposition needs explicit parts")
     large = _items(_get(cfg, "graph.large_parts", list, required=True),
                    "graph.large_parts", int)
     try:
-        check_large_parts(partition.m, large)
+        check_large_parts(spec.partition.m, large)
     except EnsembleError as exc:
         raise ConfigError("graph.large_parts", str(exc)) from exc
 
     def one(i):
-        return energy_decomposition_check(partition, large, p, gseed, i)
+        return energy_decomposition_check(spec, large, i)
 
     checks = _map_replicates(one, replicates)
     bounds = None
     if 0.0 < p < 1.0:
-        bounds = energy_bounds_unbalanced(partition.n, partition.fractions,
+        bounds = energy_bounds_unbalanced(spec.n, spec.partition.fractions,
                                           large, p)
-    report = {"large_parts": list(large), "bounds": bounds,
-              "replicates": [
-                  {"replicate": i, "energy_A": c["energy_A"],
-                   "energy_X": c["energy_X"], "energy_D": c["energy_D"],
-                   "block_diagonal": c["block_diagonal"], "holds": c["holds"]}
-                  for i, c in enumerate(checks)],
+    report = {"ensemble": spec.to_dict(), "large_parts": list(large),
+              "bounds": bounds,
+              "replicates": [{"replicate": i, **c}
+                             for i, c in enumerate(checks)],
               "all_hold": all(c["holds"] for c in checks)}
     return report, {}
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .ensemble import (EnsembleError, EntryLaw, PartitionSpec,
+from .ensemble import (EnsembleError, EnsembleSpec, PartitionSpec,
                        _symmetric_fill)
 from .spectral import eigenvalues_sym, singular_values
 
@@ -22,22 +22,18 @@ from .spectral import eigenvalues_sym, singular_values
 # never reuse the same uniforms
 _EDGE_STREAM = 0
 _FILL_STREAM = 1
-_ZERO = EntryLaw.constant_zero()
 
 
-def sample_graph(partition: PartitionSpec, p: float, seed: int,
-                 replicate: int = 0) -> np.ndarray:
-    """A 0/1 symmetric adjacency in which cross-part pairs appear
-    independently with probability p.
-
-    Intra-part pairs and the diagonal are always absent (the host is the
-    complete multipartite graph); with singleton parts this is the ordinary
-    binomial random graph.  Deterministic per (seed, replicate).
+def sample_graph(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
+    """One adjacency of the graph ensemble `spec`: with a constant_zero
+    intra law and a bernoulli(p) cross law, cross-part pairs are edges
+    independently with probability p on the complete multipartite host
+    (with singleton parts, the binomial random graph).  Unlike in
+    sample_matrix, the diagonal takes no stream entries and is 0, so graph
+    records replay here.  Deterministic per (spec, replicate).
     """
-    if not 0.0 <= p <= 1.0:
-        raise EnsembleError("edge probability outside [0, 1]")
-    return _symmetric_fill(partition, _ZERO.from_uniform,
-                           EntryLaw.bernoulli(p).from_uniform, seed, replicate,
+    return _symmetric_fill(spec.partition, spec.law_intra.from_uniform,
+                           spec.law_cross.from_uniform, spec.seed, replicate,
                            stream=_EDGE_STREAM, diagonal=False)
 
 
@@ -107,15 +103,15 @@ def _kyfan_verdict(lhs: float, rhs: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-9 * scale}
 
 
-def _correction(partition: PartitionSpec, large, p: float, seed: int,
-                replicate: int) -> np.ndarray:
-    """D: Bernoulli(p) on the strict-upper pairs of each large part,
-    mirrored, from its own stream; 0 elsewhere."""
-    D = _symmetric_fill(partition, EntryLaw.bernoulli(p).from_uniform,
-                        _ZERO.from_uniform, seed, replicate,
+def _correction(spec: EnsembleSpec, large, replicate: int) -> np.ndarray:
+    """D: the cross law on the strict-upper pairs of each large part and the
+    intra law across parts (sample_graph's fill with the laws swapped, from
+    its own stream), mirrored, with the small parts' rows zeroed."""
+    D = _symmetric_fill(spec.partition, spec.law_cross.from_uniform,
+                        spec.law_intra.from_uniform, spec.seed, replicate,
                         stream=_FILL_STREAM, diagonal=False)
-    # D is 0 across parts: zeroing the small parts' rows zeroes their blocks
-    D[~np.isin(partition.part_labels(), list(large))] = 0.0
+    # a zero intra law leaves D 0 across parts: zeroed rows zero the blocks
+    D[~np.isin(spec.partition.part_labels(), list(large))] = 0.0
     return D
 
 
@@ -135,14 +131,15 @@ def _is_block_diagonal(D: np.ndarray, partition: PartitionSpec,
     return True
 
 
-def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
-                               p: float, seed: int,
+def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
                                replicate: int = 0) -> dict:
     """Fill the large diagonal blocks and certify the energy sandwich.
 
-    A is a multipartite sample; D fills the strict-upper intra pairs of
-    large parts with independent Bernoulli(p) (diagonal stays 0) and must
-    be block-diagonal on the large parts; X = A + D keeps A's cross entries.
+    A is sample_graph(spec, replicate); D fills the strict-upper intra
+    pairs of large parts with independent draws of the cross law (diagonal
+    stays 0) and must be block-diagonal on the large parts; X = A + D keeps
+    A's cross entries.  D's cross entries take the intra law, so an intra
+    law that is not 0 raises EnsembleError.
     Ky Fan gives E(X) - E(D) <= E(A) <= E(X) + E(D).  All three matrices
     are symmetric with 0/1 entries, so A + D == X and X - D == A hold
     exactly and each energy is one symmetric eigen-solve: both Ky Fan
@@ -154,19 +151,21 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     blocks; X is built in a fresh sample of A, and A is drawn again for its
     own solve, so one n x n matrix and D's blocks are held at a time.
     """
-    check_large_parts(partition.m, large_part_indices)
+    if spec.law_intra.raw_moment(2) != 0:
+        raise EnsembleError("the decomposition needs a zero intra law")
+    check_large_parts(spec.partition.m, large_part_indices)
     large = set(large_part_indices)
-    D = _correction(partition, large, p, seed, replicate)
-    block_diagonal = _is_block_diagonal(D, partition, large)
+    D = _correction(spec, large, replicate)
+    block_diagonal = _is_block_diagonal(D, spec.partition, large)
     # (index range, block) pairs that hold every entry of D
     if block_diagonal:
         blocks = [(slice(lo, hi), D[lo:hi, lo:hi].copy())
-                  for a, (lo, hi) in enumerate(_part_bounds(partition))
+                  for a, (lo, hi) in enumerate(_part_bounds(spec.partition))
                   if a in large]
     else:
         blocks = [(slice(None), D)]
     del D
-    X = sample_graph(partition, p, seed, replicate)
+    X = sample_graph(spec, replicate)
     for s, block in blocks:
         X[s, s] += block
     eX = graph_energy(X, overwrite=True)
@@ -174,8 +173,7 @@ def energy_decomposition_check(partition: PartitionSpec, large_part_indices,
     eD = sum((graph_energy(block, overwrite=True) for _, block in blocks),
              0.0)
     del blocks
-    eA = graph_energy(sample_graph(partition, p, seed, replicate),
-                      overwrite=True)
+    eA = graph_energy(sample_graph(spec, replicate), overwrite=True)
     upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
     lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)
     return {

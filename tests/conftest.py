@@ -7,9 +7,17 @@ from concurrent.futures import wait
 import pytest
 
 from rmtlab import experiments
+from rmtlab.ensemble import EnsembleSpec, EntryLaw
 from rmtlab.spectral import blas_threads
 
 CRITERION_LINES: list[str] = []
+
+
+def graph_spec(partition, p, seed=0):
+    """The graph ensemble on `partition`: no intra-part edges, cross-part
+    ones with probability p."""
+    return EnsembleSpec(partition, EntryLaw.constant_zero(),
+                        EntryLaw.bernoulli(p), seed)
 
 
 def pytest_terminal_summary(terminalreporter):

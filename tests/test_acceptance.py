@@ -269,7 +269,8 @@ def test_criterion_13_graph_energy_predictions():
     ok = True
     details = []
     for i, (name, part, p, target) in enumerate(settings):
-        mean = np.mean([graph_energy(sample_graph(part, p, 131 + i, r))
+        spec = conftest.graph_spec(part, p, 131 + i)
+        mean = np.mean([graph_energy(sample_graph(spec, r))
                         for r in range(reps)]) / n**1.5
         rel = abs(mean - target) / target
         ok = ok and rel <= 0.05
@@ -282,10 +283,10 @@ def test_criterion_13_graph_energy_predictions():
 def test_criterion_14_unbalanced_energy_sandwich():
     n, p = 1200, 0.5
     fracs = [0.6, 0.2, 0.2]
-    part = make_partition(n, fracs)
+    spec = conftest.graph_spec(make_partition(n, fracs), p, 141)
     bounds = energy_bounds_unbalanced(n, fracs, [0, 1, 2], p)
-    energy = graph_energy(sample_graph(part, p, 141))
-    chk = energy_decomposition_check(part, [0, 1, 2], p, 141)
+    energy = graph_energy(sample_graph(spec))
+    chk = energy_decomposition_check(spec, [0, 1, 2])
     ok = (0.9 * bounds["lower"] <= energy <= 1.1 * bounds["upper"]
           and chk["holds"] and chk["block_diagonal"])
     _report(14, ok,

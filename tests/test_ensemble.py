@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import graph_spec
 from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
                              EntryLaw, PartitionSpec, _philox,
                              _symmetric_fill, make_partition,
@@ -440,12 +441,13 @@ def check_decomposition(part, large, p, seed, replicate):
     """A and D as energy_decomposition_check samples them equal the oracle's
     bit for bit, and so do the energies it finds for A, X and D."""
     A, X, D = oracle_decomposition(part, large, p, seed, replicate)
-    assert sample_graph(part, p, seed, replicate).tobytes() == A.tobytes()
-    got = _correction(part, large, p, seed, replicate)
+    spec = graph_spec(part, p, seed)
+    assert sample_graph(spec, replicate).tobytes() == A.tobytes()
+    got = _correction(spec, large, replicate)
     assert got.tobytes() == D.tobytes()
     assert _is_block_diagonal(got, part, large)
     if large:
-        r = energy_decomposition_check(part, large, p, seed, replicate)
+        r = energy_decomposition_check(spec, large, replicate)
         assert (r["energy_A"], r["energy_X"]) == \
             (graph_energy(A), graph_energy(X))
         assert r["energy_D"] == sum(
@@ -533,7 +535,7 @@ class TestFillMatchesIndexOracle:
 
     def test_singleton_graph_longer_than_a_row_block(self):
         part = singleton_partition(300)
-        assert sample_graph(part, 0.3, 11, 2).tobytes() == \
+        assert sample_graph(graph_spec(part, 0.3, 11), 2).tobytes() == \
             oracle_sample_graph(part, 0.3, 11, 2).tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -542,7 +544,7 @@ class TestFillMatchesIndexOracle:
             [PartitionSpec(7, (3, 4)), PartitionSpec(50, (10, 25, 15)),
              PartitionSpec(50, uneven_sizes(50, 5))]
         for part in hosts:
-            assert sample_graph(part, p, 11, 2).tobytes() == \
+            assert sample_graph(graph_spec(part, p, 11), 2).tobytes() == \
                 oracle_sample_graph(part, p, 11, 2).tobytes()
 
     @pytest.mark.parametrize("sizes,large", [

@@ -19,6 +19,8 @@ from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
                              sample_matrix, scale_matrix)
 from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
                                 histogram, reference_radius, run_experiment)
+from rmtlab.graphenergy import (graph_energy, predicted_energy_gnp,
+                                sample_graph)
 from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
                          semicircle_moment)
 from rmtlab.spectral import (SpectralError, _set_blas_threads, blas_threads,
@@ -651,6 +653,28 @@ class TestEnergyRun:
         assert cli_exit(tmp_path, cfg) == 2
         assert "graph.fractions" in capsys.readouterr().err
 
+    def test_ensemble_record_replays_the_energies(self, tmp_path):
+        # a graph record replays through sample_graph, whose stream has no
+        # diagonal entries; at n = 40 a solve is not split over BLAS threads
+        cfg = {"kind": "energy", "graph": {"n": 40, "p": 0.3}}
+        run_experiment(cfg, tmp_path, seed=11, replicates=3)
+        report = json.loads((tmp_path / "report.json").read_text())
+        spec = EnsembleSpec.from_dict(report["ensemble"])
+        assert spec.seed == 11 and spec.law_intra == EntryLaw.constant_zero()
+        assert spec.law_cross == EntryLaw.bernoulli(0.3)
+        n, prediction = 40, predicted_energy_gnp(40, 0.3)
+        rows = []
+        for i in range(3):
+            e = graph_energy(sample_graph(spec, i))
+            rows.append([n, 0.3, n, i, e, e / n**1.5, prediction,
+                         (e - prediction) / prediction])
+        replayed = io.StringIO(newline="")
+        experiments._write_csv(replayed, ["n", "p", "m", "replicate",
+                                          "energy", "normalized",
+                                          "prediction", "rel_dev"], rows)
+        assert replayed.getvalue().encode() == \
+            (tmp_path / "energy.csv").read_bytes()
+
 
 class TestDecompositionRun:
     def test_holds(self, tmp_path):
@@ -666,6 +690,31 @@ class TestDecompositionRun:
                "graph": {"n": 40, "p": 0.5, "large_parts": [0]}}
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path)
+
+    def test_ensemble_record_replays_energy_a(self, tmp_path):
+        cfg = _decomposition_cfg([0.6, 0.2, 0.2], [0, 1])
+        run_experiment(cfg, tmp_path, seed=11, replicates=3)
+        report = json.loads((tmp_path / "report.json").read_text())
+        spec = EnsembleSpec.from_dict(report["ensemble"])
+        assert [graph_energy(sample_graph(spec, i)) for i in range(3)] == \
+            [r["energy_A"] for r in report["replicates"]]
+
+    def test_kyfan_margins(self, tmp_path):
+        cfg = _decomposition_cfg([0.6, 0.2, 0.2], [0, 1, 2])
+        report = run_experiment(cfg, tmp_path, seed=5, replicates=3)
+        for rec in report["replicates"]:
+            verdicts = [rec["kyfan_upper"], rec["kyfan_lower"]]
+            assert rec["holds"] == (rec["block_diagonal"]
+                                    and all(v["holds"] for v in verdicts))
+            for v in verdicts:
+                assert set(v) == {"lhs", "rhs", "holds"}
+                if v["holds"]:
+                    assert v["lhs"] - v["rhs"] >= \
+                        -1e-9 * max(v["lhs"], v["rhs"], 1.0)
+            # E(A) + E(D) >= E(X) and E(X) + E(D) >= E(A)
+            assert verdicts[0]["lhs"] == rec["energy_A"] + rec["energy_D"]
+            assert verdicts[1]["rhs"] == rec["energy_A"]
+        assert report["all_hold"]
 
 
 def _decomposition_cfg(fractions, large_parts):
@@ -685,6 +734,10 @@ class TestGraphConfigErrors:
         ({"kind": "energy", "graph": {"n": 40, "p": 0.5, "seed": 2**64}},
          "graph.seed"),
         ({"kind": "energy", "graph": {"n": -5, "p": 0.5}}, "graph.n"),
+        ({"kind": "energy", "graph": {"n": 40, "p": 1.5}}, "graph.p"),
+        ({"kind": "decomposition",
+          "graph": {"n": 40, "p": -0.1, "fractions": [0.5, 0.5],
+                    "large_parts": [0]}}, "graph.p"),
         ({"kind": "energy",
           "graph": {"n": 0, "p": 0.5, "fractions": [0.5, 0.5]}}, "graph.n"),
         ({"kind": "decomposition",
@@ -692,7 +745,7 @@ class TestGraphConfigErrors:
                     "large_parts": [0]}}, "graph.n"),
     ], ids=["index_past_end", "negative_index", "none_large",
             "repeated_index", "negative_seed", "seed_past_64_bits",
-            "negative_n", "zero_n_with_fractions",
+            "negative_n", "p_above_one", "negative_p", "zero_n_with_fractions",
             "negative_n_with_fractions"])
     def test_exits_two(self, tmp_path, capsys, cfg, field):
         assert cli_exit(tmp_path, cfg) == 2

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rmtlab.ensemble import EnsembleError, make_partition, singleton_partition
+from conftest import graph_spec
+from rmtlab.ensemble import (EnsembleError, EnsembleSpec, EntryLaw,
+                             make_partition, singleton_partition)
 from rmtlab.graphenergy import (_correction, energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, predicted_energy_gnp,
@@ -44,39 +46,39 @@ class TestGraphEnergyKnownGraphs:
 
 class TestSampleGraph:
     def test_p_zero_empty(self):
-        A = sample_graph(singleton_partition(8), 0.0, seed=1)
+        A = sample_graph(graph_spec(singleton_partition(8), 0.0, 1))
         assert not np.any(A)
 
     def test_p_one_is_complete_multipartite(self):
         part = make_partition(6, [0.5, 0.5])
-        A = sample_graph(part, 1.0, seed=2)
+        A = sample_graph(graph_spec(part, 1.0, 2))
         labels = part.part_labels()
         cross = labels[:, None] != labels[None, :]
         assert np.array_equal(A, cross.astype(float))
 
     def test_p_one_singletons_energy(self):
         n = 10
-        A = sample_graph(singleton_partition(n), 1.0, seed=0)
+        A = sample_graph(graph_spec(singleton_partition(n), 1.0, 0))
         assert graph_energy(A) == pytest.approx(2 * (n - 1))
 
     def test_symmetric_zero_diag_binary(self):
-        A = sample_graph(singleton_partition(20), 0.4, seed=7)
+        A = sample_graph(graph_spec(singleton_partition(20), 0.4, 7))
         assert np.array_equal(A, A.T)
         assert not np.any(np.diag(A))
         assert set(np.unique(A)) <= {0.0, 1.0}
 
     def test_no_intra_edges(self):
         part = make_partition(12, [0.5, 0.25, 0.25])
-        A = sample_graph(part, 0.9, seed=3)
+        A = sample_graph(graph_spec(part, 0.9, 3))
         labels = part.part_labels()
         intra = labels[:, None] == labels[None, :]
         assert not np.any(A[intra])
 
     def test_determinism(self):
         part = make_partition(15, [0.6, 0.4])
-        A = sample_graph(part, 0.3, seed=5, replicate=2)
-        B = sample_graph(part, 0.3, seed=5, replicate=2)
-        C = sample_graph(part, 0.3, seed=5, replicate=3)
+        A = sample_graph(graph_spec(part, 0.3, 5), replicate=2)
+        B = sample_graph(graph_spec(part, 0.3, 5), replicate=2)
+        C = sample_graph(graph_spec(part, 0.3, 5), replicate=3)
         assert np.array_equal(A, B)
         assert not np.array_equal(A, C)
 
@@ -84,7 +86,7 @@ class TestSampleGraph:
         # total cross edges over replicates: 4 standard errors
         part = make_partition(30, [0.5, 0.5])
         p, pairs = 0.35, 15 * 15
-        counts = [sample_graph(part, p, seed=11, replicate=r).sum()
+        counts = [sample_graph(graph_spec(part, p, 11), replicate=r).sum()
                   / 2 for r in range(200)]
         total, trials = sum(counts), 200 * pairs
         se = math.sqrt(trials * p * (1 - p))
@@ -92,7 +94,7 @@ class TestSampleGraph:
 
     def test_rejects_bad_probability(self):
         with pytest.raises(EnsembleError):
-            sample_graph(singleton_partition(4), 1.5, seed=0)
+            EntryLaw.bernoulli(1.5)
 
 
 class TestPredictions:
@@ -145,7 +147,7 @@ def test_empirical_energy_near_prediction():
     # single n=500 sample should land within a few percent of the
     # leading-order prediction
     n, p = 500, 0.5
-    A = sample_graph(singleton_partition(n), p, seed=13)
+    A = sample_graph(graph_spec(singleton_partition(n), p, 13))
     assert graph_energy(A) == pytest.approx(predicted_energy_gnp(n, p),
                                             rel=0.05)
 
@@ -187,7 +189,7 @@ class TestKyFan:
 class TestEnergyDecomposition:
     def test_holds_and_block_diagonal(self):
         part = make_partition(40, [0.6, 0.2, 0.2])
-        r = energy_decomposition_check(part, [0], 0.5, seed=17)
+        r = energy_decomposition_check(graph_spec(part, 0.5, 17), [0])
         assert r["holds"] and r["block_diagonal"]
         assert r["kyfan_upper"]["holds"] and r["kyfan_lower"]["holds"]
         assert r["energy_X"] - r["energy_D"] <= r["energy_A"] + 1e-9
@@ -196,14 +198,22 @@ class TestEnergyDecomposition:
     def test_correction_supported_on_large_blocks(self):
         part = make_partition(24, [0.5, 0.25, 0.25])
         # recompute D through the same sampler to inspect its support
-        r = energy_decomposition_check(part, [0, 1], 0.4, seed=19)
+        r = energy_decomposition_check(graph_spec(part, 0.4, 19), [0, 1])
         assert r["block_diagonal"]
         assert r["energy_D"] > 0.0
 
     def test_index_validation(self):
         with pytest.raises(EnsembleError):
-            energy_decomposition_check(make_partition(8, [0.5, 0.5]), [5],
-                                       0.5, seed=0)
+            energy_decomposition_check(
+                graph_spec(make_partition(8, [0.5, 0.5]), 0.5, 0), [5])
+
+    def test_nonzero_intra_law_rejected(self):
+        # D's cross entries take the intra law: with one that is not 0, D
+        # is never block-diagonal and a sandwich that holds would read false
+        spec = EnsembleSpec(make_partition(12, [0.5, 0.5]),
+                            EntryLaw.rademacher(), EntryLaw.bernoulli(0.5), 3)
+        with pytest.raises(EnsembleError, match="zero intra law"):
+            energy_decomposition_check(spec, [0])
 
     @pytest.mark.parametrize("large", [[], [0, 0]], ids=["none", "repeated"])
     def test_large_parts_checked_like_the_bounds(self, large):
@@ -211,20 +221,22 @@ class TestEnergyDecomposition:
         # large part, none twice
         part = make_partition(12, [0.5, 0.5])
         with pytest.raises(EnsembleError):
-            energy_decomposition_check(part, large, 0.5, seed=23)
+            energy_decomposition_check(graph_spec(part, 0.5, 23), large)
 
     @pytest.mark.parametrize("large", [[1], [0], [0, 2], [0, 1, 2]])
     def test_block_energy_equals_whole_d(self, large):
         part = make_partition(90, [0.5, 0.3, 0.2])
-        r = energy_decomposition_check(part, large, 0.4, seed=29, replicate=1)
-        D = _correction(part, set(large), 0.4, 29, 1)
+        spec = graph_spec(part, 0.4, 29)
+        r = energy_decomposition_check(spec, large, replicate=1)
+        D = _correction(spec, set(large), 1)
         assert r["block_diagonal"]
         assert r["energy_D"] == pytest.approx(graph_energy(D), rel=1e-12,
                                               abs=0.0)
 
     def test_stray_entry_solves_whole_d(self, monkeypatch):
         part = make_partition(30, [0.5, 0.5])
-        D0 = _correction(part, {0}, 0.5, 31, 0)
+        spec = graph_spec(part, 0.5, 31)
+        D0 = _correction(spec, {0}, 0)
         stray = {}
 
         def broken(*args):
@@ -234,7 +246,7 @@ class TestEnergyDecomposition:
             return D
 
         monkeypatch.setattr("rmtlab.graphenergy._correction", broken)
-        r = energy_decomposition_check(part, [0], 0.5, seed=31)
+        r = energy_decomposition_check(spec, [0])
         assert not r["block_diagonal"] and not r["holds"]
         assert r["energy_D"] == graph_energy(stray["D"])
         assert r["energy_D"] != pytest.approx(graph_energy(D0[:15, :15]))

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import graph_spec
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
                              make_partition, sample_matrix, scale_matrix,
                              singleton_partition)
+from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import catalan, limit_moments
 from rmtlab.spectral import eigenvalues_sym, empirical_moment
 from rmtlab.walks import (WalkError, count_good_walks, enumerate_shapes,
@@ -276,6 +278,44 @@ class TestExactExpectedTraceMoment:
         assert got == Fraction(trace, 2**4 * n**3)
         if fractions == [0.8, 0.2]:
             assert got == Fraction(1999, 100000)
+
+
+# p = 3/10 graphs: binomial on six vertices, and multipartite on two and
+# three parts.  Large graphs are not checked: singleton parts put n^v part
+# maps in the walk sum, over its 2*10^6-term budget for any graph the
+# benchmark samples, until the sum groups maps by which labels share a part.
+GRAPH_HOSTS = [singleton_partition(6), PartitionSpec(7, (3, 4)),
+               PartitionSpec(8, (2, 3, 3))]
+P = Fraction(3, 10)
+
+
+class TestGraphSpecs:
+    """The walk oracle is exact on graph ensembles: a constant_zero intra
+    law puts nothing on the diagonal, as sample_graph does."""
+
+    @pytest.mark.parametrize("partition", GRAPH_HOSTS,
+                             ids=lambda part: str(part.sizes))
+    def test_k2_counts_the_cross_pairs(self, partition):
+        # E tr(B^2)/n = p (n^2 - sum n_x^2) / (4 n^2), B = A/(2 sqrt(n))
+        n = partition.n
+        cross_pairs = n * n - sum(s * s for s in partition.sizes)
+        assert exact_expected_trace_moment(graph_spec(partition, P), 2) == \
+            P * Fraction(cross_pairs, 4 * n * n)
+
+    @pytest.mark.parametrize("partition", GRAPH_HOSTS,
+                             ids=lambda part: str(part.sizes))
+    def test_k4_agrees_with_sampled_graphs(self, partition):
+        spec = graph_spec(partition, P, seed=17)
+        exact = float(exact_expected_trace_moment(spec, 4))
+        n = partition.n
+        vals = []
+        for r in range(4000):
+            B = scale_matrix(sample_graph(spec, r))
+            B2 = B @ B
+            vals.append(np.sum(B2 * B2) / n)  # tr(B^4), B symmetric
+        vals = np.array(vals)
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - exact) <= 4 * se
 
 
 class TestOrderContributions:
