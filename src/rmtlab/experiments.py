@@ -519,8 +519,7 @@ def _run_decomposition(cfg, seed, replicates):
     checks = _map_replicates(one, replicates)
     bounds = None
     if 0.0 < p < 1.0:
-        bounds = energy_bounds_unbalanced(spec.n, spec.partition.fractions,
-                                          large, p)
+        bounds = energy_bounds_unbalanced(spec, large)
     report = {"ensemble": spec.to_dict(), "large_parts": list(large),
               "bounds": bounds,
               "replicates": [{"replicate": i, **c}

@@ -4,7 +4,9 @@ Graph energy is the sum of the absolute eigenvalues of the adjacency
 matrix.  For cross-part Bernoulli(p) edges the semicircle limits predict
 E = n^(3/2) (8/(3 pi)) sqrt(c p (1-p)) with c depending on the part
 structure; for hosts with a few large parts only a sandwich bound is
-available, certified here through the Ky Fan singular-value inequality.
+available, certified here through the Ky Fan singular-value inequality
+after filling the empty diagonal blocks of the large parts with a
+correction D that is zero elsewhere by construction.
 """
 
 from __future__ import annotations
@@ -77,13 +79,14 @@ def check_large_parts(m: int, large_part_indices) -> None:
         raise EnsembleError("large part index repeated")
 
 
-def energy_bounds_unbalanced(n: int, fractions, large_part_indices,
-                             p: float) -> dict:
-    """Sandwich bounds (1 -+ sum nu_i^(3/2)) * leading term, sum over large parts."""
-    fracs = [float(f) for f in fractions]
+def energy_bounds_unbalanced(spec: EnsembleSpec, large_part_indices) -> dict:
+    """Sandwich bounds (1 -+ sum nu_i^(3/2)) * leading term, sum over large
+    parts, for the graph ensemble `spec` with cross-part edge probability
+    p, the mean of its cross law."""
+    fracs = spec.partition.fractions
     check_large_parts(len(fracs), large_part_indices)
     s = sum(fracs[i] ** 1.5 for i in large_part_indices)
-    lead = _leading_energy(n, p)
+    lead = _leading_energy(spec.n, float(spec.law_cross.mean))
     return {"lower": (1.0 - s) * lead, "upper": (1.0 + s) * lead}
 
 
@@ -103,68 +106,45 @@ def _kyfan_verdict(lhs: float, rhs: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-9 * scale}
 
 
-def _correction(spec: EnsembleSpec, large, replicate: int) -> np.ndarray:
-    """D: the cross law on the strict-upper pairs of each large part and the
-    intra law across parts (sample_graph's fill with the laws swapped, from
-    its own stream), mirrored, with the small parts' rows zeroed."""
-    D = _symmetric_fill(spec.partition, spec.law_cross.from_uniform,
-                        spec.law_intra.from_uniform, spec.seed, replicate,
-                        stream=_FILL_STREAM, diagonal=False)
-    # a zero intra law leaves D 0 across parts: zeroed rows zero the blocks
-    D[~np.isin(spec.partition.part_labels(), list(large))] = 0.0
-    return D
-
-
 def _part_bounds(partition: PartitionSpec) -> list[tuple[int, int]]:
     """(lo, hi) index range of each part, in order."""
     ends = list(itertools.accumulate(partition.sizes))
     return list(zip([0] + ends[:-1], ends))
 
 
-def _is_block_diagonal(D: np.ndarray, partition: PartitionSpec,
-                       large) -> bool:
-    """D is zero outside the diagonal blocks of the large parts."""
-    for a, (lo, hi) in enumerate(_part_bounds(partition)):
-        if np.any(D[lo:hi, hi:]) or np.any(D[hi:, lo:hi]) \
-                or (a not in large and np.any(D[lo:hi, lo:hi])):
-            return False
-    return True
-
-
 def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
                                replicate: int = 0) -> dict:
     """Fill the large diagonal blocks and certify the energy sandwich.
 
-    A is sample_graph(spec, replicate); D fills the strict-upper intra
-    pairs of large parts with independent draws of the cross law (diagonal
-    stays 0) and must be block-diagonal on the large parts; X = A + D keeps
-    A's cross entries.  D's cross entries take the intra law, so an intra
-    law that is not 0 raises EnsembleError.
+    A is sample_graph(spec, replicate), with no edge inside a part.  D is
+    zero outside the diagonal blocks of the large parts; each block is the
+    same block of one fill of the cross law over every strict-upper pair,
+    drawn on its own stream (diagonal 0) and mirrored.  X = A + D keeps A's
+    cross entries and fills the empty large blocks, which needs an A with
+    no intra entries: an intra law that is not 0 raises EnsembleError.
     Ky Fan gives E(X) - E(D) <= E(A) <= E(X) + E(D).  All three matrices
     are symmetric with 0/1 entries, so A + D == X and X - D == A hold
     exactly and each energy is one symmetric eigen-solve: both Ky Fan
-    sums follow from E(A), E(X) and E(D).  Once D is confirmed
-    block-diagonal, E(D) is the sum of its large blocks' energies; a D
-    that fails the check is solved whole.
+    sums follow from E(A), E(X) and E(D), and E(D) is the sum of its
+    blocks' energies.  `block_diagonal` is true by construction.
 
-    Each solve overwrites its matrix.  Once checked, D is kept as its large
-    blocks; X is built in a fresh sample of A, and A is drawn again for its
-    own solve, so one n x n matrix and D's blocks are held at a time.
+    Each solve overwrites its matrix.  The fill is dropped once D's blocks
+    are copied out; X is built in a fresh sample of A, and A is drawn again
+    for its own solve, so one n x n matrix and D's blocks are held at a
+    time.
     """
     if spec.law_intra.raw_moment(2) != 0:
         raise EnsembleError("the decomposition needs a zero intra law")
     check_large_parts(spec.partition.m, large_part_indices)
     large = set(large_part_indices)
-    D = _correction(spec, large, replicate)
-    block_diagonal = _is_block_diagonal(D, spec.partition, large)
-    # (index range, block) pairs that hold every entry of D
-    if block_diagonal:
-        blocks = [(slice(lo, hi), D[lo:hi, lo:hi].copy())
-                  for a, (lo, hi) in enumerate(_part_bounds(spec.partition))
-                  if a in large]
-    else:
-        blocks = [(slice(None), D)]
-    del D
+    n, cross = spec.n, spec.law_cross.from_uniform
+    # one part, so each strip takes one map
+    fill = _symmetric_fill(PartitionSpec(n, (n,)), cross, cross, spec.seed,
+                           replicate, stream=_FILL_STREAM, diagonal=False)
+    blocks = [(slice(lo, hi), fill[lo:hi, lo:hi].copy())
+              for a, (lo, hi) in enumerate(_part_bounds(spec.partition))
+              if a in large]
+    del fill
     X = sample_graph(spec, replicate)
     for s, block in blocks:
         X[s, s] += block
@@ -180,8 +160,8 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
         "energy_A": eA,
         "energy_X": eX,
         "energy_D": eD,
-        "block_diagonal": block_diagonal,
+        "block_diagonal": True,
         "kyfan_upper": upper,
         "kyfan_lower": lower,
-        "holds": block_diagonal and upper["holds"] and lower["holds"],
+        "holds": upper["holds"] and lower["holds"],
     }

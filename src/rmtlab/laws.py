@@ -91,8 +91,9 @@ def semicircle_stieltjes(z: complex, R: float) -> complex:
     """Stieltjes transform of the radius-R semicircle for Im z > 0.
 
     Solves (R^2/4) S^2 + z S + 1 = 0 on the branch with S -> -1/z at
-    infinity, i.e. S = 2(-z + sqrt(z^2 - R^2))/R^2 with the square root
-    taken in the upper half plane.
+    infinity, i.e. S = 2(-z + w)/R^2 with w = sqrt(z^2 - R^2) taken in the
+    upper half plane.  Since (w - z)(w + z) = -R^2 this is S = -2/(z + w),
+    which does not cancel when |z| is much larger than R.
     """
     if z.imag <= 0:
         raise LawError("Im z > 0 required")
@@ -101,7 +102,7 @@ def semicircle_stieltjes(z: complex, R: float) -> complex:
     w = cmath.sqrt(z * z - R * R)
     if w.imag < 0:
         w = -w
-    return 2.0 * (-z + w) / (R * R)
+    return -2.0 / (z + w)
 
 
 # ---------------------------------------------------------------------------

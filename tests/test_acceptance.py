@@ -284,7 +284,7 @@ def test_criterion_14_unbalanced_energy_sandwich():
     n, p = 1200, 0.5
     fracs = [0.6, 0.2, 0.2]
     spec = conftest.graph_spec(make_partition(n, fracs), p, 141)
-    bounds = energy_bounds_unbalanced(n, fracs, [0, 1, 2], p)
+    bounds = energy_bounds_unbalanced(spec, [0, 1, 2])
     energy = graph_energy(sample_graph(spec))
     chk = energy_decomposition_check(spec, [0, 1, 2])
     ok = (0.9 * bounds["lower"] <= energy <= 1.1 * bounds["upper"]

@@ -14,9 +14,8 @@ from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
                              _symmetric_fill, make_partition,
                              sample_cross_block, sample_matrix, scale_matrix,
                              singleton_partition)
-from rmtlab.graphenergy import (_correction, _is_block_diagonal,
-                                _part_bounds, energy_decomposition_check,
-                                graph_energy, sample_graph)
+from rmtlab.graphenergy import (energy_decomposition_check, graph_energy,
+                                sample_graph)
 
 LAWS = [EntryLaw.constant_zero(), EntryLaw.rademacher(),
         EntryLaw.bernoulli(Fraction(3, 10)),
@@ -438,22 +437,30 @@ def oracle_decomposition(partition, large, p, seed, replicate):
 
 
 def check_decomposition(part, large, p, seed, replicate):
-    """A and D as energy_decomposition_check samples them equal the oracle's
-    bit for bit, and so do the energies it finds for A, X and D."""
+    """A as sample_graph draws it, and the matrices that
+    energy_decomposition_check solves (X, D's large blocks, A), equal the
+    oracle's bit for bit, and so do the energies it finds for A, X and D."""
     A, X, D = oracle_decomposition(part, large, p, seed, replicate)
     spec = graph_spec(part, p, seed)
     assert sample_graph(spec, replicate).tobytes() == A.tobytes()
-    got = _correction(spec, large, replicate)
-    assert got.tobytes() == D.tobytes()
-    assert _is_block_diagonal(got, part, large)
-    if large:
+    if not large:
+        return
+    labels = part.part_labels()
+    blocks = [D[labels == a][:, labels == a] for a in sorted(large)]
+    solved = []
+
+    def recording(M, overwrite=False):
+        solved.append(M.copy())  # the check solves M in place
+        return graph_energy(M, overwrite)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rmtlab.graphenergy.graph_energy", recording)
         r = energy_decomposition_check(spec, large, replicate)
-        assert (r["energy_A"], r["energy_X"]) == \
-            (graph_energy(A), graph_energy(X))
-        assert r["energy_D"] == sum(
-            (graph_energy(D[lo:hi, lo:hi])
-             for a, (lo, hi) in enumerate(_part_bounds(part)) if a in large),
-            0.0)
+    assert [M.tobytes() for M in solved] == \
+        [M.tobytes() for M in [X, *blocks, A]]
+    assert (r["energy_A"], r["energy_X"]) == \
+        (graph_energy(A), graph_energy(X))
+    assert r["energy_D"] == sum((graph_energy(b) for b in blocks), 0.0)
 
 
 def _at_most_400(sizes):
@@ -582,15 +589,6 @@ class TestFillMatchesIndexOracle:
     def test_decomposition_on_random_partitions(self, case, p):
         sizes, large = case
         check_decomposition(PartitionSpec(sum(sizes), sizes), large, p, 13, 1)
-
-    def test_block_diagonal_check_finds_stray_entries(self):
-        part = PartitionSpec(6, (2, 2, 2))
-        D = np.zeros((6, 6))
-        D[0, 1] = D[1, 0] = 1.0
-        assert _is_block_diagonal(D, part, {0})
-        assert not _is_block_diagonal(D, part, {1})  # part 0 is not large
-        D[2, 5] = D[5, 2] = 1.0
-        assert not _is_block_diagonal(D, part, {0, 1, 2})  # a cross pair
 
 
 class TestScaleMatrix:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import graph_spec
+from test_ensemble import oracle_decomposition
 from rmtlab.ensemble import (EnsembleError, EnsembleSpec, EntryLaw,
                              make_partition, singleton_partition)
-from rmtlab.graphenergy import (_correction, energy_bounds_unbalanced,
+from rmtlab.graphenergy import (energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, predicted_energy_gnp,
                                 predicted_energy_multipartite, sample_graph,
@@ -121,7 +122,8 @@ class TestPredictions:
 
     def test_unbalanced_bounds_bracket_leading_term(self):
         n, p = 1200, 0.5
-        b = energy_bounds_unbalanced(n, [0.6, 0.2, 0.2], [0], p)
+        b = energy_bounds_unbalanced(
+            graph_spec(make_partition(n, [0.6, 0.2, 0.2]), p), [0])
         lead = predicted_energy_gnp(n, p)
         s = 0.6**1.5
         assert b["lower"] == pytest.approx((1 - s) * lead)
@@ -133,14 +135,16 @@ class TestPredictions:
             predicted_energy_gnp(100, 0.0)
         with pytest.raises(EnsembleError):
             predicted_energy_multipartite(100, 1, 0.5)
+        halves = make_partition(100, [0.5, 0.5])
         with pytest.raises(EnsembleError):
-            energy_bounds_unbalanced(100, [0.5, 0.5], [], 0.5)
+            energy_bounds_unbalanced(graph_spec(halves, 0.5), [])
         with pytest.raises(EnsembleError):
-            energy_bounds_unbalanced(100, [0.5, 0.5], [2], 0.5)
+            energy_bounds_unbalanced(graph_spec(halves, 0.5), [2])
         with pytest.raises(EnsembleError, match="repeated"):
-            energy_bounds_unbalanced(100, [0.6, 0.2, 0.2], [0, 0], 0.5)
+            energy_bounds_unbalanced(
+                graph_spec(make_partition(100, [0.6, 0.2, 0.2]), 0.5), [0, 0])
         with pytest.raises(EnsembleError):
-            energy_bounds_unbalanced(100, [0.5, 0.5], [0], 1.0)
+            energy_bounds_unbalanced(graph_spec(halves, 1.0), [0])
 
 
 def test_empirical_energy_near_prediction():
@@ -197,7 +201,7 @@ class TestEnergyDecomposition:
 
     def test_correction_supported_on_large_blocks(self):
         part = make_partition(24, [0.5, 0.25, 0.25])
-        # recompute D through the same sampler to inspect its support
+        # two large parts: D is their diagonal blocks, and not all zero
         r = energy_decomposition_check(graph_spec(part, 0.4, 19), [0, 1])
         assert r["block_diagonal"]
         assert r["energy_D"] > 0.0
@@ -208,8 +212,8 @@ class TestEnergyDecomposition:
                 graph_spec(make_partition(8, [0.5, 0.5]), 0.5, 0), [5])
 
     def test_nonzero_intra_law_rejected(self):
-        # D's cross entries take the intra law: with one that is not 0, D
-        # is never block-diagonal and a sandwich that holds would read false
+        # X = A + D fills the empty large blocks of a multipartite graph
+        # only when A has none: an intra law that is not 0 puts entries there
         spec = EnsembleSpec(make_partition(12, [0.5, 0.5]),
                             EntryLaw.rademacher(), EntryLaw.bernoulli(0.5), 3)
         with pytest.raises(EnsembleError, match="zero intra law"):
@@ -228,26 +232,7 @@ class TestEnergyDecomposition:
         part = make_partition(90, [0.5, 0.3, 0.2])
         spec = graph_spec(part, 0.4, 29)
         r = energy_decomposition_check(spec, large, replicate=1)
-        D = _correction(spec, set(large), 1)
+        D = oracle_decomposition(part, set(large), 0.4, 29, 1)[2]
         assert r["block_diagonal"]
         assert r["energy_D"] == pytest.approx(graph_energy(D), rel=1e-12,
                                               abs=0.0)
-
-    def test_stray_entry_solves_whole_d(self, monkeypatch):
-        part = make_partition(30, [0.5, 0.5])
-        spec = graph_spec(part, 0.5, 31)
-        D0 = _correction(spec, {0}, 0)
-        stray = {}
-
-        def broken(*args):
-            D = _correction(*args)
-            D[0, 20] = D[20, 0] = 1.0  # one pair across the two parts
-            stray["D"] = D.copy()  # the check solves D in place
-            return D
-
-        monkeypatch.setattr("rmtlab.graphenergy._correction", broken)
-        r = energy_decomposition_check(spec, [0])
-        assert not r["block_diagonal"] and not r["holds"]
-        assert r["energy_D"] == graph_energy(stray["D"])
-        assert r["energy_D"] != pytest.approx(graph_energy(D0[:15, :15]))
-

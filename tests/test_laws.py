@@ -104,10 +104,28 @@ class TestSemicircle:
             semicircle_cdf(0.0, 0.0)
 
 
+def mpmath_stieltjes(z, R):
+    """2(-z + w)/R^2 with w = sqrt(z^2 - R^2) in the upper half plane, at 60
+    digits: the cancellation for |z| >> R costs far fewer than that."""
+    with mpmath.workdps(60):
+        z, R = mpmath.mpc(z), mpmath.mpf(R)
+        w = mpmath.sqrt(z * z - R * R)
+        if mpmath.im(w) < 0:
+            w = -w
+        return complex(2 * (-z + w) / (R * R))
+
+
 class TestSemicircleStieltjes:
     def test_asymptotic_branch(self):
+        # S(z) = -1/z - R^2/(4 z^3) + ..., so -1/z is 2.5e-13 off relatively
         z = 1e6j
-        assert abs(semicircle_stieltjes(z, 1.0) - (-1 / z)) <= 1e-10
+        assert abs(semicircle_stieltjes(z, 1.0) - (-1 / z)) <= 1e-12 / abs(z)
+
+    @pytest.mark.parametrize("z", [1000 + 1j, 1e5 + 0.5j, -1e5 + 0.5j, 1e6j,
+                                   3e8 + 1j, 0.5 + 0.1j, 2j])
+    def test_matches_mpmath_far_from_the_support(self, z):
+        want = mpmath_stieltjes(z, 1.0)
+        assert abs(semicircle_stieltjes(z, 1.0) - want) <= 1e-14 * abs(want)
 
     def test_quadrature_oracle(self):
         z = 1j
