@@ -216,13 +216,6 @@ class EntryLaw:
     def variance(self) -> Fraction:
         return self.raw_moment(2) - self.mean**2
 
-    @property
-    def bound(self) -> Fraction:
-        """sup |support|; always finite."""
-        atoms = self._atoms()
-        x, y = self.params if atoms is None else atoms[:2]
-        return max(abs(x), abs(y))
-
     # -- sampling -----------------------------------------------------------
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
@@ -306,12 +299,9 @@ class EnsembleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSpec":
-        """The inverse of to_dict; a record without `sizes` is rebuilt from
-        its fractions by make_partition."""
-        partition = PartitionSpec(d["n"], tuple(d["sizes"])) if "sizes" in d \
-            else make_partition(d["n"], d["fractions"])
+        """The inverse of to_dict; the partition is rebuilt from `sizes`."""
         return cls(
-            partition=partition,
+            partition=PartitionSpec(d["n"], tuple(d["sizes"])),
             law_intra=EntryLaw.from_dict(d["law_intra"]),
             law_cross=EntryLaw.from_dict(d["law_cross"]),
             seed=int(d["seed"]),

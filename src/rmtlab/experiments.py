@@ -145,22 +145,15 @@ def reference_radius(spec: EnsembleSpec, override=None) -> float:
     return radius
 
 
-def histogram(eigs: np.ndarray, bins: int, range_=None):
-    """Equal-width binned counts and densities over the spectrum.
+def histogram(eigs: np.ndarray, bins: int, range_):
+    """Counts and densities of a nonempty spectrum in `bins` equal-width
+    bins over range_ = (lo, hi).
 
     Density is count/(n*width), so the densities integrate to 1 whenever
     the range covers every eigenvalue.
     """
     eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0:
-        raise ValueError("empty spectrum")
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
-    lo, hi = (float(eigs.min()), float(eigs.max())) if range_ is None \
-        else (float(range_[0]), float(range_[1]))
-    if hi <= lo:
-        hi = lo + 1.0
-    counts, edges = np.histogram(eigs, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(eigs, bins=bins, range=range_)
     width = edges[1] - edges[0]
     density = counts / (eigs.size * width)
     return edges, counts, density

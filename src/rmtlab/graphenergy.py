@@ -45,11 +45,6 @@ def graph_energy(A: np.ndarray, overwrite: bool = False) -> float:
     return float(np.sum(np.abs(eigenvalues_sym(A, overwrite=overwrite))))
 
 
-def singular_value_sum(M: np.ndarray) -> float:
-    """Energy of an arbitrary square matrix: sum of singular values."""
-    return float(np.sum(singular_values(M)))
-
-
 def _leading_energy(n: int, p: float, c: float = 1.0) -> float:
     """n^(3/2) (8/(3 pi)) sqrt(c p (1-p)), the semicircle leading term."""
     if not 0.0 < p < 1.0:
@@ -91,13 +86,14 @@ def energy_bounds_unbalanced(spec: EnsembleSpec, large_part_indices) -> dict:
 
 
 def kyfan_check(X: np.ndarray, Y: np.ndarray) -> dict:
-    """Subadditivity of singular value sums: E(X) + E(Y) >= E(X + Y)."""
+    """Subadditivity of singular value sums: E(X) + E(Y) >= E(X + Y), where
+    E(M), the energy of a square matrix, is the sum of its singular values."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ValueError("two square matrices of equal order required")
-    return _kyfan_verdict(singular_value_sum(X) + singular_value_sum(Y),
-                          singular_value_sum(X + Y))
+    eX, eY, eXY = (float(np.sum(singular_values(M))) for M in (X, Y, X + Y))
+    return _kyfan_verdict(eX + eY, eXY)
 
 
 def _kyfan_verdict(lhs: float, rhs: float) -> dict:

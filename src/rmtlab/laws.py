@@ -42,22 +42,39 @@ def mixing_radius(m: int, sigma1sq, sigma2sq) -> float:
     return math.sqrt((sigma1sq + (m - 1) * sigma2sq) / m)
 
 
+def _check_radius(R) -> None:
+    if not 0 < R < math.inf:
+        raise LawError(f"radius must be positive and finite, got {R}")
+
+
+def _power_of_two(t: float) -> float:
+    """The power of two s with 1 <= t/s < 2, for finite t > 0.
+
+    The semicircle functions divide their arguments by s, which is exact,
+    so that R^2 neither overflows nor underflows at any finite radius, and
+    scale the result back.
+    """
+    return math.ldexp(1.0, math.frexp(t)[1] - 1)
+
+
 def semicircle_density(x, R: float):
-    """Density 2/(pi R^2) sqrt(R^2 - x^2) on [-R, R]."""
-    if R <= 0:
-        raise LawError("radius must be positive")
-    x = np.asarray(x, dtype=float)
+    """Density 2/(pi R^2) sqrt(R^2 - x^2) on [-R, R], at any finite R."""
+    _check_radius(R)
+    s = _power_of_two(R)
+    x, R = np.asarray(x, dtype=float) / s, R / s
     inside = np.abs(x) <= R
     out = np.zeros_like(x)
     out[inside] = 2.0 / (math.pi * R**2) * np.sqrt(R**2 - x[inside] ** 2)
+    out = out / s
     return out if out.ndim else float(out)
 
 
 def semicircle_cdf(x, R: float):
-    """Closed-form semicircle CDF, clamped to [0, 1] outside the support."""
-    if R <= 0:
-        raise LawError("radius must be positive")
-    x = np.asarray(x, dtype=float)
+    """Closed-form semicircle CDF, clamped to [0, 1] outside the support,
+    at any finite R."""
+    _check_radius(R)
+    s = _power_of_two(R)
+    x, R = np.asarray(x, dtype=float) / s, R / s
     xc = np.clip(x, -R, R)
     out = 0.5 + xc * np.sqrt(R**2 - xc**2) / (math.pi * R**2) \
         + np.arcsin(xc / R) / math.pi
@@ -67,8 +84,7 @@ def semicircle_cdf(x, R: float):
 
 def semicircle_abs_mean(R: float) -> float:
     """E|X| = 4R/(3 pi) for the semicircle of radius R."""
-    if R <= 0:
-        raise LawError("radius must be positive")
+    _check_radius(R)
     return 4.0 * R / (3.0 * math.pi)
 
 
@@ -80,8 +96,7 @@ def semicircle_moment(k: int, R):
     """
     if k < 0:
         raise LawError("k must be nonnegative")
-    if R <= 0:
-        raise LawError("radius must be positive")
+    _check_radius(R)
     if k % 2 == 1:
         return 0 * R
     return Fraction(catalan(k // 2), 4 ** (k // 2)) * R**k
@@ -93,16 +108,20 @@ def semicircle_stieltjes(z: complex, R: float) -> complex:
     Solves (R^2/4) S^2 + z S + 1 = 0 on the branch with S -> -1/z at
     infinity, i.e. S = 2(-z + w)/R^2 with w = sqrt(z^2 - R^2) taken in the
     upper half plane.  Since (w - z)(w + z) = -R^2 this is S = -2/(z + w),
-    which does not cancel when |z| is much larger than R.
+    which does not cancel when |z| is much larger than R.  z and R are
+    first divided by the power of two s of max(|Re z|, Im z, R), so that
+    z^2 - R^2 cannot overflow, or underflow where it matters, and the
+    result is -2/s/(z + w).
     """
     if z.imag <= 0:
         raise LawError("Im z > 0 required")
-    if R <= 0:
-        raise LawError("radius must be positive")
+    _check_radius(R)
+    s = _power_of_two(max(abs(z.real), z.imag, R))
+    z, R = z / s, R / s
     w = cmath.sqrt(z * z - R * R)
     if w.imag < 0:
         w = -w
-    return -2.0 / (z + w)
+    return -2.0 / s / (z + w)
 
 
 # ---------------------------------------------------------------------------

@@ -193,15 +193,13 @@ def esd_sup_distance(a: np.ndarray, b: np.ndarray) -> float:
                      np.max(np.abs(Fa.left_limit(pts) - Fb.left_limit(pts)))))
 
 
-def numeric_rank(M: np.ndarray, cutoff: float | None = None) -> int:
-    """Number of singular values above a scale-aware cutoff."""
+def numeric_rank(M: np.ndarray) -> int:
+    """Number of singular values above 1e-10 * order * max|entry|."""
     M = np.asarray(M, dtype=float)
     scale = np.max(np.abs(M)) if M.size else 0.0
     if scale == 0.0:
         return 0
-    if cutoff is None:
-        cutoff = 1e-10 * M.shape[0] * scale
-    return int(np.sum(singular_values(M) > cutoff))
+    return int(np.sum(singular_values(M) > 1e-10 * M.shape[0] * scale))
 
 
 def check_rank_inequality(U: np.ndarray, V: np.ndarray) -> dict:

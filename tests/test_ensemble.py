@@ -71,7 +71,10 @@ class TestEntryLaw:
     def test_mean_variance_bound(self, law, mean, var, bound):
         assert law.mean == mean
         assert law.variance == var
-        assert law.bound == bound
+        # the law's draws stay within the bound column
+        u = np.append(np.linspace(0.0, 1.0, 100, endpoint=False),
+                      np.nextafter(1.0, 0.0))
+        assert np.max(np.abs(law.from_uniform(u))) <= bound
 
     def test_raw_moment_consistency(self):
         for law in (EntryLaw.rademacher(), EntryLaw.bernoulli(Fraction(1, 4)),
@@ -227,8 +230,6 @@ class TestEntryLawMatchesPerKindOracle:
         m1, m2 = oracle_raw_moment(law, 1), oracle_raw_moment(law, 2)
         assert law.mean == m1 and isinstance(law.mean, Fraction)
         assert law.variance == m2 - m1**2
-        assert isinstance(law.bound, Fraction)
-        assert law.bound == oracle_bound(law)
 
     @pytest.mark.parametrize("law", ORACLE_LAWS, ids=law_id)
     def test_dict(self, law):
@@ -305,7 +306,7 @@ class TestSampling:
                             EntryLaw.uniform_interval(-1, 1),
                             EntryLaw.two_point(-2, 1, 0.5), seed=0)
         A = sample_matrix(spec)
-        K = max(spec.law_intra.bound, spec.law_cross.bound)
+        K = max(oracle_bound(spec.law_intra), oracle_bound(spec.law_cross))
         assert np.all(np.abs(A) <= float(K))
 
     def test_entry_statistics(self):
@@ -335,8 +336,6 @@ class TestSampling:
         spec = EnsembleSpec(PartitionSpec(22, (7, 15)), EntryLaw.rademacher(),
                             EntryLaw.rademacher(), seed=1)
         assert EnsembleSpec.from_dict(spec.to_dict()).partition.sizes == (7, 15)
-        legacy = {k: v for k, v in spec.to_dict().items() if k != "sizes"}
-        assert EnsembleSpec.from_dict(legacy).partition.sizes == (8, 14)
 
     @settings(max_examples=60, deadline=None)
     @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),

@@ -10,9 +10,9 @@ from rmtlab.ensemble import (EnsembleError, EnsembleSpec, EntryLaw,
 from rmtlab.graphenergy import (energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, predicted_energy_gnp,
-                                predicted_energy_multipartite, sample_graph,
-                                singular_value_sum)
+                                predicted_energy_multipartite, sample_graph)
 from rmtlab.laws import semicircle_abs_mean
+from rmtlab.spectral import singular_values
 
 
 class TestGraphEnergyKnownGraphs:
@@ -183,7 +183,7 @@ class TestKyFan:
             Y = rng.normal(size=(n, n))
             r = kyfan_check(X, Y)
             assert r["holds"]
-            assert singular_value_sum(X + Y) == pytest.approx(r["rhs"])
+            assert np.sum(singular_values(X + Y)) == pytest.approx(r["rhs"])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -106,8 +106,9 @@ class TestSemicircle:
 
 def mpmath_stieltjes(z, R):
     """2(-z + w)/R^2 with w = sqrt(z^2 - R^2) in the upper half plane, at 60
-    digits: the cancellation for |z| >> R costs far fewer than that."""
-    with mpmath.workdps(60):
+    digits more than the 2 log10(|z|/R) that the cancellation for |z| >> R
+    costs."""
+    with mpmath.workdps(60 + 2 * max(0, math.ceil(math.log10(abs(z) / R)))):
         z, R = mpmath.mpc(z), mpmath.mpf(R)
         w = mpmath.sqrt(z * z - R * R)
         if mpmath.im(w) < 0:
@@ -142,6 +143,67 @@ class TestSemicircleStieltjes:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(LawError):
             semicircle_stieltjes(-1j, 1.0)
+
+
+def mpmath_density_cdf(x, R):
+    with mpmath.workdps(60):
+        x, R = mpmath.mpf(x), mpmath.mpf(R)
+        root = mpmath.sqrt(R * R - x * x)
+        return (float(2 * root / (mpmath.pi * R * R)),
+                float(0.5 + x * root / (mpmath.pi * R * R)
+                      + mpmath.asin(x / R) / mpmath.pi))
+
+
+SCALE = st.integers(-900, 900)
+MAGNITUDE = st.floats(1e-3, 1e3)
+SIGNED = st.builds(lambda m, neg: -m if neg else m, MAGNITUDE, st.booleans())
+
+
+class TestSemicircleAtAnyRadius:
+    # R^2, and z^2 - R^2, are beyond float range for R (or |z|) above
+    # about 1e154 or below about 1e-154
+    @pytest.mark.parametrize("R", [1e-300, 1e-160, 1e160, 1e300])
+    def test_density_and_cdf_match_mpmath(self, R):
+        for t in (-0.9, -0.5, -1e-3, 0.0, 0.3, 0.7, 0.9):
+            density, cdf = mpmath_density_cdf(t * R, R)
+            assert abs(semicircle_density(t * R, R) - density) \
+                <= 4e-15 * density
+            assert abs(semicircle_cdf(t * R, R) - cdf) <= 4e-16
+        assert semicircle_density(1.5 * R, R) == 0.0
+        assert semicircle_cdf(-1.5 * R, R) == 0.0
+        assert semicircle_cdf(1.5 * R, R) == 1.0
+
+    @pytest.mark.parametrize("z, R", [(1e200j, 1.0), (1e160 + 1j, 1.0),
+                                      (1j, 1e200), (1e-200j, 1e-200)])
+    def test_stieltjes_matches_mpmath(self, z, R):
+        want = mpmath_stieltjes(z, R)
+        assert abs(semicircle_stieltjes(z, R) - want) <= 1e-14 * abs(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=SIGNED, re=SIGNED, im=MAGNITUDE, R=MAGNITUDE, j=SCALE)
+    def test_scale_covariance_is_exact(self, x, re, im, R, j):
+        # dividing by a power of two is exact, so scaling every argument
+        # by 2^j scales the density and the transform by 2^-j, bit for bit
+        def up(t):
+            return math.ldexp(t, j)
+        assert semicircle_cdf(up(x), up(R)) == semicircle_cdf(x, R)
+        assert semicircle_density(up(x), up(R)) \
+            == math.ldexp(semicircle_density(x, R), -j)
+        S = semicircle_stieltjes(complex(re, im), R)
+        assert semicircle_stieltjes(complex(up(re), up(im)), up(R)) \
+            == complex(math.ldexp(S.real, -j), math.ldexp(S.imag, -j))
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    @pytest.mark.parametrize("law", [
+        lambda R: semicircle_density(0.0, R),
+        lambda R: semicircle_cdf(0.0, R),
+        lambda R: semicircle_stieltjes(1j, R),
+        lambda R: semicircle_abs_mean(R),
+        lambda R: semicircle_moment(2, R)],
+        ids=["density", "cdf", "stieltjes", "abs_mean", "moment"])
+    def test_non_finite_radius_refused(self, law, R):
+        with pytest.raises(LawError, match="finite"):
+            law(R)
 
 
 def balanced(m):
