@@ -40,8 +40,8 @@ from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
                           sample_graph)
 from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
-                   mixing_radius, pseudo_char_grid, semicircle_cdf,
-                   semicircle_moment, semicircle_stieltjes)
+                   pseudo_char_grid, semicircle_cdf, semicircle_moment,
+                   semicircle_stieltjes)
 from .spectral import (SpectralError, _set_blas_threads, blas_threads,
                        eigenvalues_bipartite, eigenvalues_sym,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
@@ -98,6 +98,8 @@ def _items(values: list, field: str, typ=(int, float)) -> list:
 
 
 def _ensemble_spec(cfg: dict, seed_override=None) -> EnsembleSpec:
+    if "reference_radius" in cfg:  # a set radius would score another law
+        raise ConfigError("reference_radius", "not a config key")
     n = _get(cfg, "ensemble.n", int, required=True)
     if n < 1:
         raise ConfigError("ensemble.n", "must be at least 1")
@@ -122,23 +124,19 @@ def _law(cfg: dict, field: str) -> EntryLaw:
         raise ConfigError(field, str(exc)) from exc
 
 
-def reference_radius(spec: EnsembleSpec, override=None) -> float:
+def reference_radius(spec: EnsembleSpec) -> float:
     """Semicircle radius the ESD of this ensemble is expected to approach.
 
     One part: plain Wigner with radius sigma_intra.  Parts of vanishing
     size (largest fraction <= 5%): radius sigma_cross.  Otherwise the mixed
     radius sqrt((s1 + (m-1) s2)/m) for m comparable parts when s2 > 0, else
-    sigma_cross.  A radius that is not positive is a config error.
+    sigma_cross.  A radius of 0 is a config error; no config key sets it.
     """
-    if override is not None and not override > 0:
-        raise ConfigError("reference_radius", "must be positive")
-    if override is not None:
-        return float(override)
     s1 = float(spec.law_intra.variance)
     s2 = float(spec.law_cross.variance)
     m = spec.partition.m
     if m > 1 and max(spec.partition.fractions) > 0.05 and s2 > 0:
-        return mixing_radius(m, s1, s2)
+        return math.sqrt((s1 + (m - 1) * s2) / m)
     radius = math.sqrt(s1 if m == 1 else s2)
     if radius == 0.0:
         raise ConfigError("ensemble", "zero entry variance gives radius 0")
@@ -149,8 +147,8 @@ def histogram(eigs: np.ndarray, bins: int, range_):
     """Counts and densities of a nonempty spectrum in `bins` equal-width
     bins over range_ = (lo, hi).
 
-    Density is count/(n*width), so the densities integrate to 1 whenever
-    the range covers every eigenvalue.
+    Density is count/(n*width).  `esd` passes a range that covers every
+    eigenvalue, so its densities integrate to 1.
     """
     eigs = np.asarray(eigs, dtype=float)
     counts, edges = np.histogram(eigs, bins=bins, range=range_)
@@ -260,7 +258,7 @@ def _run_esd(cfg, seed, replicates):
     bins = _get(cfg, "bins", int, default=40)
     if bins < 2:
         raise ConfigError("bins", "need at least 2 bins")
-    radius = reference_radius(spec, _get(cfg, "reference_radius", float))
+    radius = reference_radius(spec)
     spectra = _spectra(spec, replicates)
     tables = {}
     per_rep = []
@@ -274,8 +272,8 @@ def _run_esd(cfg, seed, replicates):
             "moment4": empirical_moment(eigs, 4),
         })
     all_eigs = np.concatenate(spectra)
-    edges, counts, density = histogram(all_eigs, bins,
-                                       (-1.05 * radius, 1.05 * radius))
+    half = max(1.05 * radius, float(np.max(np.abs(all_eigs))))
+    edges, counts, density = histogram(all_eigs, bins, (-half, half))
     tables["histogram.csv"] = (["bin_lo", "bin_hi", "count", "density"],
                                list(zip(edges, edges[1:], counts, density)))
     report = {
@@ -296,7 +294,7 @@ def _run_moments(cfg, seed, replicates):
     max_k = _get(cfg, "max_k", int, default=8)
     if not 1 <= max_k <= 64:
         raise ConfigError("max_k", "must be in 1..64")
-    radius = reference_radius(spec, _get(cfg, "reference_radius", float))
+    radius = reference_radius(spec)
     spectra = _spectra(spec, replicates)
     rows = []
     for k in range(max_k + 1):
@@ -319,7 +317,7 @@ def _run_stieltjes(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
     z_grid = _get(cfg, "z_grid", list,
                   default=[[0.0, 1.0], [0.5, 1.0], [-0.5, 0.5], [1.0, 2.0]])
-    radius = reference_radius(spec, _get(cfg, "reference_radius", float))
+    radius = reference_radius(spec)
     for j, pair in enumerate(z_grid):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"z_grid[{j}]", "expected [re, im]")
@@ -369,9 +367,12 @@ def _run_walks(cfg, seed, replicates):
 
 
 def _hankel_gammas(cfg, k: int):
+    """(gamma_0..gamma_2k, source).  `main` (m equal parts) and `walk_oracle`
+    (the given fractions; [1] is the semicircle of radius sqrt(sigma1sq))
+    are `limit_moments`; the two `*_printed` sources are the paper's text."""
     source = _get(cfg, "hankel.source", str, default="main")
     L = 2 * k
-    if source in ("main", "uniform", "walk_oracle"):
+    if source in ("main", "walk_oracle"):
         s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
         if source == "main":
             m = _get(cfg, "hankel.m", int, default=2)
@@ -379,8 +380,6 @@ def _hankel_gammas(cfg, k: int):
                 raise ConfigError("hankel.m", "must be at least 2")
             fractions = [Fraction(1, m)] * m
             s1 = _get(cfg, "hankel.sigma1sq", float, default=1.0)
-        elif source == "uniform":  # one part: semicircle of radius sigma2
-            fractions, s1 = [1], s2
         else:
             fractions = _get(cfg, "hankel.fractions", list, required=True)
             try:

@@ -33,15 +33,6 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def mixing_radius(m: int, sigma1sq, sigma2sq) -> float:
-    """Support radius sqrt((sigma1^2 + (m-1)*sigma2^2) / m) of the mixed limit."""
-    if m < 2:
-        raise LawError("mixing radius needs at least two parts")
-    if sigma1sq < 0 or sigma2sq <= 0:
-        raise LawError("variances out of range")
-    return math.sqrt((sigma1sq + (m - 1) * sigma2sq) / m)
-
-
 def _check_radius(R) -> None:
     if not 0 < R < math.inf:
         raise LawError(f"radius must be positive and finite, got {R}")

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -21,8 +22,7 @@ from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
                                 histogram, reference_radius, run_experiment)
 from rmtlab.graphenergy import (graph_energy, predicted_energy_gnp,
                                 sample_graph)
-from rmtlab.laws import (catalan, find_negativity_witness, mixing_radius,
-                         semicircle_moment)
+from rmtlab.laws import catalan, find_negativity_witness, semicircle_moment
 from rmtlab.spectral import (SpectralError, _set_blas_threads, blas_threads,
                              eigenvalues_bipartite, eigenvalues_sym,
                              empirical_moment)
@@ -97,7 +97,8 @@ NON_FINITE = [
     ("z_grid[0][0]", rademacher_cfg("stieltjes", z_grid=[[HUGE, 1.0]])),
     ("hankel.sigma2sq",
      {"kind": "hankel",
-      "hankel": {"source": "uniform", "sigma2sq": HUGE, "k": 3}}),
+      "hankel": {"source": "walk_oracle", "fractions": [1], "sigma2sq": HUGE,
+                 "k": 3}}),
     ("ensemble.law_cross",
      _law_cfg({"kind": "uniform_interval", "params": {"lo": 0, "hi": HUGE}})),
 ]
@@ -245,9 +246,6 @@ class TestReferenceRadius:
         return EnsembleSpec(make_partition(n, fractions), laws[s_intra],
                             laws[s_cross], 0)
 
-    def test_override_wins(self):
-        assert reference_radius(self.spec(4, [1.0], 1, 1), 2.5) == 2.5
-
     def test_single_part(self):
         assert reference_radius(self.spec(4, [1.0], 1, 0)) == 1.0
 
@@ -257,7 +255,7 @@ class TestReferenceRadius:
 
     def test_mixed(self):
         s = self.spec(10, [0.5, 0.5], 0, 1)
-        assert reference_radius(s) == pytest.approx(mixing_radius(2, 0.0, 1.0))
+        assert reference_radius(s) == math.sqrt(0.5)
 
     @pytest.mark.parametrize("kind, fractions, law", [
         ("esd", [0.5, 0.5], "law_cross"), ("moments", [1.0], "law_intra")])
@@ -268,17 +266,15 @@ class TestReferenceRadius:
         assert cli_exit(tmp_path, cfg) == 2
         assert "config error: ensemble:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, radius", [("stieltjes", 0.0),
-                                              ("esd", -1.0)])
+    @pytest.mark.parametrize("kind, radius", list(itertools.product(
+        ["esd", "moments", "stieltjes"], [2.5, 1e200, 0.0, -1.0])))
     def test_bad_override_exits_two(self, tmp_path, capsys, kind, radius):
+        # the radius comes from the ensemble: a set one is refused, not
+        # silently ignored, whatever its value
         cfg = rademacher_cfg(kind, n=20, reference_radius=radius)
         assert cli_exit(tmp_path, cfg) == 2
         assert "config error: reference_radius:" in capsys.readouterr().err
-
-    def test_huge_override_exits_zero(self, tmp_path):
-        # R^2 is beyond float range here; the KS column needs the CDF
-        cfg = rademacher_cfg("esd", n=20, reference_radius=1e200)
-        assert cli_exit(tmp_path, cfg) == 0
+        assert not (tmp_path / "out").exists()
 
 
 class TestHistogram:
@@ -340,9 +336,26 @@ class TestEsdRun:
         with open(tmp_path / "histogram.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
-        assert sum(int(r["count"]) for r in rows) <= 40
+        assert sum(int(r["count"]) for r in rows) == 40
         for r in rows:
             assert float(r["bin_lo"]) < float(r["bin_hi"])
+
+    def test_histogram_covers_eigenvalues_beyond_the_radius(self, tmp_path):
+        # 38 of these 400 eigenvalues lie beyond 1.05·R = 0.7535
+        cfg = rademacher_cfg("esd", n=400, fractions=(0.9, 0.1))
+        cfg["ensemble"]["law_cross"] = EntryLaw.uniform_interval(
+            -0.3, 0.3).to_dict()
+        cfg["ensemble"]["seed"] = 3
+        rep = run_experiment(cfg, tmp_path)
+        eigs = np.loadtxt(tmp_path / "eigenvalues_r0.csv", skiprows=1)
+        assert np.sum(np.abs(eigs) > 1.05 * rep["reference_radius"]) == 38
+        with open(tmp_path / "histogram.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(int(r["count"]) for r in rows) == 400
+        mass = math.fsum(float(r["density"]) * (float(r["bin_hi"])
+                                                - float(r["bin_lo"]))
+                         for r in rows)
+        assert abs(mass - 1.0) <= 1e-12
 
     def test_zero_intra_atom_is_exact(self, tmp_path):
         # spectrum +-sigma(B) plus n1 - n2 = 120 - 30 exact zeros, none -0.0
@@ -530,15 +543,19 @@ class TestHankelRun:
         assert not rep["psd"]
 
     def test_unknown_source(self, tmp_path):
-        cfg = {"kind": "hankel", "hankel": {"source": "wat"}}
-        with pytest.raises(ConfigError):
-            run_experiment(cfg, tmp_path)
+        # one part is walk_oracle on fractions [1]; `uniform` is no source
+        for source in ("wat", "uniform"):
+            cfg = {"kind": "hankel", "hankel": {"source": source}}
+            with pytest.raises(ConfigError):
+                run_experiment(cfg, tmp_path)
 
     def test_main_and_uniform_are_semicircle_moments(self, tmp_path):
+        # equal parts, and one part: walk_oracle on the uniform fractions [1]
         for hankel, radius in (
                 ({"source": "main", "m": 3, "sigma1sq": 0.3,
-                  "sigma2sq": 1.7}, mixing_radius(3, 0.3, 1.7)),
-                ({"source": "uniform", "sigma2sq": 1.7}, math.sqrt(1.7))):
+                  "sigma2sq": 1.7}, math.sqrt((0.3 + 2 * 1.7) / 3)),
+                ({"source": "walk_oracle", "fractions": [1], "sigma1sq": 1.7,
+                  "sigma2sq": 1.7}, math.sqrt(1.7))):
             rep = run_experiment({"kind": "hankel",
                                   "hankel": {**hankel, "k": 5}}, tmp_path)
             assert rep["psd"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rmtlab.laws import (LawError, catalan, find_negativity_witness,
                          gamma_bipartite_printed, gamma_proposition_printed,
                          hankel_matrix,
-                         hankel_report, limit_moments, mixing_radius,
+                         hankel_report, limit_moments,
                          pseudo_char, pseudo_char_grid, semicircle_abs_mean,
                          semicircle_cdf, semicircle_density,
                          semicircle_moment, semicircle_stieltjes)
@@ -43,22 +43,6 @@ class TestCatalan:
     def test_recursion_matches_closed_form(self):
         for k in range(21):
             assert catalan(k) == catalan_by_recursion(k)
-
-
-class TestMixingRadius:
-    def test_bipartite_zero_intra(self):
-        assert mixing_radius(2, 0.0, 1.0) == pytest.approx(math.sqrt(0.5))
-
-    def test_wigner_degeneration(self):
-        for m in (2, 3, 7):
-            assert mixing_radius(m, 2.25, 2.25) == pytest.approx(1.5)
-
-    def test_direct_substitution(self):
-        assert mixing_radius(2, 1 / 3, 1.0) == pytest.approx(math.sqrt(2 / 3))
-
-    def test_rejects_single_part(self):
-        with pytest.raises(LawError):
-            mixing_radius(1, 0.0, 1.0)
 
 
 class TestSemicircle:
@@ -212,7 +196,7 @@ def balanced(m):
 
 class TestGammaSequences:
     # gamma_main: limit_moments on m equal parts (the `main` hankel
-    # source); gamma_uniform: one part of variance sigma2^2 (`uniform`)
+    # source); gamma_uniform: one part (`walk_oracle` on fractions [1])
     def test_gamma_main_odd_is_zero(self):
         assert limit_moments(balanced(2), 1.0, 1.0, 3)[3] == 0
         assert limit_moments(balanced(4), 0.5, 2.0, 5)[5] == 0
@@ -226,13 +210,14 @@ class TestGammaSequences:
     def test_gamma_main_equals_semicircle_moment(self):
         for (m, s1, s2) in ((2, 0.0, 1.0), (3, 0.5, 2.0), (5, 1.0, 1.0)):
             gammas = limit_moments(balanced(m), s1, s2, 12)
+            # the squared mixing radius (s1 + (m-1) s2) / m
+            r2 = (Fraction(s1) + (m - 1) * Fraction(s2)) / m
             for k in range(0, 13):
                 lhs = float(gammas[k])
-                rhs = float(semicircle_moment(k, mixing_radius(m, s1, s2))) \
+                rhs = float(semicircle_moment(k, math.sqrt(float(r2)))) \
                     if k % 2 == 0 else 0.0
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
-            # and exactly: Catalan(h)/4^h times the squared mixing radius^h
-            r2 = (Fraction(s1) + (m - 1) * Fraction(s2)) / m
+            # and exactly: Catalan(h)/4^h times r2^h
             assert gammas[::2] == [Fraction(catalan(h), 4**h) * r2**h
                                    for h in range(7)]
 
