@@ -351,7 +351,7 @@ def _run_walks(cfg, seed, replicates):
     for k in range(2, max_k + 1, 2):
         v = k // 2 + 1
         shapes = enumerate_shapes(k, v)
-        g = sum(map(is_good_zero_mean, shapes))  # good_shape_count(k, v)
+        g = sum(map(is_good_zero_mean, shapes))  # g(v, k)
         t = catalan(k // 2)
         rows.append({"k": k, "v": v, "shapes": len(shapes), "good": g,
                      "catalan": t, "identity_holds": g == t})

@@ -1,10 +1,10 @@
 """Closed-form limit objects.
 
-The semicircle family (density, CDF, moments, absolute mean, Stieltjes
-transform), Catalan numbers, the exact limit moments of the block
-ensembles, Hankel positivity reports, and the pseudo-characteristic
-function used in the no-limit argument for unbalanced bipartite
-ensembles, computed as one semicircle average by a fixed midpoint rule.
+The semicircle family (density, CDF, moments, Stieltjes transform),
+Catalan numbers, the exact limit moments of the block ensembles, Hankel
+positivity reports, and the pseudo-characteristic function used in the
+no-limit argument for unbalanced bipartite ensembles, computed as one
+semicircle average by a fixed midpoint rule.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ def semicircle_cdf(x, R: float):
         + np.arcsin(xc / R) / math.pi
     out = np.clip(out, 0.0, 1.0)
     return out if out.ndim else float(out)
-
-
-def semicircle_abs_mean(R: float) -> float:
-    """E|X| = 4R/(3 pi) for the semicircle of radius R."""
-    _check_radius(R)
-    return 4.0 * R / (3.0 * math.pi)
 
 
 def semicircle_moment(k: int, R):
@@ -261,7 +255,8 @@ def pseudo_char(t: float, nuhat: float, sigma2: float) -> float:
     one fixed midpoint quadrature.  The domain is |x| <= 60; beyond it, and
     for a NaN or infinite t, LawError.  A genuine characteristic function
     satisfies |f| <= 1; the cosh term eventually drives f below -1 whenever
-    nuhat^2 < 1/2, which is what find_negativity_witness hunts for.
+    nuhat^2 < 1/2, and the first grid point where it does is the `charfn`
+    run's negativity witness.
     """
     x = _argument(t, nuhat, sigma2)
     if x == 0.0:
@@ -290,10 +285,3 @@ def pseudo_char_grid(nuhat: float, sigma2: float, t_max: float, step: float):
         if val < -1e6:
             return
         t += step
-
-
-def find_negativity_witness(nuhat: float, sigma2: float, t_max: float,
-                            step: float = 0.01):
-    """Smallest grid point t in (0, t_max] with pseudo_char(t) < -1, or None."""
-    return next((t for t, val in pseudo_char_grid(nuhat, sigma2, t_max, step)
-                 if val < -1.0), None)

@@ -3,11 +3,10 @@
 Closed walks of length k in the complete graph (loops allowed) are
 canonicalized by first-occurrence labeling; counting the "good" ones (those
 whose expected entry product is nonzero) yields the walk-count function
-g(v, k) and the good-walk totals W_{v,k,n}.  One sum over shapes and maps
-of their labels to parts, of at most 2*10^6 terms, gives exact finite-n
-expected trace moments at any n and exact limit moments as rational
-polynomials in the part fractions and entry variances.  These exact
-rationals are the ground truth the floating formulas are judged against.
+g(v, k).  One sum over shapes and maps of their labels to parts, of at
+most 2*10^6 terms, gives exact finite-n expected trace moments at any n
+as rationals.  These exact rationals are the ground truth the floating
+formulas are judged against.
 """
 
 from __future__ import annotations
@@ -72,17 +71,6 @@ def is_good_zero_mean(shape) -> bool:
     return 1 not in walk_edges(shape).values()
 
 
-def good_shape_count(k: int, v: int) -> int:
-    """g(v, k): canonical shapes with no multiplicity-1 edge, the only ones
-    with nonzero expectation under zero-mean laws."""
-    return sum(map(is_good_zero_mean, enumerate_shapes(k, v)))
-
-
-def count_good_walks(v: int, k: int, n: int) -> int:
-    """W_{v,k,n} = n(n-1)...(n-v+1) * g(v, k), which is 0 for v > n."""
-    return math.perm(n, v) * good_shape_count(k, v)
-
-
 def _walk_sum(k: int, v: int, m: int, weight, factor) -> Fraction:
     """Sum over shapes of length k on v labels and maps of labels to parts.
 
@@ -145,30 +133,7 @@ def exact_expected_trace_moment(spec: EnsembleSpec, k: int):
                Fraction(0) if k % 2 == 0 else 0.0)
 
 
-def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int) -> Fraction:
-    """Exact limit moment gamma_k by walk enumeration.
-
-    Sums, over shapes of order k/2+1 whose edges each appear exactly twice
-    and over all maps of the shape labels to parts, the product of the
-    part fractions and of one variance factor per distinct edge (intra
-    variance when the endpoints share a part, cross variance otherwise),
-    scaled by 2^-k.  It is the walk reference for laws.limit_moments.
-    """
-    if k % 2 == 1:
-        raise WalkError("limit moments are computed for even k only")
-    if k == 0:
-        return Fraction(1)
-    nus = [Fraction(f) for f in fractions]
-    variance = {True: Fraction(sigma1sq), False: Fraction(sigma2sq)}
-    total = _walk_sum(k, k // 2 + 1, len(nus),
-                      lambda parts: math.prod(nus[p] for p in parts),
-                      lambda same, mult: variance[same] if mult == 2 else 0)
-    return total / 2**k
-
-
 __all__ = [
     "WalkError", "walk_edges", "enumerate_shapes", "is_good_zero_mean",
-    "good_shape_count", "count_good_walks",
     "exact_trace_moment_by_order", "exact_expected_trace_moment",
-    "limit_gamma_walks",
 ]

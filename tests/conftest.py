@@ -1,14 +1,17 @@
 """Shared pytest wiring: echo acceptance criterion verdicts in the summary,
 and fail a test that leaves numpy's OpenBLAS pool resized or work on the
-replicate threads."""
+replicate threads; and the test references shared by several modules."""
 
+import math
 from concurrent.futures import wait
+from fractions import Fraction
 
 import pytest
 
 from rmtlab import experiments
 from rmtlab.ensemble import EnsembleSpec, EntryLaw
 from rmtlab.spectral import blas_threads
+from rmtlab.walks import WalkError, _walk_sum
 
 CRITERION_LINES: list[str] = []
 
@@ -18,6 +21,27 @@ def graph_spec(partition, p, seed=0):
     ones with probability p."""
     return EnsembleSpec(partition, EntryLaw.constant_zero(),
                         EntryLaw.bernoulli(p), seed)
+
+
+def limit_gamma_walks(fractions, sigma1sq, sigma2sq, k: int) -> Fraction:
+    """Exact limit moment gamma_k by walk enumeration.
+
+    Sums, over shapes of order k/2+1 whose edges each appear exactly twice
+    and over all maps of the shape labels to parts, the product of the
+    part fractions and of one variance factor per distinct edge (intra
+    variance when the endpoints share a part, cross variance otherwise),
+    scaled by 2^-k.  It is the walk reference for laws.limit_moments.
+    """
+    if k % 2 == 1:
+        raise WalkError("limit moments are computed for even k only")
+    if k == 0:
+        return Fraction(1)
+    nus = [Fraction(f) for f in fractions]
+    variance = {True: Fraction(sigma1sq), False: Fraction(sigma2sq)}
+    total = _walk_sum(k, k // 2 + 1, len(nus),
+                      lambda parts: math.prod(nus[p] for p in parts),
+                      lambda same, mult: variance[same] if mult == 2 else 0)
+    return total / 2**k
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,21 +12,21 @@ from fractions import Fraction
 import numpy as np
 
 import conftest
+from conftest import limit_gamma_walks
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, make_partition,
                              sample_matrix, scale_matrix,
                              singleton_partition)
+from rmtlab.experiments import run_experiment
 from rmtlab.graphenergy import (energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, sample_graph)
-from rmtlab.laws import (catalan, find_negativity_witness,
-                         gamma_bipartite_printed, gamma_proposition_printed,
-                         hankel_report, limit_moments, pseudo_char,
-                         semicircle_cdf)
+from rmtlab.laws import (catalan, gamma_bipartite_printed,
+                         gamma_proposition_printed, hankel_report,
+                         limit_moments, pseudo_char, semicircle_cdf)
 from rmtlab.spectral import (check_rank_inequality,
                              check_stieltjes_perturbation, eigenvalues_sym,
                              empirical_moment, esd, ks_distance)
-from rmtlab.walks import (exact_expected_trace_moment, good_shape_count,
-                          limit_gamma_walks)
+from rmtlab.walks import exact_expected_trace_moment
 
 
 def _report(num, ok, detail):
@@ -59,9 +59,10 @@ def test_criterion_01_catalan_identity():
             f"recursion == closed form for k<=20 in {elapsed:.3f}s")
 
 
-def test_criterion_02_good_walk_counts():
+def test_criterion_02_good_walk_counts(tmp_path):
     t0 = time.perf_counter()
-    got = [good_shape_count(k, k // 2 + 1) for k in (2, 4, 6, 8)]
+    rep = run_experiment({"kind": "walks", "max_k": 8}, tmp_path)
+    got = [row["good"] for row in rep["table"]]
     elapsed = time.perf_counter() - t0
     ok = got == [1, 2, 5, 14] and elapsed < 30.0
     _report(2, ok, f"g(v,k) for k=2,4,6,8 gives {got} in {elapsed:.1f}s")
@@ -199,10 +200,12 @@ def test_criterion_09_hankel_sanity():
                    f"walk oracle {det3_walk:.3e} (>0)")
 
 
-def test_criterion_10_negativity_witness():
+def test_criterion_10_negativity_witness(tmp_path):
     t0 = time.perf_counter()
     nuhat = math.sqrt(0.3)
-    t = find_negativity_witness(nuhat, 1.0, 60.0)
+    t = run_experiment({"kind": "charfn",
+                        "charfn": {"nuhat": nuhat, "step": 0.01}},
+                       tmp_path)["witness"]
     elapsed = time.perf_counter() - t0
     ok = (t is not None and 0 < t <= 60.0
           and pseudo_char(t, nuhat, 1.0) < -1.0 and elapsed < 1.0)

@@ -22,11 +22,11 @@ from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
                                 histogram, reference_radius, run_experiment)
 from rmtlab.graphenergy import (graph_energy, predicted_energy_gnp,
                                 sample_graph)
-from rmtlab.laws import catalan, find_negativity_witness, semicircle_moment
+from rmtlab.laws import catalan, pseudo_char_grid, semicircle_moment
 from rmtlab.spectral import (SpectralError, _set_blas_threads, blas_threads,
                              eigenvalues_bipartite, eigenvalues_sym,
                              empirical_moment)
-from rmtlab.walks import enumerate_shapes, good_shape_count
+from rmtlab.walks import enumerate_shapes, is_good_zero_mean
 
 
 def rademacher_cfg(kind, n=30, fractions=(0.5, 0.5), **extra):
@@ -504,7 +504,7 @@ class TestWalksRun:
         for k in range(2, max_k + 1, 2):
             v = k // 2 + 1
             listed = enumerate_shapes(k, v)
-            g = good_shape_count(k, v)
+            g = sum(map(is_good_zero_mean, listed))
             walks.append(f"{k},{v},{len(listed)},{g},{catalan(k // 2)},"
                          f"{g == catalan(k // 2)}")
             shapes += [f"{k},{v}," + "-".join(map(str, s)) for s in listed]
@@ -621,8 +621,9 @@ class TestCharfnRun:
         nuhat = math.sqrt(0.3)
         cfg = {"kind": "charfn", "charfn": {"nuhat": nuhat, "step": 0.01}}
         rep = run_experiment(cfg, tmp_path)
-        assert rep["witness"] == find_negativity_witness(nuhat, 1.0, 60.0,
-                                                         0.01)
+        scan = pseudo_char_grid(nuhat, 1.0, 60.0, 0.01)
+        assert rep["witness"] == next(t for t, val in scan if val < -1.0) \
+            == 6.259999999999911
         with open(tmp_path / "charfn.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[-1]["pseudo_char"]) < -1e6

@@ -11,7 +11,7 @@ from rmtlab.graphenergy import (energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
                                 kyfan_check, predicted_energy_gnp,
                                 predicted_energy_multipartite, sample_graph)
-from rmtlab.laws import semicircle_abs_mean
+from rmtlab.laws import semicircle_density
 from rmtlab.spectral import singular_values
 
 
@@ -101,12 +101,15 @@ class TestSampleGraph:
 class TestPredictions:
     def test_gnp_matches_semicircle_abs_mean(self):
         # prediction must equal 2 n^(3/2) * mean |x| under the radius-
-        # sqrt(p(1-p)) semicircle
+        # sqrt(p(1-p)) semicircle, here by quadrature of its density
+        from scipy.integrate import quad
         for n, p in ((100, 0.5), (1500, 0.2)):
             direct = predicted_energy_gnp(n, p)
-            via_law = 2 * n**1.5 * semicircle_abs_mean(
-                math.sqrt(p * (1 - p)))
-            assert direct == pytest.approx(via_law, rel=1e-12)
+            R = math.sqrt(p * (1 - p))
+            abs_mean, _ = quad(lambda x: abs(x) * semicircle_density(x, R),
+                               -R, R, points=[0.0], epsabs=1e-13,
+                               epsrel=1e-13)
+            assert direct == pytest.approx(2 * n**1.5 * abs_mean, rel=1e-12)
 
     def test_multipartite_reduction(self):
         n, p = 900, 0.4

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmtlab.laws import (LawError, catalan, find_negativity_witness,
-                         gamma_bipartite_printed, gamma_proposition_printed,
-                         hankel_matrix,
+from conftest import limit_gamma_walks
+from rmtlab.laws import (LawError, catalan, gamma_bipartite_printed,
+                         gamma_proposition_printed, hankel_matrix,
                          hankel_report, limit_moments,
-                         pseudo_char, pseudo_char_grid, semicircle_abs_mean,
+                         pseudo_char, pseudo_char_grid,
                          semicircle_cdf, semicircle_density,
                          semicircle_moment, semicircle_stieltjes)
-from rmtlab.walks import limit_gamma_walks
 
 
 def catalan_by_recursion(k):
@@ -70,10 +69,9 @@ class TestSemicircle:
 
     def test_abs_mean_by_quadrature(self):
         R = 0.8
-        assert semicircle_abs_mean(R) == pytest.approx(4 * R / (3 * math.pi))
         q = quad_integral(
             lambda x: abs(x) * semicircle_density(x, R), -R, R)
-        assert q == pytest.approx(semicircle_abs_mean(R), abs=1e-9)
+        assert q == pytest.approx(4 * R / (3 * math.pi), abs=1e-9)
 
     def test_odd_moments_vanish(self):
         assert semicircle_moment(3, 1.0) == 0
@@ -182,9 +180,8 @@ class TestSemicircleAtAnyRadius:
         lambda R: semicircle_density(0.0, R),
         lambda R: semicircle_cdf(0.0, R),
         lambda R: semicircle_stieltjes(1j, R),
-        lambda R: semicircle_abs_mean(R),
         lambda R: semicircle_moment(2, R)],
-        ids=["density", "cdf", "stieltjes", "abs_mean", "moment"])
+        ids=["density", "cdf", "stieltjes", "moment"])
     def test_non_finite_radius_refused(self, law, R):
         with pytest.raises(LawError, match="finite"):
             law(R)
@@ -342,6 +339,12 @@ class TestHankel:
             hankel_matrix([1.0, 0.0, 0.25], 2)
 
 
+def first_below_minus_one(rows):
+    """The witness as the `charfn` run finds it: the first grid point t with
+    f(t) < -1, or None."""
+    return next((t for t, val in rows if val < -1.0), None)
+
+
 class TestPseudoChar:
     def test_limit_at_zero(self):
         assert pseudo_char(0.0, 0.5, 1.0) == 1.0
@@ -378,22 +381,23 @@ class TestPseudoChar:
 
     def test_negativity_witness_exists(self):
         nuhat = math.sqrt(0.3)
-        t = find_negativity_witness(nuhat, 1.0, 60.0)
+        t = first_below_minus_one(pseudo_char_grid(nuhat, 1.0, 60.0, 0.01))
         assert t == 6.259999999999911
         assert pseudo_char(t, nuhat, 1.0) < -1.0
 
     def test_witness_for_nu1_09(self):
         nuhat = (0.9 * 0.1) ** 0.25  # about 0.547
-        assert find_negativity_witness(nuhat, 1.0, 60.0) == 6.259999999999911
+        assert first_below_minus_one(
+            pseudo_char_grid(nuhat, 1.0, 60.0, 0.01)) == 6.259999999999911
         # the charfn default step
-        assert find_negativity_witness(nuhat, 1.0, 60.0, 0.05) \
-            == 6.299999999999986
+        assert first_below_minus_one(
+            pseudo_char_grid(nuhat, 1.0, 60.0, 0.05)) == 6.299999999999986
 
     def test_nuhat_range_enforced(self):
         with pytest.raises(LawError):
             pseudo_char(1.0, 0.8, 1.0)
         with pytest.raises(LawError):
-            find_negativity_witness(0.5, 1.0, 1e6)
+            next(pseudo_char_grid(0.5, 1.0, 1e6, 0.01))
 
     def test_grid_stops_after_divergence(self):
         nuhat = math.sqrt(0.3)
@@ -404,13 +408,12 @@ class TestPseudoChar:
         for row in rows:
             t += 0.01
             assert row == (t, pseudo_char(t, nuhat, 1.0))
-        witness = find_negativity_witness(nuhat, 1.0, 60.0)
-        assert witness == next(t for t, val in rows if val < -1.0)
+        assert rows[-1][0] > first_below_minus_one(rows) > 0
 
     def test_grid_without_divergence_reaches_t_max(self):
         rows = list(pseudo_char_grid(0.5, 1.0, 2.0, 0.5))
         assert [t for t, _ in rows] == [0.5, 1.0, 1.5, 2.0]
-        assert find_negativity_witness(0.5, 1.0, 2.0, 0.5) is None
+        assert first_below_minus_one(rows) is None
 
     @pytest.mark.parametrize("nuhat, sigma2", [(0.5, 1.0), (0.3 ** 0.5, 1.0),
                                                (0.2, 0.37), (0.7, 2.5)])

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import graph_spec
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
     sample_matrix, scale_matrix
+from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import semicircle_cdf
 from rmtlab.spectral import (_set_blas_threads, blas_threads,
                              check_rank_inequality,
@@ -268,6 +270,12 @@ class TestEsdSupDistance:
             assert esd_sup_distance(a, b) >= brute - 1e-12
             assert esd_sup_distance(a, b) == pytest.approx(brute, abs=1e-4)
 
+    def test_gap_far_above_rounding_counts_in_full(self):
+        # eps = 3 * machine-eps * 1, so a gap of 1e-9 is far above it
+        a = np.array([0.0, 0.0, 1.0])
+        b = np.array([0.0, 1e-9, 1.0])
+        assert esd_sup_distance(a, b) == esd_sup_distance(b, a) == 1 / 3
+
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             esd_sup_distance(np.array([0.0]), np.array([0.0, 1.0]))
@@ -286,6 +294,19 @@ class TestRankInequality:
         r = check_rank_inequality(M, M + spike)
         assert r["rhs"] == pytest.approx(0.1)
         assert r["holds"]
+
+    def test_graph_against_its_centred_matrix(self):
+        # A - p(J - blockdiag J) on [.6, .2, .2]: the mean has rank 3, and
+        # both spectra hold 60 exact zeros that the solve returns within
+        # 3e-14 of 0 with random signs; counted as a difference they read
+        # 4/300 > 3/300
+        spec = graph_spec(make_partition(300, [0.6, 0.2, 0.2]), 0.5, 12)
+        A = sample_graph(spec, 0)
+        labels = spec.partition.part_labels()
+        mean = 0.5 * (labels[:, None] != labels[None, :])
+        r = check_rank_inequality(A, A - mean)
+        assert r["rhs"] == 3 / 300
+        assert r["lhs"] == pytest.approx(2 / 300) and r["holds"]
 
     def test_random_trials(self):
         rng = np.random.default_rng(17)

@@ -7,17 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import graph_spec
+from conftest import graph_spec, limit_gamma_walks
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
                              make_partition, sample_matrix, scale_matrix,
                              singleton_partition)
 from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import catalan, limit_moments
 from rmtlab.spectral import eigenvalues_sym, empirical_moment
-from rmtlab.walks import (WalkError, count_good_walks, enumerate_shapes,
+from rmtlab.walks import (WalkError, enumerate_shapes,
                           exact_expected_trace_moment,
-                          exact_trace_moment_by_order, good_shape_count,
-                          is_good_zero_mean, limit_gamma_walks, walk_edges)
+                          exact_trace_moment_by_order, is_good_zero_mean,
+                          walk_edges)
 
 
 class TestEnumerateShapes:
@@ -115,41 +115,52 @@ class TestWalkEdges:
         assert sum(edges.values()) == 4
 
 
+def good_shapes(k, v):
+    """g(v, k), counted as the `walks` run counts it."""
+    return sum(map(is_good_zero_mean, enumerate_shapes(k, v)))
+
+
+def good_index_tuples(k, v, n):
+    """Good index tuples of length k over n vertices with exactly v distinct
+    indices, enumerated directly: W_{v,k,n}, with no canonical shapes."""
+    return sum(1 for tup in itertools.product(range(n), repeat=k)
+               if len(set(tup)) == v and is_good_zero_mean(tup))
+
+
 class TestGoodShapeCount:
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_catalan_identity(self, k):
-        assert good_shape_count(k, k // 2 + 1) == catalan(k // 2)
+        assert good_shapes(k, k // 2 + 1) == catalan(k // 2)
 
     def test_g22(self):
-        assert good_shape_count(2, 2) == 1
+        assert good_shapes(2, 2) == 1
 
     def test_g36_exhaustive(self):
-        # used by the vanishing-order check; value pinned by enumeration
-        g = good_shape_count(6, 3)
-        brute = sum(1 for s in enumerate_shapes(6, 3) if is_good_zero_mean(s))
-        assert g == brute
+        # used by the vanishing-order check; each canonical shape on v
+        # labels stands for the v! index tuples over {0..v-1} that relabel it
+        g = good_shapes(6, 3)
+        assert g * math.factorial(3) == good_index_tuples(6, 3, 3)
 
 
 class TestCountGoodWalks:
+    # W_{v,k,n} = n(n-1)...(n-v+1) g(v, k) against the raw enumeration
     def test_v3_k4_n5_raw_enumeration(self):
-        # oracle: enumerate index tuples over 5 vertices directly
-        brute = 0
-        for tup in itertools.product(range(5), repeat=4):
-            if len(set(tup)) == 3 and is_good_zero_mean(tup):
-                brute += 1
+        brute = good_index_tuples(4, 3, 5)
         assert brute == 5 * 4 * 3 * 2
-        assert count_good_walks(3, 4, 5) == brute
+        assert math.perm(5, 3) * good_shapes(4, 3) == brute
 
     def test_v2_k2_n4(self):
-        assert count_good_walks(2, 2, 4) == 12
+        assert math.perm(4, 2) * good_shapes(2, 2) == 12 \
+            == good_index_tuples(2, 2, 4)
 
     def test_paper_display_k4_n6(self):
-        assert count_good_walks(3, 4, 6) == 6 * 5 * 4 * 2
+        assert math.perm(6, 3) * good_shapes(4, 3) == 6 * 5 * 4 * 2 \
+            == good_index_tuples(4, 3, 6)
 
     def test_falling_factorial(self):
         # the factor n(n-1)...(n-v+1) of W_{v,k,n}, 0 once v exceeds n
-        assert count_good_walks(3, 6, 6) == 120 * good_shape_count(6, 3)
-        assert count_good_walks(4, 6, 3) == 0 < good_shape_count(6, 4)
+        assert good_index_tuples(6, 3, 6) == 120 * good_shapes(6, 3)
+        assert good_index_tuples(6, 4, 3) == 0 < good_shapes(6, 4)
 
 
 # ---------------------------------------------------------------------------
