@@ -36,8 +36,7 @@ from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, check_fractions,
                        sample_matrix, scale_matrix, singleton_partition)
 from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
                           energy_decomposition_check, graph_energy,
-                          predicted_energy_gnp, predicted_energy_multipartite,
-                          sample_graph)
+                          leading_energy, sample_graph)
 from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    pseudo_char_grid, semicircle_cdf, semicircle_moment,
@@ -141,20 +140,6 @@ def reference_radius(spec: EnsembleSpec) -> float:
     if radius == 0.0:
         raise ConfigError("ensemble", "zero entry variance gives radius 0")
     return radius
-
-
-def histogram(eigs: np.ndarray, bins: int, range_):
-    """Counts and densities of a nonempty spectrum in `bins` equal-width
-    bins over range_ = (lo, hi).
-
-    Density is count/(n*width).  `esd` passes a range that covers every
-    eigenvalue, so its densities integrate to 1.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    counts, edges = np.histogram(eigs, bins=bins, range=range_)
-    width = edges[1] - edges[0]
-    density = counts / (eigs.size * width)
-    return edges, counts, density
 
 
 def _cell(x) -> str:
@@ -273,7 +258,10 @@ def _run_esd(cfg, seed, replicates):
         })
     all_eigs = np.concatenate(spectra)
     half = max(1.05 * radius, float(np.max(np.abs(all_eigs))))
-    edges, counts, density = histogram(all_eigs, bins, (-half, half))
+    # the range covers every eigenvalue, so the densities
+    # count/(n*width) integrate to 1
+    counts, edges = np.histogram(all_eigs, bins=bins, range=(-half, half))
+    density = counts / (all_eigs.size * (edges[1] - edges[0]))
     tables["histogram.csv"] = (["bin_lo", "bin_hi", "count", "density"],
                                list(zip(edges, edges[1:], counts, density)))
     report = {
@@ -465,14 +453,14 @@ def _run_energy(cfg, seed, replicates):
     if not 0.0 < p < 1.0:
         raise ConfigError("graph.p", "energy prediction requires 0 < p < 1")
     if fractions is None:
-        prediction = predicted_energy_gnp(n, p)
-        m_report = n
+        m_report, c = n, 1.0
     elif len(fractions) < 2:
         raise ConfigError("graph.fractions",
                           "energy prediction needs at least two parts")
-    else:
+    else:  # balanced parts: c = (m-1)/m
         m_report = len(fractions)
-        prediction = predicted_energy_multipartite(n, m_report, p)
+        c = (m_report - 1) / m_report
+    prediction = leading_energy(n, p, c)
 
     def one(i):
         return graph_energy(sample_graph(spec, i), overwrite=True)
@@ -540,7 +528,8 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     has returned.  Raises ConfigError for bad configs and NumericError for
     a failed solve, floating-point trouble or a failed write; any other
     exception is a bug and propagates unchanged.  A failed run leaves no
-    files behind.
+    files behind, and neither does an interrupt (KeyboardInterrupt or any
+    other BaseException), which propagates unchanged too.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -581,7 +570,7 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
             written.append(out / "report.json")
             json.dump(report, fh, indent=2, sort_keys=True)
         return report
-    except Exception as exc:
+    except BaseException as exc:
         for f in written:
             f.unlink(missing_ok=True)
         if isinstance(exc, (SpectralError, np.linalg.LinAlgError,

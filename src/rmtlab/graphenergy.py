@@ -45,23 +45,12 @@ def graph_energy(A: np.ndarray, overwrite: bool = False) -> float:
     return float(np.sum(np.abs(eigenvalues_sym(A, overwrite=overwrite))))
 
 
-def _leading_energy(n: int, p: float, c: float = 1.0) -> float:
-    """n^(3/2) (8/(3 pi)) sqrt(c p (1-p)), the semicircle leading term."""
+def leading_energy(n: int, p: float, c: float = 1.0) -> float:
+    """n^(3/2) (8/(3 pi)) sqrt(c p (1-p)), the semicircle leading term:
+    c = 1 for the binomial graph, (m-1)/m for m balanced parts."""
     if not 0.0 < p < 1.0:
         raise EnsembleError("prediction requires 0 < p < 1")
     return n**1.5 * (8.0 / (3.0 * math.pi)) * math.sqrt(c * p * (1.0 - p))
-
-
-def predicted_energy_gnp(n: int, p: float) -> float:
-    """Leading term n^(3/2) (8/(3 pi)) sqrt(p(1-p)) for the binomial graph."""
-    return _leading_energy(n, p)
-
-
-def predicted_energy_multipartite(n: int, m: int, p: float) -> float:
-    """Leading term n^(3/2) (8/(3 pi)) sqrt((m-1)/m * p(1-p)) for balanced hosts."""
-    if m < 2:
-        raise EnsembleError("at least two parts required")
-    return _leading_energy(n, p, (m - 1) / m)
 
 
 def check_large_parts(m: int, large_part_indices) -> None:
@@ -81,7 +70,7 @@ def energy_bounds_unbalanced(spec: EnsembleSpec, large_part_indices) -> dict:
     fracs = spec.partition.fractions
     check_large_parts(len(fracs), large_part_indices)
     s = sum(fracs[i] ** 1.5 for i in large_part_indices)
-    lead = _leading_energy(spec.n, float(spec.law_cross.mean))
+    lead = leading_energy(spec.n, float(spec.law_cross.mean))
     return {"lower": (1.0 - s) * lead, "upper": (1.0 + s) * lead}
 
 
@@ -100,12 +89,6 @@ def _kyfan_verdict(lhs: float, rhs: float) -> dict:
     """lhs >= rhs up to a relative 1e-9 of the larger side (at least 1)."""
     scale = max(lhs, rhs, 1.0)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-9 * scale}
-
-
-def _part_bounds(partition: PartitionSpec) -> list[tuple[int, int]]:
-    """(lo, hi) index range of each part, in order."""
-    ends = list(itertools.accumulate(partition.sizes))
-    return list(zip([0] + ends[:-1], ends))
 
 
 def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
@@ -137,8 +120,9 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     # one part, so each strip takes one map
     fill = _symmetric_fill(PartitionSpec(n, (n,)), cross, cross, spec.seed,
                            replicate, stream=_FILL_STREAM, diagonal=False)
+    ends = list(itertools.accumulate(spec.partition.sizes))
     blocks = [(slice(lo, hi), fill[lo:hi, lo:hi].copy())
-              for a, (lo, hi) in enumerate(_part_bounds(spec.partition))
+              for a, (lo, hi) in enumerate(zip([0] + ends[:-1], ends))
               if a in large]
     del fill
     X = sample_graph(spec, replicate)

@@ -199,18 +199,14 @@ def gamma_proposition_printed(j: int, m: int, nu1, nu2):
                 + b * c * a * b + b * c * c * r) / 64
 
 
-def hankel_matrix(gammas, k: int) -> np.ndarray:
-    """(k+1)x(k+1) Hankel moment matrix with entry (i, j) = gamma_{i+j}."""
+def hankel_report(gammas, k: int) -> dict:
+    """Leading-minor determinants, minimum eigenvalue and a PSD verdict of
+    the (k+1)x(k+1) Hankel moment matrix H[i, j] = gamma_{i+j}."""
     values = list(gammas)
     if len(values) < 2 * k + 1:
         raise LawError(f"need moments up to order {2 * k}")
-    return np.array([[float(values[i + j]) for j in range(k + 1)]
-                     for i in range(k + 1)])
-
-
-def hankel_report(gammas, k: int) -> dict:
-    """Leading-minor determinants, minimum eigenvalue and a PSD verdict."""
-    H = hankel_matrix(gammas, k)
+    H = np.array([[float(values[i + j]) for j in range(k + 1)]
+                  for i in range(k + 1)])
     dets = [float(np.linalg.det(H[: r + 1, : r + 1])) for r in range(k + 1)]
     min_eig = float(eigenvalues_sym(H)[0])
     return {"determinants": dets, "min_eigenvalue": min_eig,

@@ -19,9 +19,8 @@ from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
                              make_partition, sample_cross_block,
                              sample_matrix, scale_matrix)
 from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
-                                histogram, reference_radius, run_experiment)
-from rmtlab.graphenergy import (graph_energy, predicted_energy_gnp,
-                                sample_graph)
+                                reference_radius, run_experiment)
+from rmtlab.graphenergy import graph_energy, sample_graph
 from rmtlab.laws import catalan, pseudo_char_grid, semicircle_moment
 from rmtlab.spectral import (SpectralError, _set_blas_threads, blas_threads,
                              eigenvalues_bipartite, eigenvalues_sym,
@@ -155,11 +154,11 @@ class TestConfigValidation:
         assert list(tmp_path.iterdir()) == []
 
     def test_numeric_failure_leaves_no_outputs(self, tmp_path, monkeypatch):
-        # the histogram runs after both replicate spectra are computed
+        # the KS distances run after both replicate spectra are computed
         def broken(*args, **kwargs):
             raise FloatingPointError("injected")
 
-        monkeypatch.setattr("rmtlab.experiments.histogram", broken)
+        monkeypatch.setattr("rmtlab.experiments.ks_distance", broken)
         with pytest.raises(NumericError):
             run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
         assert list(tmp_path.iterdir()) == []
@@ -169,9 +168,29 @@ class TestConfigValidation:
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
-        monkeypatch.setattr("rmtlab.experiments.histogram", broken)
+        monkeypatch.setattr("rmtlab.experiments.ks_distance", broken)
         with pytest.raises(TypeError, match="injected"):
             run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_during_write_leaves_no_outputs(self, tmp_path,
+                                                      monkeypatch):
+        # the second table is cut off mid-file by an interrupt, which is
+        # not an Exception; the first table is complete by then
+        write_csv = experiments._write_csv
+        calls = []
+
+        def interrupted(fh, header, rows):
+            calls.append(header)
+            if len(calls) == 2:
+                fh.write("eigenvalue\n0.")
+                raise KeyboardInterrupt
+            write_csv(fh, header, rows)
+
+        monkeypatch.setattr("rmtlab.experiments._write_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
+        assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_write_failure_removes_written_tables(self, tmp_path):
@@ -277,22 +296,6 @@ class TestReferenceRadius:
         assert not (tmp_path / "out").exists()
 
 
-class TestHistogram:
-    def test_counts_and_density(self):
-        eigs = np.array([0.1, 0.2, 0.3, 0.9])
-        edges, counts, density = histogram(eigs, 2, (0.0, 1.0))
-        assert list(counts) == [3, 1]
-        assert density[0] == pytest.approx(3 / (4 * 0.5))
-        assert np.allclose(edges, [0.0, 0.5, 1.0])
-
-    def test_density_integrates_to_one(self):
-        rng = np.random.default_rng(0)
-        eigs = rng.normal(size=500)
-        edges, counts, density = histogram(eigs, 25, (eigs.min(), eigs.max()))
-        width = edges[1] - edges[0]
-        assert float(np.sum(density) * width) == pytest.approx(1.0)
-
-
 class TestEsdRun:
     def test_outputs_and_report(self, tmp_path):
         cfg = rademacher_cfg("esd", n=60, bins=10)
@@ -332,13 +335,18 @@ class TestEsdRun:
             (tmp_path / "eigenvalues_r2.csv").read_bytes()
 
     def test_histogram_csv_parses(self, tmp_path):
-        run_experiment(rademacher_cfg("esd", n=40, bins=8), tmp_path)
+        # two replicates of n = 40: the histogram bins all 80 eigenvalues
+        run_experiment(rademacher_cfg("esd", n=40, bins=8), tmp_path,
+                       replicates=2)
         with open(tmp_path / "histogram.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
-        assert sum(int(r["count"]) for r in rows) == 40
+        assert sum(int(r["count"]) for r in rows) == 80
         for r in rows:
-            assert float(r["bin_lo"]) < float(r["bin_hi"])
+            width = float(r["bin_hi"]) - float(r["bin_lo"])
+            assert width > 0
+            assert float(r["density"]) == pytest.approx(
+                int(r["count"]) / (80 * width), rel=1e-12)
 
     def test_histogram_covers_eigenvalues_beyond_the_radius(self, tmp_path):
         # 38 of these 400 eigenvalues lie beyond 1.05·R = 0.7535
@@ -670,20 +678,22 @@ class TestEnergyRun:
         assert cli_exit(tmp_path, cfg) == 2
         assert "graph.fractions" in capsys.readouterr().err
 
-    def test_ensemble_record_replays_the_energies(self, tmp_path):
-        # a graph record replays through sample_graph, whose stream has no
-        # diagonal entries; at n = 40 a solve is not split over BLAS threads
-        cfg = {"kind": "energy", "graph": {"n": 40, "p": 0.3}}
+    def replay(self, tmp_path, graph, m, c):
+        """Check energy.csv against energies replayed from the run's record
+        and the leading term n^(3/2) (8/(3 pi)) sqrt(c p (1-p))."""
+        cfg = {"kind": "energy", "graph": {"n": 40, "p": 0.3, **graph}}
         run_experiment(cfg, tmp_path, seed=11, replicates=3)
         report = json.loads((tmp_path / "report.json").read_text())
         spec = EnsembleSpec.from_dict(report["ensemble"])
         assert spec.seed == 11 and spec.law_intra == EntryLaw.constant_zero()
         assert spec.law_cross == EntryLaw.bernoulli(0.3)
-        n, prediction = 40, predicted_energy_gnp(40, 0.3)
+        n = 40
+        prediction = n**1.5 * (8.0 / (3.0 * math.pi)) \
+            * math.sqrt(c * 0.3 * (1.0 - 0.3))
         rows = []
         for i in range(3):
             e = graph_energy(sample_graph(spec, i))
-            rows.append([n, 0.3, n, i, e, e / n**1.5, prediction,
+            rows.append([n, 0.3, m, i, e, e / n**1.5, prediction,
                          (e - prediction) / prediction])
         replayed = io.StringIO(newline="")
         experiments._write_csv(replayed, ["n", "p", "m", "replicate",
@@ -691,6 +701,15 @@ class TestEnergyRun:
                                           "prediction", "rel_dev"], rows)
         assert replayed.getvalue().encode() == \
             (tmp_path / "energy.csv").read_bytes()
+
+    def test_ensemble_record_replays_the_energies(self, tmp_path):
+        # a graph record replays through sample_graph, whose stream has no
+        # diagonal entries; at n = 40 a solve is not split over BLAS threads
+        self.replay(tmp_path, {}, m=40, c=1.0)
+
+    def test_balanced_record_replays_the_energies(self, tmp_path):
+        # four balanced parts: c = (m-1)/m = 3/4
+        self.replay(tmp_path, {"fractions": [0.25] * 4}, m=4, c=3 / 4)
 
 
 class TestDecompositionRun:

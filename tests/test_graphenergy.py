@@ -9,8 +9,7 @@ from rmtlab.ensemble import (EnsembleError, EnsembleSpec, EntryLaw,
                              make_partition, singleton_partition)
 from rmtlab.graphenergy import (energy_bounds_unbalanced,
                                 energy_decomposition_check, graph_energy,
-                                kyfan_check, predicted_energy_gnp,
-                                predicted_energy_multipartite, sample_graph)
+                                kyfan_check, leading_energy, sample_graph)
 from rmtlab.laws import semicircle_density
 from rmtlab.spectral import singular_values
 
@@ -104,7 +103,7 @@ class TestPredictions:
         # sqrt(p(1-p)) semicircle, here by quadrature of its density
         from scipy.integrate import quad
         for n, p in ((100, 0.5), (1500, 0.2)):
-            direct = predicted_energy_gnp(n, p)
+            direct = leading_energy(n, p)
             R = math.sqrt(p * (1 - p))
             abs_mean, _ = quad(lambda x: abs(x) * semicircle_density(x, R),
                                -R, R, points=[0.0], epsabs=1e-13,
@@ -114,20 +113,19 @@ class TestPredictions:
     def test_multipartite_reduction(self):
         n, p = 900, 0.4
         for m in (2, 3, 5):
-            assert predicted_energy_multipartite(n, m, p) == pytest.approx(
-                predicted_energy_gnp(n, p) * math.sqrt((m - 1) / m))
+            assert leading_energy(n, p, (m - 1) / m) == pytest.approx(
+                leading_energy(n, p) * math.sqrt((m - 1) / m))
 
     def test_multipartite_monotone_in_m(self):
-        vals = [predicted_energy_multipartite(600, m, 0.3)
-                for m in range(2, 8)]
+        vals = [leading_energy(600, 0.3, (m - 1) / m) for m in range(2, 8)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < predicted_energy_gnp(600, 0.3)
+        assert vals[-1] < leading_energy(600, 0.3)
 
     def test_unbalanced_bounds_bracket_leading_term(self):
         n, p = 1200, 0.5
         b = energy_bounds_unbalanced(
             graph_spec(make_partition(n, [0.6, 0.2, 0.2]), p), [0])
-        lead = predicted_energy_gnp(n, p)
+        lead = leading_energy(n, p)
         s = 0.6**1.5
         assert b["lower"] == pytest.approx((1 - s) * lead)
         assert b["upper"] == pytest.approx((1 + s) * lead)
@@ -135,9 +133,7 @@ class TestPredictions:
 
     def test_validation(self):
         with pytest.raises(EnsembleError):
-            predicted_energy_gnp(100, 0.0)
-        with pytest.raises(EnsembleError):
-            predicted_energy_multipartite(100, 1, 0.5)
+            leading_energy(100, 0.0)
         halves = make_partition(100, [0.5, 0.5])
         with pytest.raises(EnsembleError):
             energy_bounds_unbalanced(graph_spec(halves, 0.5), [])
@@ -155,8 +151,7 @@ def test_empirical_energy_near_prediction():
     # leading-order prediction
     n, p = 500, 0.5
     A = sample_graph(graph_spec(singleton_partition(n), p, 13))
-    assert graph_energy(A) == pytest.approx(predicted_energy_gnp(n, p),
-                                            rel=0.05)
+    assert graph_energy(A) == pytest.approx(leading_energy(n, p), rel=0.05)
 
 
 class TestKyFan:

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import limit_gamma_walks
 from rmtlab.laws import (LawError, catalan, gamma_bipartite_printed,
-                         gamma_proposition_printed, hankel_matrix,
-                         hankel_report, limit_moments,
-                         pseudo_char, pseudo_char_grid,
+                         gamma_proposition_printed, hankel_report,
+                         limit_moments, pseudo_char, pseudo_char_grid,
                          semicircle_cdf, semicircle_density,
                          semicircle_moment, semicircle_stieltjes)
 
@@ -301,11 +300,15 @@ class TestHankel:
         return [float(semicircle_moment(k, R)) for k in range(L + 1)]
 
     def test_matrix_layout(self):
-        g = list(range(1, 8))
-        g[0] = 1
-        H = hankel_matrix(g, 3)
-        assert H.shape == (4, 4)
-        assert H[1, 2] == g[3] and H[3, 3] == g[6]
+        # H[i, j] = gamma_{i+j}, built here; no two leading minors agree
+        g = [1.0, 0.3, 2.0, -0.5, 7.0, 1.1, 30.0]
+        H = np.array([[g[i + j] for j in range(4)] for i in range(4)])
+        rep = hankel_report(g, 3)
+        assert rep["determinants"] == pytest.approx(
+            [np.linalg.det(H[: r + 1, : r + 1]) for r in range(4)],
+            rel=1e-12)
+        assert rep["min_eigenvalue"] == pytest.approx(
+            np.linalg.eigvalsh(H)[0], rel=1e-12)
 
     def test_semicircle_is_psd(self):
         rep = hankel_report(self.semicircle_gammas(1.0, 6), 3)
@@ -335,8 +338,8 @@ class TestHankel:
         assert not rep["psd"]
 
     def test_insufficient_moments(self):
-        with pytest.raises(LawError):
-            hankel_matrix([1.0, 0.0, 0.25], 2)
+        with pytest.raises(LawError, match="up to order 4"):
+            hankel_report([1.0, 0.0, 0.25], 2)
 
 
 def first_below_minus_one(rows):

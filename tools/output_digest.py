@@ -1,6 +1,8 @@
-"""Print a digest of every benchmark output of an rmtlab checkout.
+"""Print a digest of every benchmark output of an rmtlab checkout, or
+the lines where the digests of two checkouts differ.
 
     python3 tools/output_digest.py CHECKOUT
+    python3 tools/output_digest.py OLD NEW
 
 Runs each config of `perfbench.workloads.configs(w, s)`, for the three
 workloads and s in {1, 2}, through CHECKOUT's
@@ -10,16 +12,19 @@ sha256`, where the hash is `perfbench/outputs.fingerprint`'s (the report
 without `wall_clock_s`), taken once the report's `env` record, which names
 the host, is dropped.  The configs and the hash come from the perfbench of
 this script's own tree, so two checkouts give the same lines exactly when
-their outputs are byte-identical:
+their outputs are byte-identical.
 
-    python3 tools/output_digest.py OLD > old.txt
-    python3 tools/output_digest.py NEW > new.txt
-    diff old.txt new.txt
+With two checkouts, each digest runs in its own interpreter, as each
+imports its own `rmtlab`; the lines only OLD gives are printed with a
+leading `- `, those only NEW gives with `+ `.  The exit status is 1 when
+any line differs, 0 when none does and 2 when a digest fails.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,7 +33,24 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (1, 2)
 
 
+def compare(old: str, new: str) -> int:
+    digests = []
+    for tree in (old, new):
+        run = subprocess.run([sys.executable, __file__, tree], text=True,
+                             stdout=subprocess.PIPE)
+        if run.returncode:  # its traceback went to stderr
+            return 2
+        digests.append(run.stdout.splitlines())
+    differ = [line for line in difflib.ndiff(*digests)
+              if line[:2] in ("- ", "+ ")]
+    for line in differ:
+        print(line)
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        return compare(*argv)
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
