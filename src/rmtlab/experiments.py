@@ -18,6 +18,7 @@ serially on the pool as found.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -41,8 +42,8 @@ from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    pseudo_char_grid, semicircle_cdf, semicircle_moment,
                    semicircle_stieltjes)
-from .spectral import (SpectralError, _set_blas_threads, blas_threads,
-                       eigenvalues_bipartite, eigenvalues_sym,
+from .spectral import (SpectralError, _set_blas_threads, _two_stage_from_n,
+                       blas_threads, eigenvalues_bipartite, eigenvalues_sym,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
@@ -529,7 +530,8 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     a failed solve, floating-point trouble or a failed write; any other
     exception is a bug and propagates unchanged.  A failed run leaves no
     files behind, and neither does an interrupt (KeyboardInterrupt or any
-    other BaseException), which propagates unchanged too.
+    other BaseException), which propagates unchanged too; the directories
+    the run created go with them, and no directory that existed before.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -542,12 +544,15 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
         raise ConfigError("replicates", "must be at least 1")
     out = Path(out_dir)
     written: list[Path] = []
+    created: list[Path] = []
     t0 = time.monotonic()
-    # which BLAS pool computed the bits; runs differ in it only across hosts
+    # which BLAS pool and driver computed the bits; runs differ in them only
+    # across hosts
     pool = blas_threads()
     env = {"numpy": np.__version__, "blas": _BLAS_NAME, "blas_threads": pool,
            "cpu_count": os.cpu_count(),
-           "replicate_workers": _replicate_workers(pool, replicates)}
+           "replicate_workers": _replicate_workers(pool, replicates),
+           "two_stage_from_n": _two_stage_from_n()}
     try:
         fragment, tables = _RUNNERS[kind](config, seed, replicates)
         report = {
@@ -560,6 +565,8 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
             "env": env,
             **fragment,
         }
+        # the directories this run creates, deepest first
+        created = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         # a file counts as written once opened, so a partial one is removed
         for name, (header, rows) in tables.items():
@@ -573,6 +580,9 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     except BaseException as exc:
         for f in written:
             f.unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):  # not empty: not only ours
+                d.rmdir()
         if isinstance(exc, (SpectralError, np.linalg.LinAlgError,
                             ArithmeticError, OSError)):
             raise NumericError(f"{kind} experiment failed: {exc}") from exc

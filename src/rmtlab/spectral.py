@@ -4,11 +4,17 @@ Spectra, empirical spectral distributions (step CDFs), empirical moments,
 empirical Stieltjes transforms, singular values, and numeric checks of the
 rank inequality and the Stieltjes perturbation bound.
 
-Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd` are
-reached through ctypes: `blas_threads` reads the pool size and a symmetric
-solve may overwrite its input instead of copying it.  Every other solve,
-and every solve where the pool size is unknown (None), is
-`np.linalg.eigvalsh`.
+Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd`
+(and `dsyevd_2stage`, where the build has it) are reached through ctypes:
+`blas_threads` reads the pool size and a symmetric solve may overwrite its
+input instead of copying it.  Every other solve, and every solve where the
+pool size is unknown (None), is `np.linalg.eigvalsh`.
+
+The solve contract: an in-place solve below order `_TWO_STAGE_FROM_N`, or
+on a pool of more than one thread, gives `eigvalsh`'s bits.  From that
+order on a one-thread pool the driver is `dsyevd_2stage` (full to band to
+tridiagonal), whose eigenvalues differ from `eigvalsh`'s in the last bits;
+outputs stay a pure function of (config, seed) on one host.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ _STRIP = 64
 
 
 def _openblas():
-    """(get_num_threads, set_num_threads, LAPACKE_dsyevd) of the OpenBLAS
-    that numpy ships, the 64-bit-integer scipy-openblas build; None when
-    there is none."""
+    """(get_num_threads, set_num_threads, LAPACKE_dsyevd,
+    LAPACKE_dsyevd_2stage) of the OpenBLAS that numpy ships, the
+    64-bit-integer scipy-openblas build; None when there is none.  The
+    2-stage driver is None where the build lacks it."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libs / "*openblas*"))):
         lib = ctypes.CDLL(path)
@@ -42,19 +49,25 @@ def _openblas():
             evd = lib.scipy_LAPACKE_dsyevd64_
         except AttributeError:
             continue
+        evd2 = getattr(lib, "scipy_LAPACKE_dsyevd_2stage64_", None)
         get.restype, get.argtypes = ctypes.c_int, []
         put.restype, put.argtypes = None, [ctypes.c_int]
         # (layout, jobz, uplo, n, a, lda, w) -> info, lapack_int = int64
-        evd.restype = ctypes.c_int64
-        evd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                        ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                        ctypes.c_void_p]
-        return get, put, evd
+        for f in filter(None, (evd, evd2)):
+            f.restype = ctypes.c_int64
+            f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                          ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                          ctypes.c_void_p]
+        return get, put, evd, evd2
     return None
 
 
 _OPENBLAS = _openblas()
 _COL_MAJOR = 102
+# on one thread dsyevd_2stage's band reduction (BLAS-3) beats dsyevd's
+# memory-bound tridiagonal reduction from about this order; on two threads
+# it loses up to n = 1500 (crossover table in CHANGES.md)
+_TWO_STAGE_FROM_N = 1100
 
 
 def blas_threads() -> int | None:
@@ -67,13 +80,23 @@ def _set_blas_threads(k: int) -> None:
     _OPENBLAS[1](k)
 
 
+def _two_stage_from_n() -> int | None:
+    """The order from which an in-place solve on a one-thread pool is
+    `dsyevd_2stage`; None where the binding lacks that driver."""
+    return _TWO_STAGE_FROM_N if _OPENBLAS and _OPENBLAS[3] else None
+
+
 def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
     With `overwrite`, a float64 contiguous M is the solver's workspace and
     holds garbage afterwards; otherwise `np.linalg.eigvalsh` solves a copy.
-    The in-place solve is LAPACK's `dsyevd` on the lower triangle, as
-    `eigvalsh` calls it, so the two give the same bits.
+    The in-place solve reads the lower triangle.  Below order
+    `_two_stage_from_n()`, or on a BLAS pool of more than one thread, it is
+    LAPACK's `dsyevd`, as `eigvalsh` calls it, and gives `eigvalsh`'s bits.
+    From that order on a one-thread pool it is `dsyevd_2stage`: each
+    eigenvalue is within n * eps * max|eigenvalue| of `eigvalsh`'s, and
+    the same M gives the same bits on one host.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -92,13 +115,15 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
             raise SpectralError(f"eigensolver did not converge: {exc}") \
                 from exc
     # M is exactly symmetric, so its memory read column-major is M itself
+    cut = _two_stage_from_n()
+    two_stage = cut is not None and n >= cut and blas_threads() == 1
     w = np.empty(n)
-    info = _OPENBLAS[2](_COL_MAJOR, b"N", b"L", n, M.ctypes.data, n,
-                        w.ctypes.data)
+    info = _OPENBLAS[3 if two_stage else 2](_COL_MAJOR, b"N", b"L", n,
+                                            M.ctypes.data, n, w.ctypes.data)
     if info > 0:  # pragma: no cover - LAPACK failure
         raise SpectralError(f"eigensolver did not converge (info {info})")
     if info < 0:  # pragma: no cover - a bad argument or no memory: a bug
-        raise RuntimeError(f"LAPACKE_dsyevd failed (info {info})")
+        raise RuntimeError(f"LAPACKE solve failed (info {info})")
     return w
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmtlab import experiments
+from rmtlab import experiments, spectral
 from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
                              make_partition, sample_cross_block,
@@ -203,6 +203,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(rademacher_cfg("esd", bins=1), tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_failed_write_removes_the_directories_it_created(
+            self, tmp_path, monkeypatch):
+        def full(fh, header, rows):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("rmtlab.experiments._write_csv", full)
+        with pytest.raises(NumericError, match="no space left"):
+            run_experiment(rademacher_cfg("esd"), tmp_path / "new" / "out")
+        assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("field", ["replicates", "bins", "ensemble.n",
                                        "reference_radius"])
@@ -861,6 +871,9 @@ class TestThreads:
          "graph": {"n": 150, "p": 0.5, "fractions": [0.6, 0.2, 0.2],
                    "large_parts": [0, 2], "seed": 5}},
         pytest.param(zero_intra_cfg("moments"), id="moments_zero_intra"),
+        # from the cut a one-thread solve is dsyevd_2stage
+        pytest.param(rademacher_cfg("esd", n=spectral._TWO_STAGE_FROM_N),
+                     id="esd_at_the_two_stage_cut"),
     ], ids=lambda cfg: cfg["kind"])
     def test_outputs_do_not_depend_on_thread_count(self, tmp_path, cfg,
                                                    replicate_threads,
@@ -1185,9 +1198,21 @@ def test_env_names_the_pool_that_computed_the_bits(tmp_path, replicates):
         ["name"],
         "blas_threads": pool, "cpu_count": os.cpu_count(),
         "replicate_workers": 1 if pool is None or pool < 2
-        else min(replicates, experiments._HELPER_THREADS)}
+        else min(replicates, experiments._HELPER_THREADS),
+        "two_stage_from_n": spectral._TWO_STAGE_FROM_N
+        if spectral._OPENBLAS and spectral._OPENBLAS[3] else None}
     assert json.loads((tmp_path / "report.json").read_text())["env"] == \
         rep["env"]
+
+
+def test_env_has_no_two_stage_cut_without_the_driver(tmp_path, monkeypatch):
+    if spectral._OPENBLAS:
+        monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
+                            (*spectral._OPENBLAS[:3], None))
+    rep = run_experiment(rademacher_cfg("esd", n=20), tmp_path)
+    assert rep["env"]["two_stage_from_n"] is None
+    assert json.loads((tmp_path / "report.json").read_text())["env"][
+        "two_stage_from_n"] is None
 
 
 def test_all_kinds_registered():

@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_spec
+from rmtlab import spectral
 from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
     sample_matrix, scale_matrix
 from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import semicircle_cdf
-from rmtlab.spectral import (_set_blas_threads, blas_threads,
+from rmtlab.spectral import (_COL_MAJOR, _set_blas_threads,
+                             _two_stage_from_n, blas_threads,
                              check_rank_inequality,
                              check_stieltjes_perturbation,
                              eigenvalues_bipartite, eigenvalues_sym,
@@ -102,6 +104,50 @@ class TestInPlaceSolve:
         assert eigenvalues_sym(M, overwrite=True).tobytes() == \
             np.linalg.eigvalsh(kept).tobytes()
         assert np.array_equal(M, kept)
+
+    def test_two_stage_from_the_cut_on_one_thread(self):
+        cut = _two_stage_from_n()
+        if cut is None:
+            pytest.skip("numpy's OpenBLAS lacks LAPACKE_dsyevd_2stage")
+        M = random_symmetric(cut, np.random.default_rng(cut))
+        direct = np.empty(cut)
+        found = blas_threads()
+        _set_blas_threads(1)
+        try:
+            want = np.linalg.eigvalsh(M)
+            work = M.copy()
+            assert spectral._OPENBLAS[3](_COL_MAJOR, b"N", b"L", cut,
+                                         work.ctypes.data, cut,
+                                         direct.ctypes.data) == 0
+            got = [eigenvalues_sym(M.copy(), overwrite=True)
+                   for _ in range(2)]
+        finally:
+            _set_blas_threads(found)
+        assert got[0].tobytes() == direct.tobytes() == got[1].tobytes()
+        # the rounding rule of esd_sup_distance: n * eps * max|eigenvalue|
+        tol = cut * np.finfo(float).eps * np.max(np.abs(want))
+        assert np.max(np.abs(got[0] - want)) <= tol
+        assert got[0].tobytes() != want.tobytes()  # not dsyevd's bits
+
+    @needs_openblas
+    @pytest.mark.parametrize("below, pool, drop_2stage", [
+        (1, 1, False), (0, 2, False), (0, 1, True)],
+        ids=["below_the_cut", "two_threads", "no_2stage_symbol"])
+    def test_dsyevd_solves_elsewhere(self, monkeypatch, below, pool,
+                                     drop_2stage):
+        if drop_2stage:
+            monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
+                                (*spectral._OPENBLAS[:3], None))
+        n = spectral._TWO_STAGE_FROM_N - below
+        M = random_symmetric(n, np.random.default_rng(n))
+        found = blas_threads()
+        _set_blas_threads(pool)
+        try:
+            want = np.linalg.eigvalsh(M)
+            got = eigenvalues_sym(M, overwrite=True)
+        finally:
+            _set_blas_threads(found)
+        assert got.tobytes() == want.tobytes()
 
     def test_without_the_binding_eigvalsh_solves(self, monkeypatch):
         monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
