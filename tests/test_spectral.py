@@ -130,15 +130,15 @@ class TestInPlaceSolve:
         assert got[0].tobytes() != want.tobytes()  # not dsyevd's bits
 
     @needs_openblas
-    @pytest.mark.parametrize("below, pool, drop_2stage", [
+    @pytest.mark.parametrize("steps_below_cut, pool, drop_2stage", [
         (1, 1, False), (0, 2, False), (0, 1, True)],
         ids=["below_the_cut", "two_threads", "no_2stage_symbol"])
-    def test_dsyevd_solves_elsewhere(self, monkeypatch, below, pool,
-                                     drop_2stage):
+    def test_dsyevd_solves_elsewhere(self, monkeypatch, steps_below_cut,
+                                     pool, drop_2stage):
         if drop_2stage:
             monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
                                 (*spectral._OPENBLAS[:3], None))
-        n = spectral._TWO_STAGE_FROM_N - below
+        n = spectral._TWO_STAGE_FROM_N - steps_below_cut
         M = random_symmetric(n, np.random.default_rng(n))
         found = blas_threads()
         _set_blas_threads(pool)
