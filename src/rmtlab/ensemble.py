@@ -11,6 +11,7 @@ traversal order or thread schedule.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 import re
 from dataclasses import dataclass
@@ -326,6 +327,27 @@ def _philox(seed: int, replicate: int, stream: int = 0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _zeros(shape: tuple[int, int]) -> np.ndarray:
+    """A zeroed float64 array in an anonymous mapping of its own, returned
+    to the system once the array and its views are gone.
+
+    Samples, and the blocks copied out of them, are a run's largest
+    buffers, and their size changes from call to call.  From malloc they
+    would come out of the allocating thread's heap, which keeps a freed one
+    resident.  A smaller block may then split that hole, and the next
+    larger buffer grows the heap by a whole matrix: peak memory would hang
+    on which thread drew which replicate.  A mapping of its own leaves the
+    heaps to small blocks.  Every entry gets written, so the pages are
+    faulted in at once where the platform allows it.
+    """
+    if not hasattr(mmap, "MAP_ANONYMOUS"):  # pragma: no cover - not POSIX
+        return np.zeros(shape)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS \
+        | getattr(mmap, "MAP_POPULATE", 0)
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=flags)
+    return np.frombuffer(buf).reshape(shape)
+
+
 # rows per strip of _symmetric_fill; a strip's blocks stay in cache
 _ROW_BLOCK = 64
 
@@ -355,7 +377,7 @@ def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
     k = 0 if diagonal else 1
     width = n - k
     uniforms = _philox(seed, replicate, stream)
-    A = np.zeros((n, n))
+    A = _zeros((n, n))
     labels = partition.part_labels()
     for r in range(0, n, _ROW_BLOCK):
         last = min(r + _ROW_BLOCK, n) - 1
@@ -396,7 +418,7 @@ def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """
     n, n1 = spec.n, spec.partition.sizes[0]
     uniforms = _philox(spec.seed, replicate)
-    B = np.empty((n1, n - n1))
+    B = _zeros((n1, n - n1))
     for r in range(0, n1, _ROW_BLOCK):
         top = min(r + _ROW_BLOCK, n1)
         u = uniforms.random(_row_start(top, n) - _row_start(r, n))

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .ensemble import (EnsembleError, EnsembleSpec, PartitionSpec,
-                       _symmetric_fill)
+                       _symmetric_fill, _zeros)
 from .spectral import eigenvalues_sym, singular_values
 
 # stream tags for _philox so graph edges and decomposition fills
@@ -121,9 +121,12 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     fill = _symmetric_fill(PartitionSpec(n, (n,)), cross, cross, spec.seed,
                            replicate, stream=_FILL_STREAM, diagonal=False)
     ends = list(itertools.accumulate(spec.partition.sizes))
-    blocks = [(slice(lo, hi), fill[lo:hi, lo:hi].copy())
-              for a, (lo, hi) in enumerate(zip([0] + ends[:-1], ends))
-              if a in large]
+    blocks = []
+    for a, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        if a in large:
+            block = _zeros((hi - lo, hi - lo))
+            block[...] = fill[lo:hi, lo:hi]
+            blocks.append((slice(lo, hi), block))
     del fill
     X = sample_graph(spec, replicate)
     for s, block in blocks:

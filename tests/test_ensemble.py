@@ -1,5 +1,7 @@
 import json
 import math
+import mmap
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -277,7 +279,26 @@ class TestEntryLawMatchesPerKindOracle:
             EntryLaw.from_dict({"kind": kind, "params": {}})
 
 
+def _mapping(A):
+    while isinstance(A, np.ndarray):
+        A = A.base
+    return A.obj if isinstance(A, memoryview) else A
+
+
 class TestSampling:
+    def test_samples_are_mappings_of_their_own(self):
+        # a dropped sample goes back to the system at once instead of
+        # leaving a hole in the drawing thread's malloc heap
+        spec = rademacher_spec(300, [0.25, 0.75])
+        for sample in (sample_matrix, sample_cross_block, sample_graph):
+            A = sample(spec, 0)
+            buf = _mapping(A)
+            assert isinstance(buf, mmap.mmap) and len(buf) == A.nbytes
+            assert A.flags.writeable and A.flags.c_contiguous
+            gone = weakref.ref(buf)
+            del A, buf
+            assert gone() is None
+
     def test_zero_laws_give_zero_matrix(self):
         spec = EnsembleSpec(make_partition(6, [0.5, 0.5]),
                             EntryLaw.constant_zero(), EntryLaw.constant_zero(),
