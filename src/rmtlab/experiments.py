@@ -143,16 +143,13 @@ def reference_radius(spec: EnsembleSpec) -> float:
     return radius
 
 
-def _cell(x) -> str:
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-
 def _write_csv(fh, header, rows) -> None:
-    """The one CSV writer: floats (numpy's too) as repr(float(x)), other
-    cells with str."""
+    """The one CSV writer.  Cells are Python scalars or strings, which csv
+    writes as repr for a float and str for anything else; an ndarray of
+    rows is written as its .tolist()."""
     w = csv.writer(fh)
     w.writerow(header)
-    w.writerows([_cell(x) for x in row] for row in rows)
+    w.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
 
 
 # the threads of every replicate map, one per thread of the BLAS pool found
@@ -264,7 +261,8 @@ def _run_esd(cfg, seed, replicates):
     counts, edges = np.histogram(all_eigs, bins=bins, range=(-half, half))
     density = counts / (all_eigs.size * (edges[1] - edges[0]))
     tables["histogram.csv"] = (["bin_lo", "bin_hi", "count", "density"],
-                               list(zip(edges, edges[1:], counts, density)))
+                               list(zip(edges.tolist(), edges[1:].tolist(),
+                                        counts.tolist(), density.tolist())))
     report = {
         "ensemble": spec.to_dict(),
         "reference_radius": radius,
@@ -340,11 +338,16 @@ def _run_walks(cfg, seed, replicates):
     for k in range(2, max_k + 1, 2):
         v = k // 2 + 1
         shapes = enumerate_shapes(k, v)
-        g = sum(map(is_good_zero_mean, shapes))  # g(v, k)
+        g = int(np.count_nonzero(is_good_zero_mean(shapes)))  # g(v, k)
         t = catalan(k // 2)
         rows.append({"k": k, "v": v, "shapes": len(shapes), "good": g,
                      "catalan": t, "identity_holds": g == t})
-        shape_rows.extend([k, v, "-".join(map(str, s))] for s in shapes)
+        # every label is one digit (v <= 6): a row's characters are its
+        # labels' digits with a "-" between each two
+        text = np.full((len(shapes), 2 * k - 1), ord("-"), dtype=np.uint32)
+        text[:, ::2] = shapes + ord("0")
+        shape_rows.extend([k, v, s] for s in
+                          text.view(f"U{2 * k - 1}").ravel().tolist())
     tables = {
         "walks.csv": _table(["k", "v", "shapes", "good", "catalan",
                              "identity_holds"], rows),

@@ -269,6 +269,29 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
 
+class TestWriteCsv:
+    @staticmethod
+    def written(header, rows) -> bytes:
+        fh = io.StringIO(newline="")
+        experiments._write_csv(fh, header, rows)
+        return fh.getvalue().encode()
+
+    def test_floats_by_repr_others_by_str(self):
+        row = [0.1, 1e-05, 1e16, -0.0, math.nan, math.inf, True, 7, "a-b"]
+        got = self.written(["x"], [row])
+        assert got == b"x\r\n0.1,1e-05,1e+16,-0.0,nan,inf,True,7,a-b\r\n"
+        assert got.decode() == "x\r\n" + ",".join(
+            repr(c) if isinstance(c, float) else str(c) for c in row) + "\r\n"
+
+    def test_an_ndarray_is_written_as_its_list(self):
+        table = np.array([[0.1, -2.5e-300], [3.0, 1e16]])
+        assert self.written(["a", "b"], table) == \
+            self.written(["a", "b"], table.tolist())
+        eigs = np.linspace(-1, 1, 7)[:, None]
+        assert self.written(["eigenvalue"], eigs) == \
+            self.written(["eigenvalue"], eigs.tolist())
+
+
 class TestReferenceRadius:
     def spec(self, n, fractions, s_intra, s_cross):
         laws = {0: EntryLaw.constant_zero(), 1: EntryLaw.rademacher()}
@@ -521,7 +544,7 @@ class TestWalksRun:
             ["k,v,shape"]
         for k in range(2, max_k + 1, 2):
             v = k // 2 + 1
-            listed = enumerate_shapes(k, v)
+            listed = enumerate_shapes(k, v).tolist()
             g = sum(map(is_good_zero_mean, listed))
             walks.append(f"{k},{v},{len(listed)},{g},{catalan(k // 2)},"
                          f"{g == catalan(k // 2)}")

@@ -64,6 +64,7 @@ ALLOWED = {
         "replays a report's `ensemble` record",
     "spectral._openblas": "runs once, at import",
     "walks._walk_sum": "exact finite-n oracle, to be wired in (ROADMAP 1)",
+    "walks._kept_edges": "ditto",
     "walks.exact_trace_moment_by_order": "ditto",
     "walks.exact_expected_trace_moment": "ditto",
     "graphenergy.kyfan_check":

@@ -8,30 +8,44 @@ import numpy as np
 import pytest
 
 from conftest import graph_spec, limit_gamma_walks
+from rmtlab import walks
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
                              make_partition, sample_matrix, scale_matrix,
                              singleton_partition)
 from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import catalan, limit_moments
 from rmtlab.spectral import eigenvalues_sym, empirical_moment
-from rmtlab.walks import (WalkError, enumerate_shapes,
-                          exact_expected_trace_moment,
-                          exact_trace_moment_by_order, is_good_zero_mean,
-                          walk_edges)
+from rmtlab.walks import (WalkError, _edge_runs, _kept_edges, _walk_sum,
+                          enumerate_shapes, exact_expected_trace_moment,
+                          exact_trace_moment_by_order, is_good_zero_mean)
+
+
+def shape_tuples(k, v):
+    """enumerate_shapes(k, v) as a list of tuples."""
+    return list(map(tuple, enumerate_shapes(k, v).tolist()))
+
+
+def stirling2(k, v):
+    """S(k, v) by S(k, v) = v S(k-1, v) + S(k-1, v-1), S(0, 0) = 1."""
+    row = [1]  # S(0, .)
+    for n in range(1, k + 1):
+        row = [0] + [j * (row[j] if j < len(row) else 0) + row[j - 1]
+                     for j in range(1, n + 1)]
+    return row[v]
 
 
 class TestEnumerateShapes:
     def test_k2_v2(self):
-        assert enumerate_shapes(2, 2) == [(1, 2)]
+        assert shape_tuples(2, 2) == [(1, 2)]
 
     def test_k4_v3_contains_the_good_pair(self):
-        shapes = enumerate_shapes(4, 3)
+        shapes = shape_tuples(4, 3)
         assert (1, 2, 1, 3) in shapes and (1, 2, 3, 2) in shapes
         good = [s for s in shapes if is_good_zero_mean(s)]
         assert sorted(good) == [(1, 2, 1, 3), (1, 2, 3, 2)]
 
     def test_k4_v4_none_good(self):
-        shapes = enumerate_shapes(4, 4)
+        shapes = shape_tuples(4, 4)
         assert (1, 2, 3, 4) in shapes
         assert not any(is_good_zero_mean(s) for s in shapes)
 
@@ -60,7 +74,7 @@ class TestEnumerateShapes:
                     relabel[x] = len(relabel) + 1
                 canon.append(relabel[x])
             raw.add(tuple(canon))
-        assert set(enumerate_shapes(k, v)) == raw
+        assert set(shape_tuples(k, v)) == raw
 
     def test_bounds(self):
         with pytest.raises(WalkError):
@@ -69,8 +83,28 @@ class TestEnumerateShapes:
             enumerate_shapes(4, 0)
 
     def test_lexicographic_order(self):
-        shapes = enumerate_shapes(8, 4)
+        shapes = shape_tuples(8, 4)
         assert shapes == sorted(shapes)
+
+    def test_counts_are_stirling_numbers(self):
+        assert [stirling2(4, v) for v in range(5)] == [0, 1, 7, 6, 1]
+        for k in range(1, 13):
+            for v in range(1, k + 1):
+                assert enumerate_shapes(k, v).shape == (stirling2(k, v), k)
+
+    def test_rows_canonical_and_strictly_increasing(self):
+        for k in range(1, 11):
+            for v in range(1, k + 1):
+                shapes = enumerate_shapes(k, v)
+                assert shapes.dtype == np.int8
+                # first occurrences: each label at most one above the
+                # largest before it, starting from 1, and v reached
+                top = np.maximum.accumulate(shapes, axis=1)
+                assert (shapes[:, 0] == 1).all()
+                assert (shapes[:, 1:] <= top[:, :-1] + 1).all()
+                assert (top[:, -1] == v).all()
+                rows = shapes.tolist()
+                assert all(a < b for a, b in zip(rows, rows[1:]))
 
     def test_leaves_no_reference_cycles(self):
         gc.collect()
@@ -92,15 +126,36 @@ def loop_walk_edges(shape) -> Counter:
     return edges
 
 
+def run_counters(shapes) -> list[Counter]:
+    """The edge multiset of each walk, as walks._edge_runs gives it."""
+    return [Counter({(a, b): c for a, b, c in zip(*row) if c})
+            for row in zip(*(x.tolist() for x in _edge_runs(shapes)))]
+
+
+def walk_edges(shape) -> Counter:
+    """Multiset of unordered edges (loops allowed) of one closed walk, read
+    from walks._edge_runs."""
+    return run_counters(shape)[0]
+
+
 class TestWalkEdges:
     def test_matches_loop_oracle_on_every_shape(self):
         for k in range(1, 11):
             for v in range(1, k + 1):
-                for shape in enumerate_shapes(k, v):
-                    want = loop_walk_edges(shape)
-                    assert walk_edges(shape) == want
-                    assert is_good_zero_mean(shape) == \
-                        all(c >= 2 for c in want.values())
+                shapes = enumerate_shapes(k, v)
+                want = [loop_walk_edges(s) for s in shapes.tolist()]
+                assert run_counters(shapes) == want
+                assert is_good_zero_mean(shapes).tolist() == \
+                    [all(c >= 2 for c in w.values()) for w in want]
+
+    def test_raw_labels_of_any_size(self):
+        # 0-based index tuples, as good_index_tuples passes them
+        assert is_good_zero_mean((0, 40, 0, 40))
+        assert not is_good_zero_mean((0, 17, 33))
+        assert is_good_zero_mean(np.array([[0, 40, 0, 40], [0, 17, 33, 0]])
+                                 ).tolist() == [True, False]
+        assert walk_edges((0, 300, 300)) == Counter({(0, 300): 2,
+                                                     (300, 300): 1})
 
     def test_accepts_lists(self):
         assert walk_edges([1, 2, 1]) == walk_edges((1, 2, 1))
@@ -117,14 +172,16 @@ class TestWalkEdges:
 
 def good_shapes(k, v):
     """g(v, k), counted as the `walks` run counts it."""
-    return sum(map(is_good_zero_mean, enumerate_shapes(k, v)))
+    return int(np.count_nonzero(is_good_zero_mean(enumerate_shapes(k, v))))
 
 
 def good_index_tuples(k, v, n):
     """Good index tuples of length k over n vertices with exactly v distinct
     indices, enumerated directly: W_{v,k,n}, with no canonical shapes."""
-    return sum(1 for tup in itertools.product(range(n), repeat=k)
-               if len(set(tup)) == v and is_good_zero_mean(tup))
+    tuples = [tup for tup in itertools.product(range(n), repeat=k)
+              if len(set(tup)) == v]
+    return int(np.count_nonzero(
+        is_good_zero_mean(np.array(tuples).reshape(-1, k))))
 
 
 class TestGoodShapeCount:
@@ -176,7 +233,7 @@ def oracle_trace_moment_by_order(spec, k):
     sums = {}
     for tup in itertools.product(range(n), repeat=k):
         expect = Fraction(1)
-        for (a, b), mult in walk_edges(tup).items():
+        for (a, b), mult in loop_walk_edges(tup).items():
             expect *= (intra_m if labels[a] == labels[b] else cross_m)[mult]
             if expect == 0:
                 break
@@ -228,6 +285,66 @@ class TestWalkSumMatchesTupleOracle:
         spec = EnsembleSpec(singleton_partition(8), EntryLaw.rademacher(),
                             EntryLaw.two_point(-1, 2, Fraction(2, 3)), 0)
         assert_matches_oracle(spec, 6)
+
+
+def per_shape_kept_edges(k, v, factor):
+    """The edges (a, b, f_in, f_out) of each shape the walk sum keeps, by
+    the per-shape rule: every edge has a nonzero factor within a part, or
+    is no loop and has one across parts."""
+    kept = []
+    for shape in shape_tuples(k, v):
+        edges = sorted((a - 1, b - 1, factor(True, c), factor(False, c))
+                       for (a, b), c in loop_walk_edges(shape).items())
+        if all(f_in or (a != b and f_out) for a, b, f_in, f_out in edges):
+            kept.append(edges)
+    return kept
+
+
+class TestKeptEdges:
+    def test_array_filter_matches_per_shape_rule(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 9):
+            for trial in range(4):
+                # factors in {0, 1, 2}: some multiplicities have a zero
+                # factor within a part, across parts, or both
+                table = {(same, c): Fraction(int(x))
+                         for same in (True, False) for c, x in
+                         enumerate(rng.integers(0, 3, k + 1))}
+
+                def factor(same, c):
+                    return table[same, c]
+
+                for v in range(1, k + 1):
+                    got = [sorted(edges)
+                           for edges in _kept_edges(k, v, 1, factor)]
+                    assert got == per_shape_kept_edges(k, v, factor)
+
+    def test_budget_comes_before_per_shape_work(self, monkeypatch):
+        # at k = 12 every one of the 627,396 shapes on 7 labels is kept,
+        # times 2^7 part maps: over budget.  The factor table is read once
+        # per (same part, multiplicity), the shapes are read as one array,
+        # and no shape's edges are listed.
+        runs, listed = [], []
+
+        class Listed(np.ndarray):
+            def tolist(self):
+                listed.append(self.shape)
+                return super().tolist()
+
+        def counting_runs(shapes):
+            runs.append(len(shapes))
+            return tuple(x.view(Listed) for x in _edge_runs(shapes))
+
+        factors, weights = [], []
+        monkeypatch.setattr(walks, "_edge_runs", counting_runs)
+        with pytest.raises(WalkError, match="627396 shapes x 2"):
+            _walk_sum(12, 7, 2, lambda parts: weights.append(parts) or 1,
+                      lambda same, c: factors.append((same, c)) or 1)
+        assert runs == [627396]
+        assert len(factors) == 2 * 12 and weights == [] and listed == []
+        # within budget, the kept shapes' edges are listed
+        assert _walk_sum(4, 3, 1, lambda parts: 1, lambda same, c: 1) == 6
+        assert listed == [(6, 4)] * 3
 
 
 def bipartite_zero_intra_spec(n, seed=1):
