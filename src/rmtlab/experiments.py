@@ -63,65 +63,72 @@ class NumericError(RuntimeError):
     """An experiment failed numerically after config validation."""
 
 
-def _get(cfg: dict, field: str, typ, default=None, required: bool = False):
+def _get(cfg: dict, field: str, typ, default=None, required: bool = False,
+         lo=None, hi=None):
+    """The value at the dotted path `field` of cfg, through `_check`;
+    default where it is absent or null."""
     cur = cfg
     parts = field.split(".")
     for p in parts[:-1]:
         cur = cur.get(p, {}) if isinstance(cur, dict) else {}
-    if not isinstance(cur, dict) or parts[-1] not in cur or cur[parts[-1]] is None:
+    if not isinstance(cur, dict) or cur.get(parts[-1]) is None:
         if required:
             raise ConfigError(field, "missing required field")
         return default
-    val = cur[parts[-1]]
-    if typ in (int, float) and isinstance(val, (int, float)):
-        if isinstance(val, bool):
-            raise ConfigError(field, f"expected {typ}, got bool")
+    return _check(field, cur[parts[-1]], typ, lo, hi)
+
+
+def _check(field: str, val, typ, lo=None, hi=None):
+    """val, once it is a typ in [lo, hi]; a number must be finite, a bool
+    is no number, and a float field takes an int and returns it as float."""
+    if isinstance(val, bool) or not isinstance(
+            val, (int, float) if typ is float else typ):
+        raise ConfigError(field, f"expected {typ}, got {type(val).__name__}")
+    if isinstance(val, (int, float)):
         if not is_finite(val):
             raise ConfigError(field, f"expected a finite number, got {val}")
+        if (lo is not None and val < lo) or (hi is not None and val > hi):
+            raise ConfigError(field, f"must be at least {lo}" if hi is None
+                              else f"must lie in [{lo}, {hi}]")
         if typ is float:
             val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigError(field, f"expected {typ}, got {type(val).__name__}")
     return val
 
 
 def _items(values: list, field: str, typ=(int, float)) -> list:
-    """values, once every item is a finite typ; a bool counts as no number."""
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, typ):
-            raise ConfigError(f"{field}[{i}]",
-                              f"expected {typ}, got {type(v).__name__}")
-        if not is_finite(v):
-            raise ConfigError(f"{field}[{i}]",
-                              f"expected a finite number, got {v}")
-    return values
+    """values, once every item passes `_check` as a typ."""
+    return [_check(f"{field}[{i}]", v, typ) for i, v in enumerate(values)]
+
+
+@contextlib.contextmanager
+def _as_config_error(field: str):
+    """Raise a library's refusal of its arguments (EnsembleError, LawError)
+    as ConfigError(field)."""
+    try:
+        yield
+    except (EnsembleError, LawError) as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 def _ensemble_spec(cfg: dict, seed_override=None) -> EnsembleSpec:
     if "reference_radius" in cfg:  # a set radius would score another law
         raise ConfigError("reference_radius", "not a config key")
-    n = _get(cfg, "ensemble.n", int, required=True)
-    if n < 1:
-        raise ConfigError("ensemble.n", "must be at least 1")
+    n = _get(cfg, "ensemble.n", int, required=True, lo=1)
     fractions = _items(_get(cfg, "ensemble.fractions", list, required=True),
                        "ensemble.fractions")
     law_intra = _law(cfg, "ensemble.law_intra")
     law_cross = _law(cfg, "ensemble.law_cross")
     seed = seed_override if seed_override is not None \
         else _get(cfg, "ensemble.seed", int, default=0)
-    try:
+    with _as_config_error("ensemble"):
         return EnsembleSpec(partition=make_partition(n, fractions),
                             law_intra=law_intra, law_cross=law_cross,
                             seed=seed)
-    except EnsembleError as exc:
-        raise ConfigError("ensemble", str(exc)) from exc
 
 
 def _law(cfg: dict, field: str) -> EntryLaw:
-    try:
+    with _as_config_error(field):
         return EntryLaw.from_dict(_get(cfg, field, dict, required=True))
-    except EnsembleError as exc:
-        raise ConfigError(field, str(exc)) from exc
 
 
 def reference_radius(spec: EnsembleSpec) -> float:
@@ -238,9 +245,8 @@ def _spectra(spec: EnsembleSpec, replicates: int):
 
 def _run_esd(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
-    bins = _get(cfg, "bins", int, default=40)
-    if bins < 2:
-        raise ConfigError("bins", "need at least 2 bins")
+    # charfn's cap on grid points caps the histogram too
+    bins = _get(cfg, "bins", int, default=40, lo=2, hi=10**6)
     radius = reference_radius(spec)
     spectra = _spectra(spec, replicates)
     tables = {}
@@ -278,9 +284,7 @@ def _run_esd(cfg, seed, replicates):
 
 def _run_moments(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
-    max_k = _get(cfg, "max_k", int, default=8)
-    if not 1 <= max_k <= 64:
-        raise ConfigError("max_k", "must be in 1..64")
+    max_k = _get(cfg, "max_k", int, default=8, lo=1, hi=64)
     radius = reference_radius(spec)
     spectra = _spectra(spec, replicates)
     rows = []
@@ -330,9 +334,9 @@ def _run_stieltjes(cfg, seed, replicates):
 
 
 def _run_walks(cfg, seed, replicates):
-    max_k = _get(cfg, "max_k", int, default=8)
-    if not 2 <= max_k <= 10 or max_k % 2 != 0:
-        raise ConfigError("max_k", "must be an even integer in 2..10")
+    max_k = _get(cfg, "max_k", int, default=8, lo=2, hi=10)
+    if max_k % 2 != 0:
+        raise ConfigError("max_k", "must be even")
     rows = []
     shape_rows = []
     for k in range(2, max_k + 1, 2):
@@ -358,56 +362,48 @@ def _run_walks(cfg, seed, replicates):
         tables
 
 
-def _hankel_gammas(cfg, k: int):
-    """(gamma_0..gamma_2k, source).  `main` (m equal parts) and `walk_oracle`
-    (the given fractions; [1] is the semicircle of radius sqrt(sigma1sq))
-    are `limit_moments`; the two `*_printed` sources are the paper's text."""
-    source = _get(cfg, "hankel.source", str, default="main")
+def _hankel_gammas(cfg, source: str, k: int):
+    """gamma_0..gamma_2k.  `main` (m equal parts) and `walk_oracle` (the
+    given fractions; [1] is the semicircle of radius sqrt(sigma1sq)) are
+    `limit_moments`; the two `*_printed` sources are the paper's text."""
     L = 2 * k
     if source in ("main", "walk_oracle"):
         s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
         if source == "main":
-            m = _get(cfg, "hankel.m", int, default=2)
-            if m < 2:
-                raise ConfigError("hankel.m", "must be at least 2")
+            m = _get(cfg, "hankel.m", int, default=2, lo=2)
             fractions = [Fraction(1, m)] * m
             s1 = _get(cfg, "hankel.sigma1sq", float, default=1.0)
         else:
             fractions = _get(cfg, "hankel.fractions", list, required=True)
-            try:
+            with _as_config_error("hankel.fractions"):
                 check_fractions(_items(fractions, "hankel.fractions"))
-            except EnsembleError as exc:
-                raise ConfigError("hankel.fractions", str(exc)) from exc
             s1 = _get(cfg, "hankel.sigma1sq", float, default=0.0)
-        return [float(g) for g in limit_moments(fractions, s1, s2, L)], source
+        return [float(g) for g in limit_moments(fractions, s1, s2, L)]
     if source == "bipartite_printed":
         nu1 = _get(cfg, "hankel.nu1", float, required=True)
         s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
         vals = [gamma_bipartite_printed(j, nu1, 1 - nu1, s2)
                 for j in range(L + 1)]
         vals[0] = 1.0  # printed formula is only stated for k >= 1
-        return vals, source
+        return vals
     if source == "proposition_printed":
         m = _get(cfg, "hankel.m", int, required=True)
         nu1 = _get(cfg, "hankel.nu1", float, required=True)
         nu2 = _get(cfg, "hankel.nu2", float, required=True)
-        if L > 6:
-            raise ConfigError("hankel.k", "printed values stop at gamma_6")
         vals = [1.0] + [0.0] * L
         for j in range(1, k + 1):
             vals[2 * j] = float(gamma_proposition_printed(j, m, nu1, nu2))
-        return vals, source
+        return vals
     raise ConfigError("hankel.source", f"unknown source {source!r}")
 
 
 def _run_hankel(cfg, seed, replicates):
-    k = _get(cfg, "hankel.k", int, default=3)
-    if not 1 <= k <= 5:
-        raise ConfigError("hankel.k", "must be in 1..5")
-    try:  # the law functions reject their arguments with LawError
-        gammas, source = _hankel_gammas(cfg, k)
-    except LawError as exc:
-        raise ConfigError("hankel", str(exc)) from exc
+    source = _get(cfg, "hankel.source", str, default="main")
+    # the printed proposition stops at gamma_6
+    k = _get(cfg, "hankel.k", int, default=3, lo=1,
+             hi=3 if source == "proposition_printed" else 5)
+    with _as_config_error("hankel"):
+        gammas = _hankel_gammas(cfg, source, k)
     rep = hankel_report(gammas, k)
     return {"source": source, "k": k, "gammas": gammas,
             "determinants": rep["determinants"],
@@ -421,33 +417,24 @@ def _run_charfn(cfg, seed, replicates):
     sigma2 = _get(cfg, "charfn.sigma2", float, default=1.0)
     t_max = _get(cfg, "charfn.t_max", float, default=60.0)
     step = _get(cfg, "charfn.step", float, default=0.05)
-    try:
+    with _as_config_error("charfn"):
         rows = list(pseudo_char_grid(nuhat, sigma2, t_max, step))
-    except LawError as exc:
-        raise ConfigError("charfn", str(exc)) from exc
     witness = next((t for t, val in rows if val < -1.0), None)
     return {"nuhat": nuhat, "sigma2": sigma2, "t_max": t_max,
             "witness": witness}, {"charfn.csv": (["t", "pseudo_char"], rows)}
 
 
 def _graph_setup(cfg, seed):
-    n = _get(cfg, "graph.n", int, required=True)
-    if n < 1:
-        raise ConfigError("graph.n", "must be at least 1")
-    p = _get(cfg, "graph.p", float, required=True)
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("graph.p", "must lie in [0, 1]")
+    n = _get(cfg, "graph.n", int, required=True, lo=1)
+    p = _get(cfg, "graph.p", float, required=True, lo=0.0, hi=1.0)
     fractions = _get(cfg, "graph.fractions", list)
     gseed = seed if seed is not None else _get(cfg, "graph.seed", int, default=0)
-    if not 0 <= gseed < 2**64:  # EnsembleSpec's rule for ensemble.seed
-        raise ConfigError("graph.seed", "seed must fit in 64 unsigned bits")
-    try:
+    with _as_config_error("graph.fractions"):
         partition = singleton_partition(n) if fractions is None \
             else make_partition(n, _items(fractions, "graph.fractions"))
-    except EnsembleError as exc:
-        raise ConfigError("graph.fractions", str(exc)) from exc
-    spec = EnsembleSpec(partition, EntryLaw.constant_zero(),
-                        EntryLaw.bernoulli(p), gseed)
+    with _as_config_error("graph.seed"):  # EnsembleSpec refuses only a seed
+        spec = EnsembleSpec(partition, EntryLaw.constant_zero(),
+                            EntryLaw.bernoulli(p), gseed)
     return spec, p, fractions
 
 
@@ -461,6 +448,10 @@ def _run_energy(cfg, seed, replicates):
     elif len(fractions) < 2:
         raise ConfigError("graph.fractions",
                           "energy prediction needs at least two parts")
+    elif len(set(fractions)) > 1:
+        raise ConfigError("graph.fractions",
+                          "energy predicts equal parts only; kind "
+                          "decomposition bounds the energy of unequal ones")
     else:  # balanced parts: c = (m-1)/m
         m_report = len(fractions)
         c = (m_report - 1) / m_report
@@ -492,10 +483,8 @@ def _run_decomposition(cfg, seed, replicates):
         raise ConfigError("graph.fractions", "decomposition needs explicit parts")
     large = _items(_get(cfg, "graph.large_parts", list, required=True),
                    "graph.large_parts", int)
-    try:
+    with _as_config_error("graph.large_parts"):
         check_large_parts(spec.partition.m, large)
-    except EnsembleError as exc:
-        raise ConfigError("graph.large_parts", str(exc)) from exc
 
     def one(i):
         return energy_decomposition_check(spec, large, i)
@@ -541,10 +530,9 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     kind = _get(config, "kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {kind!r}; valid: {KINDS}")
-    replicates = replicates if replicates is not None \
-        else _get(config, "replicates", int, default=1)
-    if replicates < 1:
-        raise ConfigError("replicates", "must be at least 1")
+    replicates = _check("replicates", replicates, int, lo=1) \
+        if replicates is not None \
+        else _get(config, "replicates", int, default=1, lo=1)
     out = Path(out_dir)
     written: list[Path] = []
     created: list[Path] = []

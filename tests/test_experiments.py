@@ -103,12 +103,69 @@ NON_FINITE = [
 ]
 
 
-def cli_exit(tmp_path, cfg):
-    """Exit code of `rmtlab <kind>` run on cfg."""
+def _graph_cfg(kind="energy", **graph):
+    base = {"n": 20, "p": 0.5}
+    if kind == "decomposition":
+        base.update(fractions=[0.5, 0.5], large_parts=[0])
+    return {"kind": kind, "graph": {**base, **graph}}
+
+
+def _hankel_cfg(**hankel):
+    return {"kind": "hankel", "hankel": {"source": "main", **hankel}}
+
+
+def _ensemble_seed_cfg(seed):
+    cfg = rademacher_cfg("esd", n=20)
+    cfg["ensemble"]["seed"] = seed
+    return cfg
+
+
+# a value just outside the inclusive range of each ranged field, the field
+# the error must name, and the command-line flags of the run; the seed
+# range [0, 2**64) is EnsembleSpec's, whose refusal names `graph.seed` for
+# a graph and `ensemble` for an ensemble
+BELOW_1 = math.nextafter(0.0, -1.0)
+ABOVE_1 = math.nextafter(1.0, 2.0)
+OUT_OF_RANGE = [
+    ("ensemble.n", rademacher_cfg("esd", n=0), []),
+    ("bins", rademacher_cfg("esd", n=20, bins=1), []),
+    ("bins", rademacher_cfg("esd", n=20, bins=10**6 + 1), []),
+    # the histogram takes at most charfn's 10**6 grid points; uncapped,
+    # 10**7 bins would build a 10**7-row histogram.csv in memory
+    ("bins", rademacher_cfg("esd", n=20, bins=10**7), []),
+    ("max_k", rademacher_cfg("moments", n=20, max_k=0), []),
+    ("max_k", rademacher_cfg("moments", n=20, max_k=65), []),
+    # even values, so the range refuses them and not the parity rule
+    ("max_k", {"kind": "walks", "max_k": 0}, []),
+    ("max_k", {"kind": "walks", "max_k": 12}, []),
+    ("hankel.k", _hankel_cfg(k=0), []),
+    ("hankel.k", _hankel_cfg(k=6), []),
+    ("hankel.k", _hankel_cfg(source="proposition_printed", m=3, nu1=0.8,
+                             nu2=0.1, k=4), []),
+    ("hankel.m", _hankel_cfg(m=1), []),
+    ("graph.n", _graph_cfg(n=0), []),
+    ("graph.n", _graph_cfg("decomposition", n=0), []),
+    ("graph.p", _graph_cfg(p=BELOW_1), []),
+    ("graph.p", _graph_cfg(p=ABOVE_1), []),
+    ("graph.p", _graph_cfg("decomposition", p=BELOW_1), []),
+    ("graph.p", _graph_cfg("decomposition", p=ABOVE_1), []),
+    ("graph.seed", _graph_cfg(seed=-1), []),
+    ("graph.seed", _graph_cfg(seed=2**64), []),
+    ("graph.seed", _graph_cfg("decomposition"), ["--seed", str(2**64)]),
+    ("ensemble", _ensemble_seed_cfg(-1), []),
+    ("ensemble", _ensemble_seed_cfg(2**64), []),
+    ("ensemble", rademacher_cfg("esd", n=20), ["--seed", "-1"]),
+    ("replicates", rademacher_cfg("esd", n=20, replicates=0), []),
+    ("replicates", rademacher_cfg("esd", n=20), ["--replicates", "0"]),
+]
+
+
+def cli_exit(tmp_path, cfg, *flags):
+    """Exit code of `rmtlab <kind>` run on cfg with the given flags."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return cli_main([cfg["kind"], "--config", str(path),
-                     "--out", str(tmp_path / "out")])
+                     "--out", str(tmp_path / "out"), *flags])
 
 
 class TestConfigValidation:
@@ -266,6 +323,15 @@ class TestConfigValidation:
         cfg = rademacher_cfg("esd", n=n, fractions=fractions)
         assert cli_exit(tmp_path, cfg) == 2
         assert "config error: ensemble.n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, cfg, flags", OUT_OF_RANGE,
+                             ids=[f"{field}-{i}" for i, (field, _, _)
+                                  in enumerate(OUT_OF_RANGE)])
+    def test_out_of_range_exits_two(self, tmp_path, capsys, field, cfg,
+                                    flags):
+        assert cli_exit(tmp_path, cfg, *flags) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -710,6 +776,14 @@ class TestEnergyRun:
                "graph": {"n": 20, "p": 0.5, "fractions": [1.0]}}
         assert cli_exit(tmp_path, cfg) == 2
         assert "graph.fractions" in capsys.readouterr().err
+
+    def test_unequal_parts_exit_two(self, tmp_path, capsys):
+        # the leading term c = (m-1)/m holds for equal parts only
+        cfg = {"kind": "energy",
+               "graph": {"n": 20, "p": 0.5, "fractions": [0.8, 0.2]}}
+        assert cli_exit(tmp_path, cfg) == 2
+        assert "config error: graph.fractions:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def replay(self, tmp_path, graph, m, c):
         """Check energy.csv against energies replayed from the run's record

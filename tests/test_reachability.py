@@ -93,7 +93,7 @@ def defined_functions() -> dict:
                 code = getattr(member, "__code__", None)
                 if code is not None and Path(code.co_filename).parent == SRC:
                     found[f"{Path(code.co_filename).stem}."
-                          f"{code.co_qualname}"] = code
+                          f"{member.__qualname__}"] = code
     return found
 
 
