@@ -1,7 +1,9 @@
 """Config-driven experiment runner.
 
 Each experiment kind samples and analyzes; `run_experiment` then writes a
-`report.json` plus kind-specific CSV files into an output directory.
+`report.json` plus kind-specific CSV files into an output directory, which
+must be absent or empty.  The files are written into a hidden staging
+directory beside it and appear together, by one rename, or not at all.
 Outputs are a pure function of (config, seed) on one host: every random
 draw is counter-based, and each replicate's result lands at its own index.
 
@@ -23,6 +25,8 @@ import csv
 import json
 import math
 import os
+import shutil
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -47,6 +51,8 @@ from .spectral import (SpectralError, _set_blas_threads, _two_stage_from_n,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
+# a seed, from the config or the command line: EnsembleSpec's 64 bits
+_SEED_HI = 2**64 - 1
 _BLAS_NAME = np.show_config(mode="dicts").get("Build Dependencies", {}) \
     .get("blas", {}).get("name")
 
@@ -119,7 +125,7 @@ def _ensemble_spec(cfg: dict, seed_override=None) -> EnsembleSpec:
     law_intra = _law(cfg, "ensemble.law_intra")
     law_cross = _law(cfg, "ensemble.law_cross")
     seed = seed_override if seed_override is not None \
-        else _get(cfg, "ensemble.seed", int, default=0)
+        else _get(cfg, "ensemble.seed", int, default=0, lo=0, hi=_SEED_HI)
     with _as_config_error("ensemble"):
         return EnsembleSpec(partition=make_partition(n, fractions),
                             law_intra=law_intra, law_cross=law_cross,
@@ -387,7 +393,7 @@ def _hankel_gammas(cfg, source: str, k: int):
         vals[0] = 1.0  # printed formula is only stated for k >= 1
         return vals
     if source == "proposition_printed":
-        m = _get(cfg, "hankel.m", int, required=True)
+        m = _get(cfg, "hankel.m", int, required=True, lo=3)
         nu1 = _get(cfg, "hankel.nu1", float, required=True)
         nu2 = _get(cfg, "hankel.nu2", float, required=True)
         vals = [1.0] + [0.0] * L
@@ -428,14 +434,13 @@ def _graph_setup(cfg, seed):
     n = _get(cfg, "graph.n", int, required=True, lo=1)
     p = _get(cfg, "graph.p", float, required=True, lo=0.0, hi=1.0)
     fractions = _get(cfg, "graph.fractions", list)
-    gseed = seed if seed is not None else _get(cfg, "graph.seed", int, default=0)
+    gseed = seed if seed is not None \
+        else _get(cfg, "graph.seed", int, default=0, lo=0, hi=_SEED_HI)
     with _as_config_error("graph.fractions"):
         partition = singleton_partition(n) if fractions is None \
             else make_partition(n, _items(fractions, "graph.fractions"))
-    with _as_config_error("graph.seed"):  # EnsembleSpec refuses only a seed
-        spec = EnsembleSpec(partition, EntryLaw.constant_zero(),
-                            EntryLaw.bernoulli(p), gseed)
-    return spec, p, fractions
+    return EnsembleSpec(partition, EntryLaw.constant_zero(),
+                        EntryLaw.bernoulli(p), gseed), p, fractions
 
 
 def _run_energy(cfg, seed, replicates):
@@ -517,13 +522,17 @@ KINDS = tuple(_RUNNERS)
 def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     """Execute the configured study, writing report.json and CSVs.
 
-    The runner computes every table first; files are written only once it
-    has returned.  Raises ConfigError for bad configs and NumericError for
-    a failed solve, floating-point trouble or a failed write; any other
-    exception is a bug and propagates unchanged.  A failed run leaves no
-    files behind, and neither does an interrupt (KeyboardInterrupt or any
-    other BaseException), which propagates unchanged too; the directories
-    the run created go with them, and no directory that existed before.
+    out_dir must be absent or an empty directory; anything else is a
+    ConfigError, raised before the runner computes its tables.  The files
+    are written into a hidden `.<name>.*` staging directory beside `top`,
+    the highest missing directory on the path to out_dir (out_dir itself
+    when it exists), and one rename publishes them whole.  Raises
+    ConfigError for bad configs and NumericError for a failed solve,
+    floating-point trouble, or a failed write or rename (as when another
+    run has published into out_dir first); any other exception is a bug
+    and propagates unchanged, as does an interrupt.  A failed or
+    interrupted run removes its staging directory; a killed one can leave
+    only that, never a partial set at out_dir.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -533,9 +542,8 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     replicates = _check("replicates", replicates, int, lo=1) \
         if replicates is not None \
         else _get(config, "replicates", int, default=1, lo=1)
-    out = Path(out_dir)
-    written: list[Path] = []
-    created: list[Path] = []
+    if seed is not None:
+        _check("seed", seed, int, lo=0, hi=_SEED_HI)
     t0 = time.monotonic()
     # which BLAS pool and driver computed the bits; runs differ in them only
     # across hosts
@@ -545,6 +553,10 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
            "replicate_workers": _replicate_workers(pool, replicates),
            "two_stage_from_n": _two_stage_from_n()}
     try:
+        out = Path(out_dir).resolve()
+        if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+            raise ConfigError("out", f"{out_dir} exists and is not an empty "
+                                     "directory")
         fragment, tables = _RUNNERS[kind](config, seed, replicates)
         report = {
             "kind": kind,
@@ -556,25 +568,23 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
             "env": env,
             **fragment,
         }
-        # the directories this run creates, deepest first
-        created = [d for d in (out, *out.parents) if not d.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        # a file counts as written once opened, so a partial one is removed
-        for name, (header, rows) in tables.items():
-            with open(out / name, "w", newline="") as fh:
-                written.append(out / name)
-                _write_csv(fh, header, rows)
-        with open(out / "report.json", "w") as fh:
-            written.append(out / "report.json")
-            json.dump(report, fh, indent=2, sort_keys=True)
+        top = next((d for d in reversed(out.parents) if not d.exists()), out)
+        staging = Path(tempfile.mkdtemp(prefix=f".{top.name}.",
+                                        dir=top.parent))
+        try:
+            # top's tree is made by mkdir, so it gets mkdir's mode and not
+            # mkdtemp's 0700
+            staged = staging / top.name / out.relative_to(top)
+            staged.mkdir(parents=True)
+            for name, (header, rows) in tables.items():
+                with open(staged / name, "w", newline="") as fh:
+                    _write_csv(fh, header, rows)
+            with open(staged / "report.json", "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+            os.rename(staging / top.name, top)  # the one commit point
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
         return report
-    except BaseException as exc:
-        for f in written:
-            f.unlink(missing_ok=True)
-        for d in created:
-            with contextlib.suppress(OSError):  # not empty: not only ours
-                d.rmdir()
-        if isinstance(exc, (SpectralError, np.linalg.LinAlgError,
-                            ArithmeticError, OSError)):
-            raise NumericError(f"{kind} experiment failed: {exc}") from exc
-        raise
+    except (SpectralError, np.linalg.LinAlgError, ArithmeticError,
+            OSError) as exc:
+        raise NumericError(f"{kind} experiment failed: {exc}") from exc

@@ -4,11 +4,14 @@ import itertools
 import json
 import math
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,8 +125,7 @@ def _ensemble_seed_cfg(seed):
 
 # a value just outside the inclusive range of each ranged field, the field
 # the error must name, and the command-line flags of the run; the seed
-# range [0, 2**64) is EnsembleSpec's, whose refusal names `graph.seed` for
-# a graph and `ensemble` for an ensemble
+# range [0, 2**64) is EnsembleSpec's
 BELOW_1 = math.nextafter(0.0, -1.0)
 ABOVE_1 = math.nextafter(1.0, 2.0)
 OUT_OF_RANGE = [
@@ -151,12 +153,16 @@ OUT_OF_RANGE = [
     ("graph.p", _graph_cfg("decomposition", p=ABOVE_1), []),
     ("graph.seed", _graph_cfg(seed=-1), []),
     ("graph.seed", _graph_cfg(seed=2**64), []),
-    ("graph.seed", _graph_cfg("decomposition"), ["--seed", str(2**64)]),
-    ("ensemble", _ensemble_seed_cfg(-1), []),
-    ("ensemble", _ensemble_seed_cfg(2**64), []),
-    ("ensemble", rademacher_cfg("esd", n=20), ["--seed", "-1"]),
+    ("seed", _graph_cfg("decomposition"), ["--seed", str(2**64)]),
+    ("ensemble.seed", _ensemble_seed_cfg(-1), []),
+    ("ensemble.seed", _ensemble_seed_cfg(2**64), []),
+    ("seed", rademacher_cfg("esd", n=20), ["--seed", "-1"]),
     ("replicates", rademacher_cfg("esd", n=20, replicates=0), []),
     ("replicates", rademacher_cfg("esd", n=20), ["--replicates", "0"]),
+    # the kinds that sample nothing refuse a bad `--seed` too
+    ("seed", {"kind": "walks", "max_k": 2}, ["--seed", "-1"]),
+    ("seed", _hankel_cfg(), ["--seed", "-1"]),
+    ("seed", {"kind": "charfn", "charfn": {"nuhat": 0.5}}, ["--seed", "-1"]),
 ]
 
 
@@ -250,11 +256,23 @@ class TestConfigValidation:
         assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_write_failure_removes_written_tables(self, tmp_path):
-        (tmp_path / "report.json").mkdir()  # the last write cannot open
-        with pytest.raises(NumericError):
+    def test_write_failure_removes_written_tables(self, tmp_path,
+                                                  monkeypatch):
+        # the three tables are written; then the report cannot open
+        opened = []
+
+        def report_fails(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            if opened[-1] == "report.json":
+                raise OSError("injected")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "open", report_fails, raising=False)
+        with pytest.raises(NumericError, match="injected"):
             run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
-        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert opened == ["eigenvalues_r0.csv", "eigenvalues_r1.csv",
+                          "histogram.csv", "report.json"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_creates_no_directory(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -333,6 +351,111 @@ class TestConfigValidation:
         assert cli_exit(tmp_path, cfg, *flags) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# a child that runs esd with two replicates into argv[2] and SIGKILLs
+# itself halfway through the second table
+KILLED_IN_WRITE = """
+import json, os, signal, sys
+from rmtlab import experiments
+write_csv = experiments._write_csv
+calls = []
+
+def killed(fh, header, rows):
+    calls.append(header)
+    if len(calls) == 2:
+        fh.write("eigenvalue\\n0.")
+        fh.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+    write_csv(fh, header, rows)
+
+experiments._write_csv = killed
+experiments.run_experiment(json.loads(sys.argv[1]), sys.argv[2], replicates=2)
+"""
+
+
+class TestPublish:
+    """The output set appears at --out by one rename, or not at all."""
+
+    def test_killed_run_leaves_no_partial_set(self, tmp_path):
+        out = tmp_path / "out"
+        src = str(Path(experiments.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_IN_WRITE,
+             json.dumps(rademacher_cfg("esd")), str(out)],
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert child.returncode == -signal.SIGKILL
+        assert not out.exists()
+        # only the hidden staging directory is left, beside out
+        staging, = tmp_path.iterdir()
+        assert staging.name.startswith(".out.")
+        run_experiment(rademacher_cfg("esd"), out, replicates=2)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "eigenvalues_r0.csv", "eigenvalues_r1.csv", "histogram.csv",
+            "report.json"]
+
+    def test_rerun_into_a_full_out_exits_two_before_computing(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg = rademacher_cfg("esd", n=20)
+        assert cli_exit(tmp_path, cfg, "--replicates", "3") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        def computed(*args):
+            raise TypeError("the runner computed")
+
+        monkeypatch.setattr(experiments, "_spectra", computed)
+        assert cli_exit(tmp_path, cfg, "--replicates", "1") == 2
+        assert "config error: out:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert len(before) == 5
+
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("kept")
+        assert cli_exit(tmp_path, {"kind": "walks", "max_k": 2}) == 2
+        assert "config error: out:" in capsys.readouterr().err
+        assert (tmp_path / "out").read_text() == "kept"
+
+    def test_published_directories_have_the_mode_of_mkdir(self, tmp_path):
+        run_experiment({"kind": "walks", "max_k": 2}, tmp_path / "a" / "b")
+        (tmp_path / "sibling").mkdir()
+        mode = (tmp_path / "sibling").stat().st_mode
+        assert (tmp_path / "a").stat().st_mode == mode
+        assert (tmp_path / "a" / "b").stat().st_mode == mode
+        assert sorted(os.listdir(tmp_path)) == ["a", "sibling"]
+
+    def test_relative_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_k": 2}))
+        assert cli_main(["walks", "--config", "cfg.json",
+                         "--out", "rel/out"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "rel"]
+        assert os.listdir(tmp_path / "rel") == ["out"]
+        assert sorted(os.listdir(tmp_path / "rel" / "out")) == [
+            "report.json", "shapes.csv", "walks.csv"]
+
+    def test_of_two_runs_into_one_out_the_second_to_rename_fails(
+            self, tmp_path, monkeypatch):
+        # a second run publishes into out while the first is writing
+        out = tmp_path / "out"
+        write_csv = experiments._write_csv
+        raced = []
+
+        def racing(fh, header, rows):
+            if not raced:
+                raced.append(out)  # the second run's own writes pass
+                raced.append(run_experiment({"kind": "walks", "max_k": 2},
+                                            out))
+            write_csv(fh, header, rows)
+
+        monkeypatch.setattr(experiments, "_write_csv", racing)
+        with pytest.raises(NumericError):
+            run_experiment(rademacher_cfg("esd", n=20), out)
+        assert raced[1]["kind"] == "walks"
+        assert os.listdir(tmp_path) == ["out"]
+        assert json.loads((out / "report.json").read_text())["kind"] == \
+            "walks"
 
 
 class TestWriteCsv:
@@ -664,7 +787,8 @@ class TestHankelRun:
                 ({"source": "walk_oracle", "fractions": [1], "sigma1sq": 1.7,
                   "sigma2sq": 1.7}, math.sqrt(1.7))):
             rep = run_experiment({"kind": "hankel",
-                                  "hankel": {**hankel, "k": 5}}, tmp_path)
+                                  "hankel": {**hankel, "k": 5}},
+                                 tmp_path / hankel["source"])
             assert rep["psd"]
             for k, g in enumerate(rep["gammas"]):
                 assert g == pytest.approx(semicircle_moment(k, radius),
@@ -674,11 +798,13 @@ class TestHankelRun:
         cfg = {"kind": "hankel", "hankel": {"source": "main", "m": 1}}
         assert cli_exit(tmp_path, cfg) == 2
 
-    def test_printed_constraint_exits_two(self, tmp_path):
+    def test_printed_constraint_exits_two(self, tmp_path, capsys):
         cfg = {"kind": "hankel",
                "hankel": {"source": "proposition_printed", "m": 2,
                           "nu1": 0.5, "nu2": 0.5, "k": 3}}
         assert cli_exit(tmp_path, cfg) == 2
+        assert "config error: hankel.m: must be at least 3" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("fractions", [[0.5, 0.7], [1.5, -0.5], []])
     def test_bad_fractions_exit_two(self, tmp_path, fractions):
@@ -901,7 +1027,7 @@ class TestGraphConfigErrors:
                                     "graph": {"n": 40, "p": 0.5}}))
         assert cli_main(["energy", "--config", str(path), "--out",
                          str(tmp_path / "out"), "--seed", "-3"]) == 2
-        assert "config error: graph.seed" in capsys.readouterr().err
+        assert "config error: seed:" in capsys.readouterr().err
 
 
 def _outputs(out):
