@@ -24,6 +24,10 @@ class EnsembleError(ValueError):
     """Invalid partition, law, or ensemble description."""
 
 
+# the largest seed: a seed is 64 unsigned bits
+SEED_HI = 2**64 - 1
+
+
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed <= SEED_HI:
             raise EnsembleError("seed must fit in 64 unsigned bits")
 
     @property

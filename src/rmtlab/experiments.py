@@ -36,9 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble import (EnsembleError, EnsembleSpec, EntryLaw, check_fractions,
-                       is_finite, make_partition, sample_cross_block,
-                       sample_matrix, scale_matrix, singleton_partition)
+from .ensemble import (SEED_HI, EnsembleError, EnsembleSpec, EntryLaw,
+                       check_fractions, is_finite, make_partition,
+                       sample_cross_block, sample_matrix, scale_matrix,
+                       singleton_partition)
 from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
                           energy_decomposition_check, graph_energy,
                           leading_energy, sample_graph)
@@ -51,8 +52,6 @@ from .spectral import (SpectralError, _set_blas_threads, _two_stage_from_n,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
-# a seed, from the config or the command line: EnsembleSpec's 64 bits
-_SEED_HI = 2**64 - 1
 _BLAS_NAME = np.show_config(mode="dicts").get("Build Dependencies", {}) \
     .get("blas", {}).get("name")
 
@@ -125,7 +124,7 @@ def _ensemble_spec(cfg: dict, seed_override=None) -> EnsembleSpec:
     law_intra = _law(cfg, "ensemble.law_intra")
     law_cross = _law(cfg, "ensemble.law_cross")
     seed = seed_override if seed_override is not None \
-        else _get(cfg, "ensemble.seed", int, default=0, lo=0, hi=_SEED_HI)
+        else _get(cfg, "ensemble.seed", int, default=0, lo=0, hi=SEED_HI)
     with _as_config_error("ensemble"):
         return EnsembleSpec(partition=make_partition(n, fractions),
                             law_intra=law_intra, law_cross=law_cross,
@@ -435,7 +434,7 @@ def _graph_setup(cfg, seed):
     p = _get(cfg, "graph.p", float, required=True, lo=0.0, hi=1.0)
     fractions = _get(cfg, "graph.fractions", list)
     gseed = seed if seed is not None \
-        else _get(cfg, "graph.seed", int, default=0, lo=0, hi=_SEED_HI)
+        else _get(cfg, "graph.seed", int, default=0, lo=0, hi=SEED_HI)
     with _as_config_error("graph.fractions"):
         partition = singleton_partition(n) if fractions is None \
             else make_partition(n, _items(fractions, "graph.fractions"))
@@ -522,17 +521,20 @@ KINDS = tuple(_RUNNERS)
 def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     """Execute the configured study, writing report.json and CSVs.
 
-    out_dir must be absent or an empty directory; anything else is a
-    ConfigError, raised before the runner computes its tables.  The files
-    are written into a hidden `.<name>.*` staging directory beside `top`,
-    the highest missing directory on the path to out_dir (out_dir itself
-    when it exists), and one rename publishes them whole.  Raises
-    ConfigError for bad configs and NumericError for a failed solve,
-    floating-point trouble, or a failed write or rename (as when another
-    run has published into out_dir first); any other exception is a bug
-    and propagates unchanged, as does an interrupt.  A failed or
-    interrupted run removes its staging directory; a killed one can leave
-    only that, never a partial set at out_dir.
+    out_dir must be absent or an empty directory, and not a mount point;
+    anything else is a ConfigError, raised before the runner computes.
+    Before it computes, the run also makes a hidden `.<name>.*` staging
+    directory beside `top`, the highest missing directory on the path to
+    out_dir (out_dir itself when it exists), and a failure to make it is a
+    ConfigError too.  The files are written there and one rename publishes
+    them whole; an existing out_dir is replaced by a new directory with its
+    mode but not its owner or ACLs.  Raises ConfigError for bad configs and
+    NumericError for a failed solve, floating-point trouble, or a failed
+    write or rename (as when another run has published into out_dir
+    first); any other exception is a bug and propagates unchanged, as does
+    an interrupt.  A failed or interrupted run removes its staging
+    directory; a killed one can leave only that, never a partial set at
+    out_dir.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -543,7 +545,7 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
         if replicates is not None \
         else _get(config, "replicates", int, default=1, lo=1)
     if seed is not None:
-        _check("seed", seed, int, lo=0, hi=_SEED_HI)
+        _check("seed", seed, int, lo=0, hi=SEED_HI)
     t0 = time.monotonic()
     # which BLAS pool and driver computed the bits; runs differ in them only
     # across hosts
@@ -554,33 +556,42 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
            "two_stage_from_n": _two_stage_from_n()}
     try:
         out = Path(out_dir).resolve()
-        if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        if out.exists() and (not out.is_dir() or any(out.iterdir())):
             raise ConfigError("out", f"{out_dir} exists and is not an empty "
                                      "directory")
-        fragment, tables = _RUNNERS[kind](config, seed, replicates)
-        report = {
-            "kind": kind,
-            "config": config,
-            "seed": seed,
-            "replicate_count": replicates,
-            "version": __version__,
-            "wall_clock_s": time.monotonic() - t0,
-            "env": env,
-            **fragment,
-        }
+        if os.path.ismount(out):
+            raise ConfigError("out", f"{out_dir} is a mount point, which a "
+                                     "run cannot replace")
         top = next((d for d in reversed(out.parents) if not d.exists()), out)
-        staging = Path(tempfile.mkdtemp(prefix=f".{top.name}.",
-                                        dir=top.parent))
+        try:
+            staging = Path(tempfile.mkdtemp(prefix=f".{top.name}.",
+                                            dir=top.parent))
+        except OSError as exc:
+            raise ConfigError("out", f"cannot stage beside {top}: "
+                                     f"{exc.strerror}") from exc
         try:
             # top's tree is made by mkdir, so it gets mkdir's mode and not
-            # mkdtemp's 0700
+            # mkdtemp's 0700; an existing top's mode is copied at the end
             staged = staging / top.name / out.relative_to(top)
             staged.mkdir(parents=True)
+            fragment, tables = _RUNNERS[kind](config, seed, replicates)
+            report = {
+                "kind": kind,
+                "config": config,
+                "seed": seed,
+                "replicate_count": replicates,
+                "version": __version__,
+                "wall_clock_s": time.monotonic() - t0,
+                "env": env,
+                **fragment,
+            }
             for name, (header, rows) in tables.items():
                 with open(staged / name, "w", newline="") as fh:
                     _write_csv(fh, header, rows)
             with open(staged / "report.json", "w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
+            if out.is_dir():
+                shutil.copymode(out, staged)
             os.rename(staging / top.name, top)  # the one commit point
         finally:
             shutil.rmtree(staging, ignore_errors=True)

@@ -210,11 +210,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(rademacher_cfg("esd"), tmp_path, replicates=0)
 
+    # each run below is into tmp_path / "out", so that a staging
+    # directory left beside it would show in tmp_path
+
     def test_failed_run_leaves_no_outputs(self, tmp_path):
         cfg = rademacher_cfg("esd", bins=1)
         with pytest.raises(ConfigError):
-            run_experiment(cfg, tmp_path)
-        assert list(tmp_path.iterdir()) == []
+            run_experiment(cfg, tmp_path / "out")
+        assert os.listdir(tmp_path) == []
 
     def test_numeric_failure_leaves_no_outputs(self, tmp_path, monkeypatch):
         # the KS distances run after both replicate spectra are computed
@@ -223,8 +226,9 @@ class TestConfigValidation:
 
         monkeypatch.setattr("rmtlab.experiments.ks_distance", broken)
         with pytest.raises(NumericError):
-            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
-        assert list(tmp_path.iterdir()) == []
+            run_experiment(rademacher_cfg("esd"), tmp_path / "out",
+                           replicates=2)
+        assert os.listdir(tmp_path) == []
 
     def test_bug_propagates_and_leaves_no_outputs(self, tmp_path,
                                                  monkeypatch):
@@ -233,13 +237,17 @@ class TestConfigValidation:
 
         monkeypatch.setattr("rmtlab.experiments.ks_distance", broken)
         with pytest.raises(TypeError, match="injected"):
-            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
-        assert list(tmp_path.iterdir()) == []
+            run_experiment(rademacher_cfg("esd"), tmp_path / "out",
+                           replicates=2)
+        assert os.listdir(tmp_path) == []
 
     def test_interrupt_during_write_leaves_no_outputs(self, tmp_path,
                                                       monkeypatch):
         # the second table is cut off mid-file by an interrupt, which is
-        # not an Exception; the first table is complete by then
+        # not an Exception; the first table is complete by then.  out
+        # exists empty, so the staging directory is made beside it
+        out = tmp_path / "out"
+        out.mkdir()
         write_csv = experiments._write_csv
         calls = []
 
@@ -252,13 +260,16 @@ class TestConfigValidation:
 
         monkeypatch.setattr("rmtlab.experiments._write_csv", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
+            run_experiment(rademacher_cfg("esd"), out, replicates=2)
         assert len(calls) == 2
-        assert list(tmp_path.iterdir()) == []
+        assert os.listdir(tmp_path) == ["out"]
+        assert os.listdir(out) == []
 
     def test_write_failure_removes_written_tables(self, tmp_path,
                                                   monkeypatch):
         # the three tables are written; then the report cannot open
+        out = tmp_path / "out"
+        out.mkdir()
         opened = []
 
         def report_fails(path, *args, **kwargs):
@@ -269,10 +280,11 @@ class TestConfigValidation:
 
         monkeypatch.setattr(experiments, "open", report_fails, raising=False)
         with pytest.raises(NumericError, match="injected"):
-            run_experiment(rademacher_cfg("esd"), tmp_path, replicates=2)
+            run_experiment(rademacher_cfg("esd"), out, replicates=2)
         assert opened == ["eigenvalues_r0.csv", "eigenvalues_r1.csv",
                           "histogram.csv", "report.json"]
-        assert list(tmp_path.iterdir()) == []
+        assert os.listdir(tmp_path) == ["out"]
+        assert os.listdir(out) == []
 
     def test_failed_run_creates_no_directory(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -374,6 +386,11 @@ experiments.run_experiment(json.loads(sys.argv[1]), sys.argv[2], replicates=2)
 """
 
 
+def computed(*args):
+    """Stands in for a runner, or a step of one, that must not be reached."""
+    raise TypeError("the runner computed")
+
+
 class TestPublish:
     """The output set appears at --out by one rename, or not at all."""
 
@@ -401,10 +418,6 @@ class TestPublish:
         assert cli_exit(tmp_path, cfg, "--replicates", "3") == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
-
-        def computed(*args):
-            raise TypeError("the runner computed")
-
         monkeypatch.setattr(experiments, "_spectra", computed)
         assert cli_exit(tmp_path, cfg, "--replicates", "1") == 2
         assert "config error: out:" in capsys.readouterr().err
@@ -424,6 +437,41 @@ class TestPublish:
         assert (tmp_path / "a").stat().st_mode == mode
         assert (tmp_path / "a" / "b").stat().st_mode == mode
         assert sorted(os.listdir(tmp_path)) == ["a", "sibling"]
+
+    def test_an_existing_out_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        out.chmod(0o700)
+        run_experiment({"kind": "walks", "max_k": 2}, out)
+        assert out.stat().st_mode & 0o7777 == 0o700
+        assert sorted(os.listdir(out)) == [
+            "report.json", "shapes.csv", "walks.csv"]
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_mount_point_exits_two_before_computing(self, tmp_path, capsys,
+                                                    monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        ismount = os.path.ismount
+        monkeypatch.setattr(os.path, "ismount",
+                            lambda p: Path(p) == out or ismount(p))
+        monkeypatch.setitem(experiments._RUNNERS, "walks", computed)
+        assert cli_exit(tmp_path, {"kind": "walks", "max_k": 2}) == 2
+        assert "config error: out:" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
+        assert os.listdir(out) == []
+
+    def test_unwritable_parent_exits_two_before_computing(
+            self, tmp_path, capsys, monkeypatch):
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(experiments.tempfile, "mkdtemp", denied)
+        monkeypatch.setitem(experiments._RUNNERS, "walks", computed)
+        assert cli_exit(tmp_path, {"kind": "walks", "max_k": 2}) == 2
+        assert "config error: out: cannot stage beside" in \
+            capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_relative_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
