@@ -223,18 +223,32 @@ class EntryLaw:
 
     # -- sampling -----------------------------------------------------------
 
-    def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Map uniform [0,1) variates to draws from this law (vectorized)."""
+    def from_uniform(self, u: np.ndarray, out: np.ndarray | None = None) \
+            -> np.ndarray:
+        """Map uniform [0,1) variates to draws from this law (vectorized),
+        written into `out`, which may be u itself, and returned."""
+        if out is None:
+            out = np.empty_like(u)
         atoms = self._atoms()
         if atoms is None:
             lo, hi = self.params
-            return float(lo) + u * float(hi - lo)
+            # u * (hi - lo) + lo, the bits of lo + u * (hi - lo)
+            np.multiply(u, float(hi - lo), out=out)
+            return np.add(out, float(lo), out=out)
         a, b, q = map(float, atoms)
-        if a == b:  # np.where takes 4x as long on a 64 x 1500 strip
-            return np.full_like(u, a)
-        if (a, b) == (1.0, 0.0):  # Bernoulli, every graph: np.where takes 10x
-            return (u < q).astype(float)
-        return np.where(u < q, a, b)
+        if a == b:  # one fill: constant_zero, every graph's intra law
+            out[...] = a
+            return out
+        if (a - b) + b != a:  # no exact map below; no named kind lands here
+            out[...] = np.where(u < q, a, b)
+            return out
+        # [u < q] * (a - b) + b is a or b exactly, and +0.0 for a zero atom;
+        # for Bernoulli, every graph's cross law, it is [u < q] itself
+        np.less(u, q, out=out)
+        if (a, b) != (1.0, 0.0):
+            np.multiply(out, a - b, out=out)
+            np.add(out, b, out=out)
+        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -370,12 +384,14 @@ def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
     i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0) from
     offset _row_start.  It is drawn and mapped in strips of _ROW_BLOCK rows,
     each strip's draw continuing the stream, from the strip's first row r
-    on.  With mid the end of the part of the strip's last row, columns
-    mid.. take `cross`; columns r..mid take `intra` if the strip lies in one
-    part, else `intra` or `cross` by whether row and column share a part.
-    The maps act elementwise on uniforms, and what they write below the
-    diagonal is overwritten when the upper triangle is mirrored into the
-    lower one.
+    on.  The maps act elementwise, each on a block of the strip that it
+    overwrites (map(u, out=u)).  With lo..mid-1 the columns of the last
+    row's part from r on, rows lo.. take `intra` on columns lo..mid-1.  Rows
+    r..lo-1 lie in earlier parts: they take `cross` on columns lo..mid-1,
+    and on the square of columns r..lo-1 (at most 63 x 63) `intra` or
+    `cross` by whether row and column share a part.  Every row takes
+    `cross` from column mid on.  What lies below the diagonal is
+    overwritten when the upper triangle is mirrored into the lower one.
     """
     n = partition.n
     k = 0 if diagonal else 1
@@ -383,21 +399,28 @@ def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
     uniforms = _philox(seed, replicate, stream)
     A = _zeros((n, n))
     labels = partition.part_labels()
+    # every strip is drawn into the first one's buffer: a fresh draw per
+    # strip may fault its pages in anew, as the thread heap shrinks and grows
+    buf = np.empty(_row_start(min(_ROW_BLOCK, width), width))
     for r in range(0, n, _ROW_BLOCK):
         last = min(r + _ROW_BLOCK, n) - 1
         top = min(last + 1, width)  # rows r..top-1 hold stream entries
-        u = uniforms.random(_row_start(top, width) - _row_start(r, width))
+        u = uniforms.random(
+            out=buf[:_row_start(top, width) - _row_start(r, width)])
         for i in range(r, top):
             start = _row_start(i, width) - _row_start(r, width)
             A[i, i + k:] = u[start:start + width - i]
+        lo = max(r, int(np.searchsorted(labels, labels[last], "left")))
         mid = int(np.searchsorted(labels, labels[last], "right"))
-        near = A[r:last + 1, r:mid]
-        if labels[r] == labels[last]:
-            near[...] = intra(near)
-        else:
-            same = labels[r:last + 1, None] == labels[None, r:mid]
-            near[...] = np.where(same, intra(near), cross(near))
-        A[r:last + 1, mid:] = cross(A[r:last + 1, mid:])
+        if lo > r:
+            square = A[r:lo, r:lo]
+            crossed = cross(square)
+            intra(square, out=square)
+            np.copyto(square, crossed,
+                      where=labels[r:lo, None] != labels[None, r:lo])
+            cross(A[r:lo, lo:mid], out=A[r:lo, lo:mid])
+        intra(A[lo:last + 1, lo:mid], out=A[lo:last + 1, lo:mid])
+        cross(A[r:last + 1, mid:], out=A[r:last + 1, mid:])
     if not diagonal:
         A.flat[::n + 1] = 0.0
     for i in range(1, n):
@@ -415,21 +438,24 @@ def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """sample_matrix(spec, replicate)[:n1, n1:], n1 the size of the first
     part, drawn without the rest of the matrix.
 
+    The block is column-major (F-contiguous) in a mapping of its own: the
+    layout in which `singular_values(B, overwrite=True)` solves it in place.
     Rows 0..n1-1 are the stream's prefix up to _row_start(n1, n), drawn in
     strips of _ROW_BLOCK rows; row i reaches the block's columns at offset
     n1 - i.  Every entry of the block joins two parts, so it takes the
-    cross law.
+    cross law, mapped in place.
     """
     n, n1 = spec.n, spec.partition.sizes[0]
     uniforms = _philox(spec.seed, replicate)
-    B = _zeros((n1, n - n1))
+    B = _zeros((n - n1, n1)).T
+    buf = np.empty(_row_start(min(_ROW_BLOCK, n1), n))  # as in _symmetric_fill
     for r in range(0, n1, _ROW_BLOCK):
         top = min(r + _ROW_BLOCK, n1)
-        u = uniforms.random(_row_start(top, n) - _row_start(r, n))
+        u = uniforms.random(out=buf[:_row_start(top, n) - _row_start(r, n)])
         for i in range(r, top):
             start = _row_start(i, n) - _row_start(r, n) + n1 - i
             B[i] = u[start:start + n - n1]
-        B[r:top] = spec.law_cross.from_uniform(B[r:top])
+        spec.law_cross.from_uniform(B[r:top], out=B[r:top])
     return B
 
 

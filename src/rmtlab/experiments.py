@@ -239,7 +239,8 @@ def _spectra(spec: EnsembleSpec, replicates: int):
     if spec.partition.m == 2 and spec.law_intra.raw_moment(2) == 0:
         def one(i):
             return eigenvalues_bipartite(scale_matrix(
-                sample_cross_block(spec, i), spec.n, overwrite=True))
+                sample_cross_block(spec, i), spec.n, overwrite=True),
+                overwrite=True)
     else:
         def one(i):
             return eigenvalues_sym(scale_matrix(sample_matrix(spec, i),
@@ -419,9 +420,16 @@ def _run_hankel(cfg, seed, replicates):
 
 def _run_charfn(cfg, seed, replicates):
     nuhat = _get(cfg, "charfn.nuhat", float, required=True)
+    if not 0.0 < nuhat < math.sqrt(0.5):
+        raise ConfigError("charfn.nuhat", "must lie in (0, sqrt(1/2))")
     sigma2 = _get(cfg, "charfn.sigma2", float, default=1.0)
     t_max = _get(cfg, "charfn.t_max", float, default=60.0)
     step = _get(cfg, "charfn.step", float, default=0.05)
+    for field, val in (("charfn.sigma2", sigma2), ("charfn.step", step)):
+        if not val > 0.0:
+            raise ConfigError(field, "must be positive")
+    # what is left, |nuhat * sigma2 * t_max| <= 60 and at most 10**6 grid
+    # points, joins fields, so it names the section
     with _as_config_error("charfn"):
         rows = list(pseudo_char_grid(nuhat, sigma2, t_max, step))
     witness = next((t for t, val in rows if val < -1.0), None)

@@ -5,10 +5,12 @@ empirical Stieltjes transforms, singular values, and numeric checks of the
 rank inequality and the Stieltjes perturbation bound.
 
 Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd`
-(and `dsyevd_2stage`, where the build has it) are reached through ctypes:
-`blas_threads` reads the pool size and a symmetric solve may overwrite its
-input instead of copying it.  Every other solve, and every solve where the
-pool size is unknown (None), is `np.linalg.eigvalsh`.
+(and `dsyevd_2stage` and `dgesdd`, where the build has them) are reached
+through ctypes: `blas_threads` reads the pool size, and a symmetric solve
+or a singular-value solve may overwrite its input instead of copying it.
+ctypes releases the GIL for the length of the call, so replicate threads
+solve side by side.  Every other solve, and every solve where the pool
+size is unknown (None), is `np.linalg.eigvalsh` or `np.linalg.svd`.
 
 The solve contract: an in-place solve below order `_TWO_STAGE_FROM_N`, or
 on a pool of more than one thread, gives `eigvalsh`'s bits.  From that
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 import ctypes
 import glob
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +39,20 @@ class SpectralError(RuntimeError):
 _STRIP = 64
 
 
-def _openblas():
-    """(get_num_threads, set_num_threads, LAPACKE_dsyevd,
-    LAPACKE_dsyevd_2stage) of the OpenBLAS that numpy ships, the
-    64-bit-integer scipy-openblas build; None when there is none.  The
-    2-stage driver is None where the build lacks it."""
+class _Binding(NamedTuple):
+    """The OpenBLAS that numpy ships, the 64-bit-integer scipy-openblas
+    build: its pool size, read and set, and its LAPACKE drivers.  `evd2`
+    and `gesdd` are None where the build lacks them."""
+
+    get: Callable
+    put: Callable
+    evd: Callable
+    evd2: Callable | None
+    gesdd: Callable | None
+
+
+def _openblas() -> _Binding | None:
+    """The binding of numpy's OpenBLAS; None when there is none."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libs / "*openblas*"))):
         lib = ctypes.CDLL(path)
@@ -50,15 +63,21 @@ def _openblas():
         except AttributeError:
             continue
         evd2 = getattr(lib, "scipy_LAPACKE_dsyevd_2stage64_", None)
+        gesdd = getattr(lib, "scipy_LAPACKE_dgesdd64_", None)
         get.restype, get.argtypes = ctypes.c_int, []
         put.restype, put.argtypes = None, [ctypes.c_int]
-        # (layout, jobz, uplo, n, a, lda, w) -> info, lapack_int = int64
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p  # lapack_int = int64
+        # (layout, jobz, uplo, n, a, lda, w) -> info
         for f in filter(None, (evd, evd2)):
-            f.restype = ctypes.c_int64
-            f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                          ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                          ctypes.c_void_p]
-        return get, put, evd, evd2
+            f.restype = i64
+            f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,
+                          ptr, i64, ptr]
+        if gesdd:
+            # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt) -> info
+            gesdd.restype = i64
+            gesdd.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr,
+                              i64, ptr, ptr, i64, ptr, i64]
+        return _Binding(get, put, evd, evd2, gesdd)
     return None
 
 
@@ -72,18 +91,18 @@ _TWO_STAGE_FROM_N = 1100
 
 def blas_threads() -> int | None:
     """Size of numpy's OpenBLAS thread pool; None where it cannot be read."""
-    return None if _OPENBLAS is None else _OPENBLAS[0]()
+    return None if _OPENBLAS is None else _OPENBLAS.get()
 
 
 def _set_blas_threads(k: int) -> None:
     """Resize numpy's OpenBLAS pool, for the whole process (binding needed)."""
-    _OPENBLAS[1](k)
+    _OPENBLAS.put(k)
 
 
 def _two_stage_from_n() -> int | None:
     """The order from which an in-place solve on a one-thread pool is
     `dsyevd_2stage`; None where the binding lacks that driver."""
-    return _TWO_STAGE_FROM_N if _OPENBLAS and _OPENBLAS[3] else None
+    return _TWO_STAGE_FROM_N if _OPENBLAS and _OPENBLAS.evd2 else None
 
 
 def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -118,8 +137,8 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     cut = _two_stage_from_n()
     two_stage = cut is not None and n >= cut and blas_threads() == 1
     w = np.empty(n)
-    info = _OPENBLAS[3 if two_stage else 2](_COL_MAJOR, b"N", b"L", n,
-                                            M.ctypes.data, n, w.ctypes.data)
+    evd = _OPENBLAS.evd2 if two_stage else _OPENBLAS.evd
+    info = evd(_COL_MAJOR, b"N", b"L", n, M.ctypes.data, n, w.ctypes.data)
     if info > 0:  # pragma: no cover - LAPACK failure
         raise SpectralError(f"eigensolver did not converge (info {info})")
     if info < 0:  # pragma: no cover - a bad argument or no memory: a bug
@@ -127,28 +146,51 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return w
 
 
-def eigenvalues_bipartite(B: np.ndarray) -> np.ndarray:
+def eigenvalues_bipartite(B: np.ndarray, overwrite: bool = False) \
+        -> np.ndarray:
     """All eigenvalues of [[0, B], [B^T, 0]], sorted ascending.
 
     For an n1 x n2 block B they are -sigma(B), |n1 - n2| exact zeros and
-    sigma(B), from one SVD of B.
+    sigma(B), from one SVD of B.  With `overwrite`, B may be the solve's
+    workspace (see singular_values).
     """
     B = np.asarray(B, dtype=float)
-    s = singular_values(B)
+    s = singular_values(B, overwrite=overwrite)
     # 0.0 - s, not -s: a zero singular value must not become -0.0
     return np.concatenate((0.0 - s, np.zeros(abs(B.shape[0] - B.shape[1])),
                            s[::-1]))
 
 
-def singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix, nonincreasing."""
+def singular_values(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Singular values of a matrix, nonincreasing.
+
+    With `overwrite`, a writeable, nonempty, F-contiguous float64 M is
+    LAPACK's `dgesdd` workspace and holds garbage afterwards; `dgesdd` runs
+    on M's column-major storage through LAPACKE, outside the GIL.  That is
+    the layout `np.linalg.svd` copies M into before it calls `dgesdd`, so
+    the values have its bits.  Every other M, and every M without
+    `overwrite`, is solved by `np.linalg.svd` on a copy.  (A 1 x k C-order
+    array is F-contiguous too: the flag, not the layout, gives M away.)
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("matrix required")
-    try:
-        return np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SpectralError(f"SVD did not converge: {exc}") from exc
+    if not (_OPENBLAS and _OPENBLAS.gesdd and overwrite and M.size
+            and M.flags.writeable and M.flags.f_contiguous):
+        try:
+            return np.linalg.svd(M, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise SpectralError(f"SVD did not converge: {exc}") from exc
+    m, n = M.shape
+    s = np.empty(min(m, n))
+    # jobz N: no singular vectors, so u and vt are not referenced
+    info = _OPENBLAS.gesdd(_COL_MAJOR, b"N", m, n, M.ctypes.data, m,
+                           s.ctypes.data, None, m, None, n)
+    if info > 0 or info == -5:  # -5: LAPACKE found a NaN in M
+        raise SpectralError(f"SVD did not converge (info {info})")
+    if info < 0:  # pragma: no cover - a bad argument or no memory: a bug
+        raise RuntimeError(f"LAPACKE solve failed (info {info})")
+    return s
 
 
 @dataclass(frozen=True)

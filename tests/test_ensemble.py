@@ -189,7 +189,8 @@ def oracle_to_dict(law):
 
 
 # every kind; two-point laws with a == b, with (a, b) = (1, 0) and (0, 1),
-# with negative atoms and with q = 0 or 1; intervals with lo < 0.  Every
+# with negative atoms, a zero atom beside a negative one, and with q = 0 or
+# 1; intervals with lo < 0.  Every
 # parameter is a float or a dyadic rational, so to_dict keeps it exactly.
 ORACLE_LAWS = [
     EntryLaw.constant_zero(), EntryLaw.rademacher(),
@@ -201,6 +202,9 @@ ORACLE_LAWS = [
     EntryLaw.two_point(-3, Fraction(-1, 2), 0.25),
     EntryLaw.two_point(-1, 2, 0), EntryLaw.two_point(-1, 2, 1),
     EntryLaw.two_point(-1, 2, 2 / 3),
+    EntryLaw.two_point(0, -2, 0.25), EntryLaw.two_point(-0.5, 0, 0.75),
+    # (a - b) + b != a in floats: the one kind mapped through np.where
+    EntryLaw.two_point(0.1, 0.3, 0.5),
     EntryLaw.uniform_interval(-2, 3), EntryLaw.uniform_interval(0, 1),
     EntryLaw.uniform_interval(Fraction(-1, 2), -0.25),
 ]
@@ -245,6 +249,22 @@ class TestEntryLawMatchesPerKindOracle:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=law_id)
+    def test_from_uniform_in_place(self, law):
+        # into u itself and into a strided array of its own: the same bits,
+        # signs of zeros included, as a fresh map's
+        for u in uniform_grid(law):
+            want = law.from_uniform(u)
+            work = u.copy()
+            apart = np.full(u.shape + (2,), np.nan)[..., 0]
+            kept = u.copy()
+            for out, src in [(work, work), (apart, u)]:
+                got = law.from_uniform(src, out=out)
+                assert got is out
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert u.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("kind,params", [
         ("constant_zero", (Fraction(0),)), ("rademacher", (Fraction(1),)),
         ("bernoulli", ()), ("bernoulli", (Fraction(1, 2),) * 2),
@@ -288,13 +308,16 @@ def _mapping(A):
 class TestSampling:
     def test_samples_are_mappings_of_their_own(self):
         # a dropped sample goes back to the system at once instead of
-        # leaving a hole in the drawing thread's malloc heap
+        # leaving a hole in the drawing thread's malloc heap; the cross
+        # block is column-major, the layout its SVD solves in place
         spec = rademacher_spec(300, [0.25, 0.75])
         for sample in (sample_matrix, sample_cross_block, sample_graph):
             A = sample(spec, 0)
             buf = _mapping(A)
             assert isinstance(buf, mmap.mmap) and len(buf) == A.nbytes
-            assert A.flags.writeable and A.flags.c_contiguous
+            assert A.flags.writeable and (A.flags.f_contiguous
+                                          if sample is sample_cross_block
+                                          else A.flags.c_contiguous)
             gone = weakref.ref(buf)
             del A, buf
             assert gone() is None

@@ -117,6 +117,10 @@ def _hankel_cfg(**hankel):
     return {"kind": "hankel", "hankel": {"source": "main", **hankel}}
 
 
+def _charfn_cfg(**charfn):
+    return {"kind": "charfn", "charfn": {"nuhat": 0.5, **charfn}}
+
+
 def _ensemble_seed_cfg(seed):
     cfg = rademacher_cfg("esd", n=20)
     cfg["ensemble"]["seed"] = seed
@@ -163,6 +167,18 @@ OUT_OF_RANGE = [
     ("seed", {"kind": "walks", "max_k": 2}, ["--seed", "-1"]),
     ("seed", _hankel_cfg(), ["--seed", "-1"]),
     ("seed", {"kind": "charfn", "charfn": {"nuhat": 0.5}}, ["--seed", "-1"]),
+    # charfn's open bounds: 0 < nuhat < sqrt(1/2), sigma2 > 0, step > 0
+    ("charfn.nuhat", _charfn_cfg(nuhat=0.0), []),
+    ("charfn.nuhat", _charfn_cfg(nuhat=math.sqrt(0.5)), []),
+    ("charfn.nuhat", _charfn_cfg(nuhat=-0.5), []),
+    ("charfn.sigma2", _charfn_cfg(sigma2=0.0), []),
+    ("charfn.sigma2", _charfn_cfg(sigma2=-1.0), []),
+    ("charfn.step", _charfn_cfg(step=0.0), []),
+    ("charfn.step", _charfn_cfg(step=-0.01), []),
+    # the joint rules name the section: |nuhat * sigma2 * t_max| = 60.5,
+    # and 60 / 1e-5 = 6e6 grid points
+    ("charfn", _charfn_cfg(sigma2=2.0, t_max=60.5), []),
+    ("charfn", _charfn_cfg(step=1e-5), []),
 ]
 
 
@@ -695,6 +711,21 @@ class TestSpectraRoute:
         got = _spectra(spec, 3)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
+    @pytest.mark.skipif(spectral._OPENBLAS is None
+                        or spectral._OPENBLAS.gesdd is None,
+                        reason="numpy's OpenBLAS lacks LAPACKE_dgesdd")
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_two_part_route_solves_in_place(self, monkeypatch, replicates):
+        # the sampled block is dgesdd's workspace; numpy's svd is not called
+        spec = EnsembleSpec(make_partition(90, (0.7, 0.3)),
+                            EntryLaw.constant_zero(), EntryLaw.rademacher(),
+                            seed=4)
+        want = [eigenvalues_bipartite(scale_matrix(
+            sample_cross_block(spec, r), spec.n)) for r in range(replicates)]
+        monkeypatch.setattr(np.linalg, "svd", _refuse("np.linalg.svd"))
+        got = _spectra(spec, replicates)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     def test_zero_sampled_blocks_of_a_random_law_are_solved_whole(self):
         # the intra law, not the sample, picks the route; the two routes
         # agree on such a matrix to the eigenvalues_bipartite tolerance
@@ -917,7 +948,12 @@ class TestCharfnRun:
         cfg = {"kind": "charfn", "charfn": {"nuhat": 0.5, **charfn}}
         with pytest.raises(ConfigError) as exc:
             run_experiment(cfg, tmp_path)
-        assert exc.value.field == "charfn"
+        # the bound of one field names it; t_max = 1e6 breaks |nuhat *
+        # sigma2 * t_max| <= 60 and step = 1e-300 the grid cap, rules that
+        # join fields and name the section
+        (key, val), = charfn.items()
+        joint = key == "t_max" or val == 1e-300
+        assert exc.value.field == ("charfn" if joint else f"charfn.{key}")
 
     def test_bug_is_not_relabelled(self, tmp_path, monkeypatch):
         def broken(*args):
@@ -1471,7 +1507,7 @@ def test_env_names_the_pool_that_computed_the_bits(tmp_path, replicates):
         "replicate_workers": 1 if pool is None or pool < 2
         else min(replicates, experiments._HELPER_THREADS),
         "two_stage_from_n": spectral._TWO_STAGE_FROM_N
-        if spectral._OPENBLAS and spectral._OPENBLAS[3] else None}
+        if spectral._OPENBLAS and spectral._OPENBLAS.evd2 else None}
     assert json.loads((tmp_path / "report.json").read_text())["env"] == \
         rep["env"]
 
@@ -1479,7 +1515,7 @@ def test_env_names_the_pool_that_computed_the_bits(tmp_path, replicates):
 def test_env_has_no_two_stage_cut_without_the_driver(tmp_path, monkeypatch):
     if spectral._OPENBLAS:
         monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
-                            (*spectral._OPENBLAS[:3], None))
+                            spectral._OPENBLAS._replace(evd2=None))
     rep = run_experiment(rademacher_cfg("esd", n=20), tmp_path)
     assert rep["env"]["two_stage_from_n"] is None
     assert json.loads((tmp_path / "report.json").read_text())["env"][

@@ -11,7 +11,7 @@ from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
     sample_matrix, scale_matrix
 from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import semicircle_cdf
-from rmtlab.spectral import (_COL_MAJOR, _set_blas_threads,
+from rmtlab.spectral import (_COL_MAJOR, SpectralError, _set_blas_threads,
                              _two_stage_from_n, blas_threads,
                              check_rank_inequality,
                              check_stieltjes_perturbation,
@@ -116,9 +116,9 @@ class TestInPlaceSolve:
         try:
             want = np.linalg.eigvalsh(M)
             work = M.copy()
-            assert spectral._OPENBLAS[3](_COL_MAJOR, b"N", b"L", cut,
-                                         work.ctypes.data, cut,
-                                         direct.ctypes.data) == 0
+            assert spectral._OPENBLAS.evd2(_COL_MAJOR, b"N", b"L", cut,
+                                           work.ctypes.data, cut,
+                                           direct.ctypes.data) == 0
             got = [eigenvalues_sym(M.copy(), overwrite=True)
                    for _ in range(2)]
         finally:
@@ -137,7 +137,7 @@ class TestInPlaceSolve:
                                      pool, drop_2stage):
         if drop_2stage:
             monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
-                                (*spectral._OPENBLAS[:3], None))
+                                spectral._OPENBLAS._replace(evd2=None))
         n = spectral._TWO_STAGE_FROM_N - steps_below_cut
         M = random_symmetric(n, np.random.default_rng(n))
         found = blas_threads()
@@ -418,6 +418,94 @@ class TestSingularValues:
         s = singular_values(M)
         expected = np.sort(np.abs(eigenvalues_sym(M)))[::-1]
         assert np.allclose(s, expected, rtol=1e-9, atol=1e-9)
+
+
+needs_gesdd = pytest.mark.skipif(
+    spectral._OPENBLAS is None or spectral._OPENBLAS.gesdd is None,
+    reason="numpy's OpenBLAS lacks LAPACKE_dgesdd")
+
+
+class TestInPlaceSingularSolve:
+    @needs_gesdd
+    @settings(max_examples=60, deadline=None)
+    @example(m=640, n=160, pool=1, seed=0)
+    @example(m=640, n=160, pool=2, seed=1)
+    @example(m=1600, n=400, pool=1, seed=2)
+    @example(m=1600, n=400, pool=2, seed=3)
+    @example(m=1, n=1, pool=1, seed=4)
+    @given(m=st.integers(1, 60), n=st.integers(1, 60),
+           pool=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_svd_bit_for_bit(self, m, n, pool, seed):
+        A = np.random.default_rng(seed).uniform(-1, 1, size=(m, n))
+        M = np.asfortranarray(A)
+        gesdd, solved = spectral._OPENBLAS.gesdd, []
+
+        def spy(*args):
+            solved.append(args[4])  # the address of the workspace
+            return gesdd(*args)
+
+        found = blas_threads()
+        _set_blas_threads(pool)
+        try:
+            want = np.linalg.svd(A, compute_uv=False)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("rmtlab.spectral._OPENBLAS",
+                              spectral._OPENBLAS._replace(gesdd=spy))
+                got = singular_values(M, overwrite=True)
+        finally:
+            _set_blas_threads(found)
+        assert got.tobytes() == want.tobytes()
+        assert solved == [M.ctypes.data]  # dgesdd, in M's own storage
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_c_order_row_is_untouched_without_overwrite(self, k):
+        # a 1 x k C-order array is F-contiguous too
+        M = np.random.default_rng(k).random((1, k))
+        assert M.flags.c_contiguous and M.flags.f_contiguous
+        kept = M.copy()
+        want = np.linalg.svd(kept, compute_uv=False)
+        assert singular_values(M).tobytes() == want.tobytes()
+        eigenvalues_bipartite(M)
+        assert M.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda A: np.ascontiguousarray(A),
+        lambda A: np.asfortranarray(A)[:, ::2],
+        lambda A: np.asfortranarray(A.astype(np.float32)),
+        lambda A: np.asfortranarray(A).tolist()],
+        ids=["c_order", "strided", "float32", "list"])
+    def test_other_layouts_match(self, make):
+        A = np.random.default_rng(6).random((30, 12))
+        M = make(A)
+        want = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+        assert singular_values(M, overwrite=True).tobytes() == want.tobytes()
+
+    def test_read_only_input_is_not_written(self):
+        M = np.asfortranarray(np.random.default_rng(7).random((20, 9)))
+        M.flags.writeable = False
+        kept = M.copy()
+        assert singular_values(M, overwrite=True).tobytes() == \
+            np.linalg.svd(kept, compute_uv=False).tobytes()
+        assert np.array_equal(M, kept)
+
+    @pytest.mark.parametrize("binding", ["no_gesdd_symbol", "no_binding"])
+    def test_numpy_solves_without_the_driver(self, monkeypatch, binding):
+        monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
+                            spectral._OPENBLAS._replace(gesdd=None)
+                            if binding == "no_gesdd_symbol"
+                            and spectral._OPENBLAS else None)
+        A = np.random.default_rng(8).random((40, 15))
+        M = np.asfortranarray(A)
+        assert singular_values(M, overwrite=True).tobytes() == \
+            np.linalg.svd(A, compute_uv=False).tobytes()
+        assert np.array_equal(M, A)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_nan_is_a_spectral_error(self, overwrite):
+        M = np.asfortranarray(np.random.default_rng(9).random((6, 4)))
+        M[2, 1] = np.nan
+        with pytest.raises(SpectralError):
+            singular_values(M, overwrite=overwrite)
 
 
 def test_numeric_rank():
