@@ -47,7 +47,7 @@ from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    pseudo_char_grid, semicircle_cdf, semicircle_moment,
                    semicircle_stieltjes)
-from .spectral import (SpectralError, _set_blas_threads, _two_stage_from_n,
+from .spectral import (_TWO_STAGE_FROM_N, SpectralError, _set_blas_threads,
                        blas_threads, eigenvalues_bipartite, eigenvalues_sym,
                        empirical_moment, esd, ks_distance, stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
@@ -374,22 +374,23 @@ def _hankel_gammas(cfg, source: str, k: int):
     `limit_moments`; the two `*_printed` sources are the paper's text."""
     L = 2 * k
     if source in ("main", "walk_oracle"):
-        s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
+        s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0, lo=0.0)
         if source == "main":
             m = _get(cfg, "hankel.m", int, default=2, lo=2)
             fractions = [Fraction(1, m)] * m
-            s1 = _get(cfg, "hankel.sigma1sq", float, default=1.0)
+            s1 = _get(cfg, "hankel.sigma1sq", float, default=1.0, lo=0.0)
         else:
             fractions = _get(cfg, "hankel.fractions", list, required=True)
             with _as_config_error("hankel.fractions"):
                 check_fractions(_items(fractions, "hankel.fractions"))
-            s1 = _get(cfg, "hankel.sigma1sq", float, default=0.0)
+            s1 = _get(cfg, "hankel.sigma1sq", float, default=0.0, lo=0.0)
         return [float(g) for g in limit_moments(fractions, s1, s2, L)]
     if source == "bipartite_printed":
         nu1 = _get(cfg, "hankel.nu1", float, required=True)
-        s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0)
-        vals = [gamma_bipartite_printed(j, nu1, 1 - nu1, s2)
-                for j in range(L + 1)]
+        s2 = _get(cfg, "hankel.sigma2sq", float, default=1.0, lo=0.0)
+        with _as_config_error("hankel.nu1"):  # nu2 is 1 - nu1
+            vals = [gamma_bipartite_printed(j, nu1, 1 - nu1, s2)
+                    for j in range(L + 1)]
         vals[0] = 1.0  # printed formula is only stated for k >= 1
         return vals
     if source == "proposition_printed":
@@ -425,10 +426,11 @@ def _run_charfn(cfg, seed, replicates):
     sigma2 = _get(cfg, "charfn.sigma2", float, default=1.0)
     t_max = _get(cfg, "charfn.t_max", float, default=60.0)
     step = _get(cfg, "charfn.step", float, default=0.05)
-    for field, val in (("charfn.sigma2", sigma2), ("charfn.step", step)):
+    for field, val in (("charfn.sigma2", sigma2), ("charfn.t_max", t_max),
+                       ("charfn.step", step)):
         if not val > 0.0:
             raise ConfigError(field, "must be positive")
-    # what is left, |nuhat * sigma2 * t_max| <= 60 and at most 10**6 grid
+    # what is left, |nuhat * sigma2 * t_max| <= 60 and from 1 to 10**6 grid
     # points, joins fields, so it names the section
     with _as_config_error("charfn"):
         rows = list(pseudo_char_grid(nuhat, sigma2, t_max, step))
@@ -561,7 +563,7 @@ def run_experiment(config: dict, out_dir, seed=None, replicates=None) -> dict:
     env = {"numpy": np.__version__, "blas": _BLAS_NAME, "blas_threads": pool,
            "cpu_count": os.cpu_count(),
            "replicate_workers": _replicate_workers(pool, replicates),
-           "two_stage_from_n": _two_stage_from_n()}
+           "two_stage_from_n": None if pool is None else _TWO_STAGE_FROM_N}
     try:
         out = Path(out_dir).resolve()
         if out.exists() and (not out.is_dir() or any(out.iterdir())):

@@ -272,6 +272,8 @@ def pseudo_char_grid(nuhat: float, sigma2: float, t_max: float, step: float):
     if sigma2 <= 0 or step <= 0:
         raise LawError("sigma2 and step must be positive")
     _argument(t_max, nuhat, sigma2)  # every grid point t <= t_max passes
+    if t_max < step:
+        raise LawError("t_max below step leaves no grid point")
     if t_max / step > 10**6:
         raise LawError("t_max / step exceeds 10**6 grid points")
     t = step

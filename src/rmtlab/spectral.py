@@ -4,13 +4,13 @@ Spectra, empirical spectral distributions (step CDFs), empirical moments,
 empirical Stieltjes transforms, singular values, and numeric checks of the
 rank inequality and the Stieltjes perturbation bound.
 
-Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd`
-(and `dsyevd_2stage` and `dgesdd`, where the build has them) are reached
-through ctypes: `blas_threads` reads the pool size, and a symmetric solve
-or a singular-value solve may overwrite its input instead of copying it.
-ctypes releases the GIL for the length of the call, so replicate threads
-solve side by side.  Every other solve, and every solve where the pool
-size is unknown (None), is `np.linalg.eigvalsh` or `np.linalg.svd`.
+Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd`,
+`dsyevd_2stage` and `dgesdd` are reached through ctypes: `blas_threads`
+reads the pool size, and a symmetric solve or a singular-value solve may
+overwrite its input instead of copying it.  ctypes releases the GIL for
+the length of the call, so replicate threads solve side by side.  Every
+other solve, and every solve where the pool size is unknown (None), is
+`np.linalg.eigvalsh` or `np.linalg.svd`.
 
 The solve contract: an in-place solve below order `_TWO_STAGE_FROM_N`, or
 on a pool of more than one thread, gives `eigvalsh`'s bits.  From that
@@ -41,43 +41,40 @@ _STRIP = 64
 
 class _Binding(NamedTuple):
     """The OpenBLAS that numpy ships, the 64-bit-integer scipy-openblas
-    build: its pool size, read and set, and its LAPACKE drivers.  `evd2`
-    and `gesdd` are None where the build lacks them."""
+    build: its pool size, read and set, and its LAPACKE drivers."""
 
     get: Callable
     put: Callable
     evd: Callable
-    evd2: Callable | None
-    gesdd: Callable | None
+    evd2: Callable
+    gesdd: Callable
 
 
 def _openblas() -> _Binding | None:
-    """The binding of numpy's OpenBLAS; None when there is none."""
+    """The binding of numpy's OpenBLAS; None when there is none.  Only the
+    scipy-openblas64 build exports these names, with all of LAPACKE."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libs / "*openblas*"))):
         lib = ctypes.CDLL(path)
         try:
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-            evd = lib.scipy_LAPACKE_dsyevd64_
+            b = _Binding(lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_,
+                         lib.scipy_LAPACKE_dsyevd64_,
+                         lib.scipy_LAPACKE_dsyevd_2stage64_,
+                         lib.scipy_LAPACKE_dgesdd64_)
         except AttributeError:
             continue
-        evd2 = getattr(lib, "scipy_LAPACKE_dsyevd_2stage64_", None)
-        gesdd = getattr(lib, "scipy_LAPACKE_dgesdd64_", None)
-        get.restype, get.argtypes = ctypes.c_int, []
-        put.restype, put.argtypes = None, [ctypes.c_int]
+        b.get.restype, b.get.argtypes = ctypes.c_int, []
+        b.put.restype, b.put.argtypes = None, [ctypes.c_int]
         i64, ptr = ctypes.c_int64, ctypes.c_void_p  # lapack_int = int64
+        b.evd.restype = b.evd2.restype = b.gesdd.restype = i64
         # (layout, jobz, uplo, n, a, lda, w) -> info
-        for f in filter(None, (evd, evd2)):
-            f.restype = i64
-            f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,
-                          ptr, i64, ptr]
-        if gesdd:
-            # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt) -> info
-            gesdd.restype = i64
-            gesdd.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr,
-                              i64, ptr, ptr, i64, ptr, i64]
-        return _Binding(get, put, evd, evd2, gesdd)
+        b.evd.argtypes = b.evd2.argtypes = [
+            ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+        # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt) -> info
+        b.gesdd.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr, i64,
+                            ptr, ptr, i64, ptr, i64]
+        return b
     return None
 
 
@@ -99,10 +96,14 @@ def _set_blas_threads(k: int) -> None:
     _OPENBLAS.put(k)
 
 
-def _two_stage_from_n() -> int | None:
-    """The order from which an in-place solve on a one-thread pool is
-    `dsyevd_2stage`; None where the binding lacks that driver."""
-    return _TWO_STAGE_FROM_N if _OPENBLAS and _OPENBLAS.evd2 else None
+def _lapacke_check(info: int, what: str) -> None:
+    """Raise for a LAPACKE status: SpectralError above 0 (no convergence)
+    or at -5 (a NaN in the matrix, each driver's fifth argument), and
+    RuntimeError, a bug, at any other negative status."""
+    if info > 0 or info == -5:
+        raise SpectralError(f"{what} did not converge (info {info})")
+    if info < 0:
+        raise RuntimeError(f"LAPACKE solve failed (info {info})")
 
 
 def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -111,7 +112,7 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     With `overwrite`, a float64 contiguous M is the solver's workspace and
     holds garbage afterwards; otherwise `np.linalg.eigvalsh` solves a copy.
     The in-place solve reads the lower triangle.  Below order
-    `_two_stage_from_n()`, or on a BLAS pool of more than one thread, it is
+    `_TWO_STAGE_FROM_N`, or on a BLAS pool of more than one thread, it is
     LAPACK's `dsyevd`, as `eigvalsh` calls it, and gives `eigvalsh`'s bits.
     From that order on a one-thread pool it is `dsyevd_2stage`: each
     eigenvalue is within n * eps * max|eigenvalue| of `eigvalsh`'s, and
@@ -134,15 +135,11 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
             raise SpectralError(f"eigensolver did not converge: {exc}") \
                 from exc
     # M is exactly symmetric, so its memory read column-major is M itself
-    cut = _two_stage_from_n()
-    two_stage = cut is not None and n >= cut and blas_threads() == 1
     w = np.empty(n)
-    evd = _OPENBLAS.evd2 if two_stage else _OPENBLAS.evd
-    info = evd(_COL_MAJOR, b"N", b"L", n, M.ctypes.data, n, w.ctypes.data)
-    if info > 0:  # pragma: no cover - LAPACK failure
-        raise SpectralError(f"eigensolver did not converge (info {info})")
-    if info < 0:  # pragma: no cover - a bad argument or no memory: a bug
-        raise RuntimeError(f"LAPACKE solve failed (info {info})")
+    evd = _OPENBLAS.evd2 if n >= _TWO_STAGE_FROM_N and blas_threads() == 1 \
+        else _OPENBLAS.evd
+    _lapacke_check(evd(_COL_MAJOR, b"N", b"L", n, M.ctypes.data, n,
+                       w.ctypes.data), "eigensolver")
     return w
 
 
@@ -175,8 +172,8 @@ def singular_values(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("matrix required")
-    if not (_OPENBLAS and _OPENBLAS.gesdd and overwrite and M.size
-            and M.flags.writeable and M.flags.f_contiguous):
+    if not (_OPENBLAS and overwrite and M.size and M.flags.writeable
+            and M.flags.f_contiguous):
         try:
             return np.linalg.svd(M, compute_uv=False)
         except np.linalg.LinAlgError as exc:
@@ -184,12 +181,8 @@ def singular_values(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     m, n = M.shape
     s = np.empty(min(m, n))
     # jobz N: no singular vectors, so u and vt are not referenced
-    info = _OPENBLAS.gesdd(_COL_MAJOR, b"N", m, n, M.ctypes.data, m,
-                           s.ctypes.data, None, m, None, n)
-    if info > 0 or info == -5:  # -5: LAPACKE found a NaN in M
-        raise SpectralError(f"SVD did not converge (info {info})")
-    if info < 0:  # pragma: no cover - a bad argument or no memory: a bug
-        raise RuntimeError(f"LAPACKE solve failed (info {info})")
+    _lapacke_check(_OPENBLAS.gesdd(_COL_MAJOR, b"N", m, n, M.ctypes.data, m,
+                                   s.ctypes.data, None, m, None, n), "SVD")
     return s
 
 

@@ -179,6 +179,22 @@ OUT_OF_RANGE = [
     # and 60 / 1e-5 = 6e6 grid points
     ("charfn", _charfn_cfg(sigma2=2.0, t_max=60.5), []),
     ("charfn", _charfn_cfg(step=1e-5), []),
+    # a variance is refused by its own field on every source; the printed
+    # bipartite formula took sigma2sq = -2 and wrote gamma_2 = -0.5
+    ("hankel.sigma2sq", _hankel_cfg(source="bipartite_printed", nu1=0.5,
+                                    sigma2sq=-2, k=2), []),
+    ("hankel.sigma1sq", _hankel_cfg(m=3, sigma1sq=BELOW_1), []),
+    ("hankel.sigma2sq", _hankel_cfg(m=3, sigma2sq=BELOW_1), []),
+    ("hankel.sigma1sq", _hankel_cfg(source="walk_oracle", fractions=[1],
+                                    sigma1sq=-1.0), []),
+    # bipartite_printed's nu2 is 1 - nu1, so (0, 1) is nu1's own rule
+    ("hankel.nu1", _hankel_cfg(source="bipartite_printed", nu1=0.0), []),
+    ("hankel.nu1", _hankel_cfg(source="bipartite_printed", nu1=1.0), []),
+    ("hankel.nu1", _hankel_cfg(source="bipartite_printed", nu1=-0.5), []),
+    # a grid needs a point: t_max > 0, and t_max >= step joins two fields
+    ("charfn.t_max", _charfn_cfg(t_max=-5.0), []),
+    ("charfn.t_max", _charfn_cfg(t_max=0.0), []),
+    ("charfn", _charfn_cfg(t_max=0.01), []),
 ]
 
 
@@ -711,9 +727,8 @@ class TestSpectraRoute:
         got = _spectra(spec, 3)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    @pytest.mark.skipif(spectral._OPENBLAS is None
-                        or spectral._OPENBLAS.gesdd is None,
-                        reason="numpy's OpenBLAS lacks LAPACKE_dgesdd")
+    @pytest.mark.skipif(spectral._OPENBLAS is None,
+                        reason="numpy's OpenBLAS is not reachable")
     @pytest.mark.parametrize("replicates", [1, 3])
     def test_two_part_route_solves_in_place(self, monkeypatch, replicates):
         # the sampled block is dgesdd's workspace; numpy's svd is not called
@@ -924,6 +939,13 @@ class TestCharfnRun:
         with open(tmp_path / "charfn.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and float(rows[0]["t"]) > 0
+
+    def test_one_step_grid_has_one_point(self, tmp_path):
+        rep = run_experiment(_charfn_cfg(t_max=0.05), tmp_path)
+        with open(tmp_path / "charfn.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["t"]) for r in rows] == [0.05]
+        assert rep["witness"] is None
 
     def test_missing_nuhat(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -1506,17 +1528,17 @@ def test_env_names_the_pool_that_computed_the_bits(tmp_path, replicates):
         "blas_threads": pool, "cpu_count": os.cpu_count(),
         "replicate_workers": 1 if pool is None or pool < 2
         else min(replicates, experiments._HELPER_THREADS),
-        "two_stage_from_n": spectral._TWO_STAGE_FROM_N
-        if spectral._OPENBLAS and spectral._OPENBLAS.evd2 else None}
+        "two_stage_from_n": None if pool is None
+        else spectral._TWO_STAGE_FROM_N}
     assert json.loads((tmp_path / "report.json").read_text())["env"] == \
         rep["env"]
 
 
 def test_env_has_no_two_stage_cut_without_the_driver(tmp_path, monkeypatch):
-    if spectral._OPENBLAS:
-        monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
-                            spectral._OPENBLAS._replace(evd2=None))
+    # without the binding there is no pool size and no in-place solve
+    monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
     rep = run_experiment(rademacher_cfg("esd", n=20), tmp_path)
+    assert rep["env"]["blas_threads"] is None
     assert rep["env"]["two_stage_from_n"] is None
     assert json.loads((tmp_path / "report.json").read_text())["env"][
         "two_stage_from_n"] is None

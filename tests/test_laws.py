@@ -433,6 +433,11 @@ class TestPseudoChar:
             next(pseudo_char_grid(nuhat, sigma2,
                                   math.nextafter(t_max, math.inf), t_max))
 
+    @pytest.mark.parametrize("t_max", [-5.0, 0.0, 0.01])
+    def test_grid_without_a_point_is_refused(self, t_max):
+        with pytest.raises(LawError):
+            next(pseudo_char_grid(0.5, 1.0, t_max, 0.05))
+
     def test_grid_rejects_nonpositive_step_and_sigma2(self):
         for sigma2, step in ((1.0, 0.0), (1.0, -0.1), (0.0, 0.1)):
             with pytest.raises(LawError):

@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
     sample_matrix, scale_matrix
 from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import semicircle_cdf
-from rmtlab.spectral import (_COL_MAJOR, SpectralError, _set_blas_threads,
-                             _two_stage_from_n, blas_threads,
+from rmtlab.spectral import (_COL_MAJOR, SpectralError, _lapacke_check,
+                             _set_blas_threads, blas_threads,
                              check_rank_inequality,
                              check_stieltjes_perturbation,
                              eigenvalues_bipartite, eigenvalues_sym,
@@ -60,6 +63,28 @@ needs_openblas = pytest.mark.skipif(blas_threads() is None,
                                     reason="numpy's OpenBLAS is not reachable")
 
 
+def test_a_shipped_scipy_openblas_is_bound():
+    # the build that exports this pool getter ships all of LAPACKE, so the
+    # binding must be whole; a wheel without one of its drivers fails here
+    # instead of sending every solve through numpy's copies
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if not any(hasattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_")
+               for path in sorted(glob.glob(str(libs / "*.so*")))):
+        pytest.skip("numpy ships no scipy-openblas64 library")
+    assert spectral._OPENBLAS is not None
+
+
+@pytest.mark.parametrize("info, raised", [
+    (1, SpectralError), (-5, SpectralError), (-1, RuntimeError),
+    (-4, RuntimeError), (-6, RuntimeError)])
+def test_lapacke_status(info, raised):
+    # above 0 no convergence, -5 a NaN in the matrix, other negatives a bug
+    _lapacke_check(0, "solve")
+    with pytest.raises(raised) as exc:
+        _lapacke_check(info, "solve")
+    assert exc.type is raised
+
+
 class TestInPlaceSolve:
     @needs_openblas
     @pytest.mark.parametrize("pool", [1, 2])
@@ -105,10 +130,9 @@ class TestInPlaceSolve:
             np.linalg.eigvalsh(kept).tobytes()
         assert np.array_equal(M, kept)
 
+    @needs_openblas
     def test_two_stage_from_the_cut_on_one_thread(self):
-        cut = _two_stage_from_n()
-        if cut is None:
-            pytest.skip("numpy's OpenBLAS lacks LAPACKE_dsyevd_2stage")
+        cut = spectral._TWO_STAGE_FROM_N
         M = random_symmetric(cut, np.random.default_rng(cut))
         direct = np.empty(cut)
         found = blas_threads()
@@ -130,14 +154,9 @@ class TestInPlaceSolve:
         assert got[0].tobytes() != want.tobytes()  # not dsyevd's bits
 
     @needs_openblas
-    @pytest.mark.parametrize("steps_below_cut, pool, drop_2stage", [
-        (1, 1, False), (0, 2, False), (0, 1, True)],
-        ids=["below_the_cut", "two_threads", "no_2stage_symbol"])
-    def test_dsyevd_solves_elsewhere(self, monkeypatch, steps_below_cut,
-                                     pool, drop_2stage):
-        if drop_2stage:
-            monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
-                                spectral._OPENBLAS._replace(evd2=None))
+    @pytest.mark.parametrize("steps_below_cut, pool", [(1, 1), (0, 2)],
+                             ids=["below_the_cut", "two_threads"])
+    def test_dsyevd_solves_elsewhere(self, steps_below_cut, pool):
         n = spectral._TWO_STAGE_FROM_N - steps_below_cut
         M = random_symmetric(n, np.random.default_rng(n))
         found = blas_threads()
@@ -420,13 +439,8 @@ class TestSingularValues:
         assert np.allclose(s, expected, rtol=1e-9, atol=1e-9)
 
 
-needs_gesdd = pytest.mark.skipif(
-    spectral._OPENBLAS is None or spectral._OPENBLAS.gesdd is None,
-    reason="numpy's OpenBLAS lacks LAPACKE_dgesdd")
-
-
 class TestInPlaceSingularSolve:
-    @needs_gesdd
+    @needs_openblas
     @settings(max_examples=60, deadline=None)
     @example(m=640, n=160, pool=1, seed=0)
     @example(m=640, n=160, pool=2, seed=1)
@@ -488,12 +502,8 @@ class TestInPlaceSingularSolve:
             np.linalg.svd(kept, compute_uv=False).tobytes()
         assert np.array_equal(M, kept)
 
-    @pytest.mark.parametrize("binding", ["no_gesdd_symbol", "no_binding"])
-    def test_numpy_solves_without_the_driver(self, monkeypatch, binding):
-        monkeypatch.setattr("rmtlab.spectral._OPENBLAS",
-                            spectral._OPENBLAS._replace(gesdd=None)
-                            if binding == "no_gesdd_symbol"
-                            and spectral._OPENBLAS else None)
+    def test_without_the_binding_svd_solves(self, monkeypatch):
+        monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
         A = np.random.default_rng(8).random((40, 15))
         M = np.asfortranarray(A)
         assert singular_values(M, overwrite=True).tobytes() == \
