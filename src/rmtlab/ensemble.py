@@ -14,7 +14,7 @@ import math
 import mmap
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +154,9 @@ class EntryLaw:
 
     kind: str
     params: tuple[Fraction, ...] = ()
+    # what from_uniform maps by, as floats: (a, b, q), or (hi - lo, lo) of
+    # uniform_interval; set once, by __post_init__
+    _floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = _param_names(self.kind)
@@ -165,8 +168,12 @@ class EntryLaw:
             lo, hi = self.params
             if not lo < hi:
                 raise EnsembleError("uniform_interval needs lo < hi")
+            floats = (float(hi - lo), float(lo))
         elif not 0 <= atoms[2] <= 1:  # q, unless fixed, is the last parameter
             raise EnsembleError(f"{self.kind} {names[-1]} outside [0, 1]")
+        else:
+            floats = tuple(map(float, atoms))
+        object.__setattr__(self, "_floats", floats)
 
     def _atoms(self):
         """(a, b, q) of a two-point law; None for uniform_interval."""
@@ -229,13 +236,12 @@ class EntryLaw:
         written into `out`, which may be u itself, and returned."""
         if out is None:
             out = np.empty_like(u)
-        atoms = self._atoms()
-        if atoms is None:
-            lo, hi = self.params
+        if self.kind == "uniform_interval":
+            width, lo = self._floats
             # u * (hi - lo) + lo, the bits of lo + u * (hi - lo)
-            np.multiply(u, float(hi - lo), out=out)
-            return np.add(out, float(lo), out=out)
-        a, b, q = map(float, atoms)
+            np.multiply(u, width, out=out)
+            return np.add(out, lo, out=out)
+        a, b, q = self._floats
         if a == b:  # one fill: constant_zero, every graph's intra law
             out[...] = a
             return out
@@ -442,20 +448,29 @@ def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     layout in which `singular_values(B, overwrite=True)` solves it in place.
     Rows 0..n1-1 are the stream's prefix up to _row_start(n1, n), drawn in
     strips of _ROW_BLOCK rows; row i reaches the block's columns at offset
-    n1 - i.  Every entry of the block joins two parts, so it takes the
-    cross law, mapped in place.
+    n1 - i.  One gather takes a strip's block rows out of its draw.  Every
+    entry of the block joins two parts, so the strip takes the cross law,
+    mapped in place, and is then copied into B.
     """
     n, n1 = spec.n, spec.partition.sizes[0]
+    n2 = n - n1
     uniforms = _philox(spec.seed, replicate)
-    B = _zeros((n - n1, n1)).T
-    buf = np.empty(_row_start(min(_ROW_BLOCK, n1), n))  # as in _symmetric_fill
+    B = _zeros((n2, n1)).T
+    rows = min(_ROW_BLOCK, n1)
+    buf = np.empty(_row_start(rows, n))  # as in _symmetric_fill
+    strip = np.empty((rows, n2))
+    index = np.empty((rows, n2), dtype=np.intp)
     for r in range(0, n1, _ROW_BLOCK):
-        top = min(r + _ROW_BLOCK, n1)
-        u = uniforms.random(out=buf[:_row_start(top, n) - _row_start(r, n)])
-        for i in range(r, top):
-            start = _row_start(i, n) - _row_start(r, n) + n1 - i
-            B[i] = u[start:start + n - n1]
-        spec.law_cross.from_uniform(B[r:top], out=B[r:top])
+        h = min(_ROW_BLOCK, n1 - r)
+        # the strip's draw is an upper triangle of width n - r, whose row d
+        # is row r + d of the matrix
+        u = uniforms.random(out=buf[:_row_start(h, n - r)])
+        d = np.arange(h)
+        np.add.outer(_row_start(d, n - r) + n1 - r - d, np.arange(n2),
+                     out=index[:h])
+        np.take(u, index[:h], out=strip[:h], mode="clip")
+        spec.law_cross.from_uniform(strip[:h], out=strip[:h])
+        B[r:r + h] = strip[:h]
     return B
 
 

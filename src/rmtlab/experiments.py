@@ -49,7 +49,8 @@ from .laws import (LawError, catalan, gamma_bipartite_printed,
                    semicircle_stieltjes)
 from .spectral import (_TWO_STAGE_FROM_N, SpectralError, _set_blas_threads,
                        blas_threads, eigenvalues_bipartite, eigenvalues_sym,
-                       empirical_moment, esd, ks_distance, stieltjes_empirical)
+                       empirical_moment, esd, ks_distance, moments_bipartite,
+                       stieltjes_empirical)
 from .walks import enumerate_shapes, is_good_zero_mean
 
 _BLAS_NAME = np.show_config(mode="dicts").get("Build Dependencies", {}) \
@@ -231,16 +232,24 @@ def _table(header, records):
     return header, [[r[c] for c in header] for r in records]
 
 
+def _cross_block_only(spec: EnsembleSpec) -> bool:
+    """Whether every matrix of spec is [[0, B], [B^T, 0]]: two parts and
+    an intra law that is the point mass at 0.  Only B is then sampled."""
+    return spec.partition.m == 2 and spec.law_intra.raw_moment(2) == 0
+
+
+def _scaled_cross_block(spec: EnsembleSpec, i: int) -> np.ndarray:
+    return scale_matrix(sample_cross_block(spec, i), spec.n, overwrite=True)
+
+
 def _spectra(spec: EnsembleSpec, replicates: int):
-    # a two-part ensemble whose intra law is the point mass at 0 has
-    # matrices [[0, B], [B^T, 0]]: only the cross block B is sampled, and
-    # the spectrum is +-sigma(B).  Every other ensemble is solved whole.
-    # Each replicate scales and solves its own fresh sample in place.
-    if spec.partition.m == 2 and spec.law_intra.raw_moment(2) == 0:
+    # on the cross-block route the spectrum is +-sigma(B); every other
+    # ensemble is solved whole.  Each replicate scales and solves its own
+    # fresh sample in place.
+    if _cross_block_only(spec):
         def one(i):
-            return eigenvalues_bipartite(scale_matrix(
-                sample_cross_block(spec, i), spec.n, overwrite=True),
-                overwrite=True)
+            return eigenvalues_bipartite(_scaled_cross_block(spec, i),
+                                         overwrite=True)
     else:
         def one(i):
             return eigenvalues_sym(scale_matrix(sample_matrix(spec, i),
@@ -292,10 +301,18 @@ def _run_moments(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
     max_k = _get(cfg, "max_k", int, default=8, lo=1, hi=64)
     radius = reference_radius(spec)
-    spectra = _spectra(spec, replicates)
+    # M_0..M_max_k of each replicate; the cross-block route takes them from
+    # the eigenvalues of B's Gram matrix, with no SVD
+    if _cross_block_only(spec):
+        def one(i):
+            return moments_bipartite(_scaled_cross_block(spec, i), max_k)
+        moments = _map_replicates(one, replicates)
+    else:
+        moments = [[empirical_moment(e, k) for k in range(max_k + 1)]
+                   for e in _spectra(spec, replicates)]
     rows = []
     for k in range(max_k + 1):
-        emp = float(np.mean([empirical_moment(e, k) for e in spectra]))
+        emp = float(np.mean([m[k] for m in moments]))
         theo = float(semicircle_moment(k, radius))
         rows.append({"k": k, "empirical": emp, "theoretical": theo,
                      "abs_err": abs(emp - theo)})

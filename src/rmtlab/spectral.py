@@ -17,6 +17,13 @@ on a pool of more than one thread, gives `eigvalsh`'s bits.  From that
 order on a one-thread pool the driver is `dsyevd_2stage` (full to band to
 tridiagonal), whose eigenvalues differ from `eigvalsh`'s in the last bits;
 outputs stay a pure function of (config, seed) on one host.
+
+The moments of [[0, B], [B^T, 0]] come from the eigenvalues of B's smaller
+Gram matrix, with no SVD (`moments_bipartite`).  On a 640 x 160 Rademacher
+block they are within 2e-14 relative of the exact integer traces, against
+1e-15 from the singular values.  That is fine for moments, whose sums the
+large eigenvalues dominate; but a small singular value loses its relative
+accuracy when squared, so spectra (`eigenvalues_bipartite`) keep the SVD.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .ensemble import _zeros
 
 
 class SpectralError(RuntimeError):
@@ -156,6 +165,32 @@ def eigenvalues_bipartite(B: np.ndarray, overwrite: bool = False) \
     # 0.0 - s, not -s: a zero singular value must not become -0.0
     return np.concatenate((0.0 - s, np.zeros(abs(B.shape[0] - B.shape[1])),
                            s[::-1]))
+
+
+def moments_bipartite(B: np.ndarray, max_k: int) -> list[float]:
+    """[M_0, ..., M_max_k], the ESD moments of [[0, B], [B^T, 0]].
+
+    For an n1 x n2 block B, M_0 is 1.0, every odd moment is exactly 0.0,
+    and M_2j = 2/(n1 + n2) * sum(mu^j) over the eigenvalues mu of the
+    Gram matrix G = X^T X of order min(n1, n2), X being B or B^T: one
+    BLAS product (`dsyrk`, so G is exactly symmetric) into a mapping of
+    its own, and one in-place symmetric solve; the module docstring gives
+    the accuracy.  The caller's B is left as it is; this function drops
+    its own reference to B before the solve.
+    """
+    if not 0 <= max_k <= 64:
+        raise ValueError("moment order must be in 0..64")
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2:
+        raise ValueError("matrix required")
+    n = sum(B.shape)
+    X = B if B.shape[0] >= B.shape[1] else B.T
+    G = _zeros((X.shape[1], X.shape[1]))
+    np.matmul(X.T, X, out=G)
+    del B, X
+    mu = eigenvalues_sym(G, overwrite=True)
+    return [1.0] + [0.0 if k % 2 else 2.0 * float(np.sum(mu ** (k // 2))) / n
+                    for k in range(1, max_k + 1)]
 
 
 def singular_values(M: np.ndarray, overwrite: bool = False) -> np.ndarray:

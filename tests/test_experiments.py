@@ -27,7 +27,7 @@ from rmtlab.graphenergy import graph_energy, sample_graph
 from rmtlab.laws import catalan, pseudo_char_grid, semicircle_moment
 from rmtlab.spectral import (SpectralError, _set_blas_threads, blas_threads,
                              eigenvalues_bipartite, eigenvalues_sym,
-                             empirical_moment)
+                             moments_bipartite)
 from rmtlab.walks import enumerate_shapes, is_good_zero_mean
 
 
@@ -770,16 +770,29 @@ class TestMomentsRun:
         assert float(disk[2]["theoretical"]) == pytest.approx(0.25)
 
     def test_ensemble_record_replays_the_moments(self, tmp_path):
-        # zero intra blocks: the replay samples the cross block alone
+        # zero intra blocks: the replay samples the cross block alone and
+        # takes its moments from the Gram matrix
         run_experiment(zero_intra_cfg("moments", n=40), tmp_path, seed=11,
                        replicates=3)
         report = json.loads((tmp_path / "report.json").read_text())
         spec = EnsembleSpec.from_dict(report["ensemble"])
-        spectra = [eigenvalues_bipartite(scale_matrix(
-            sample_cross_block(spec, i), spec.n)) for i in range(3)]
-        assert [float(np.mean([empirical_moment(e, k) for e in spectra]))
-                for k in range(9)] == \
-            [row["empirical"] for row in report["moments"]]
+        moments = [moments_bipartite(scale_matrix(
+            sample_cross_block(spec, i), spec.n), 8) for i in range(3)]
+        assert [float(np.mean([m[k] for m in moments])) for k in range(9)] \
+            == [row["empirical"] for row in report["moments"]]
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_two_part_moments_take_no_svd(self, monkeypatch, tmp_path,
+                                          replicates):
+        monkeypatch.setattr(spectral, "singular_values",
+                            _refuse("singular_values"))
+        monkeypatch.setattr(np.linalg, "svd", _refuse("np.linalg.svd"))
+        rep = run_experiment(zero_intra_cfg("moments", n=60), tmp_path,
+                             replicates=replicates)
+        rows = rep["moments"]
+        assert [r["empirical"] for r in rows[1::2]] == [0.0] * 4
+        # tr(B B^T) = n1 * n2 / (4 n) for a +-1 block: M_2 = 2 n1 n2 / (4 n^2)
+        assert rows[2]["empirical"] == pytest.approx(0.08, rel=1e-14)
 
     def test_theoretical_moments_csv(self, tmp_path):
         cfg = rademacher_cfg("moments", n=40, fractions=(1.0,), max_k=2)

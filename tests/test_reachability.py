@@ -35,6 +35,7 @@ def _ensemble(fractions, intra):
 
 CONFIGS = [
     ("esd", _ensemble([0.5, 0.5], RADEMACHER)),
+    ("esd", _ensemble([0.75, 0.25], ZERO)),  # the two-part SVD route
     ("moments", {**_ensemble([0.75, 0.25], ZERO), "max_k": 4}),
     ("stieltjes", _ensemble([1.0], UNIFORM)),
     ("walks", {"max_k": 4}),

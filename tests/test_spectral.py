@@ -1,6 +1,7 @@
 import ctypes
 import glob
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import graph_spec
 from rmtlab import spectral
-from rmtlab.ensemble import EnsembleSpec, EntryLaw, make_partition, \
-    sample_matrix, scale_matrix
+from rmtlab.ensemble import EnsembleSpec, EntryLaw, PartitionSpec, \
+    make_partition, sample_cross_block, sample_matrix, scale_matrix
 from rmtlab.graphenergy import sample_graph
 from rmtlab.laws import semicircle_cdf
 from rmtlab.spectral import (_COL_MAJOR, SpectralError, _lapacke_check,
@@ -20,7 +21,8 @@ from rmtlab.spectral import (_COL_MAJOR, SpectralError, _lapacke_check,
                              check_stieltjes_perturbation,
                              eigenvalues_bipartite, eigenvalues_sym,
                              empirical_moment, esd,
-                             esd_sup_distance, ks_distance, numeric_rank,
+                             esd_sup_distance, ks_distance,
+                             moments_bipartite, numeric_rank,
                              singular_values, stieltjes_empirical)
 
 
@@ -237,6 +239,66 @@ class TestEigenvaluesBipartite:
         assert np.max(np.abs(got - want)) <= tol
         assert not np.any(np.signbit(got[got == 0.0]))
         assert np.sum(got == 0.0) >= abs(n1 - n2)
+
+
+class TestMomentsBipartite:
+    @pytest.mark.parametrize("fractions", [(0.75, 0.25), (0.25, 0.75)],
+                             ids=["n1>n2", "n1<n2"])
+    def test_rademacher_traces_are_exact_integers(self, fractions):
+        # S = 2 sqrt(n) B is a +-1 matrix, so with G the smaller Gram matrix
+        # of S, M_2j = 2/n * tr(G^j) / (4n)^j exactly
+        n = 96
+        spec = EnsembleSpec(make_partition(n, fractions),
+                            EntryLaw.constant_zero(), EntryLaw.rademacher(),
+                            seed=9)
+        for replicate in range(3):
+            B = scale_matrix(sample_cross_block(spec, replicate), n)
+            S = np.rint(B * (2 * math.sqrt(n))).astype(int)
+            assert set(np.unique(S)) == {-1, 1}
+            S = S.astype(object)
+            G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
+            got = moments_bipartite(B, 8)
+            assert got[0] == 1.0 and got[1::2] == [0.0] * 4
+            P = G
+            for j in range(1, 5):
+                want = Fraction(2 * int(np.trace(P)), n * (4 * n) ** j)
+                assert abs(Fraction(got[2 * j]) - want) <= 1e-12 * want
+                P = P @ G
+
+    @settings(max_examples=80, deadline=None)
+    @example(n1=1, n2=1, layout="F", seed=0)
+    @example(n1=1, n2=60, layout="C", seed=1)
+    @example(n1=60, n2=1, layout="F", seed=2)
+    @example(n1=60, n2=60, layout="C", seed=3)
+    @given(n1=st.integers(1, 60), n2=st.integers(1, 60),
+           layout=st.sampled_from(["F", "C"]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_matches_the_moments_of_the_spectrum(self, n1, n2, layout, seed):
+        # each moment within 1e-10 of mean|lambda|^k, the scale of M_k and
+        # of its rounding; below the smallest normal float no relative
+        # accuracy is left, so that is the floor
+        spec = EnsembleSpec(PartitionSpec(n1 + n2, (n1, n2)),
+                            EntryLaw.constant_zero(),
+                            EntryLaw.uniform_interval(-1, 1), seed)
+        B = np.asarray(scale_matrix(sample_cross_block(spec), spec.n),
+                       order=layout)
+        kept = B.copy()
+        got = moments_bipartite(B, 64)
+        assert B.tobytes() == kept.tobytes()
+        eigs = eigenvalues_bipartite(B)
+        assert got[0] == 1.0 and got[1::2] == [0.0] * 32
+        for k in range(65):
+            scale = float(np.mean(np.abs(eigs) ** k))
+            assert abs(got[k] - empirical_moment(eigs, k)) <= \
+                1e-10 * scale + np.finfo(float).tiny
+
+    @pytest.mark.parametrize("max_k", [-1, 65])
+    def test_order_outside_0_to_64_is_refused(self, max_k):
+        with pytest.raises(ValueError, match="0..64"):
+            moments_bipartite(np.ones((3, 2)), max_k)
+
+    def test_max_k_zero_is_m0_alone(self):
+        assert moments_bipartite(np.ones((3, 2)), 0) == [1.0]
 
 
 class TestESD:
