@@ -302,10 +302,10 @@ def _run_moments(cfg, seed, replicates):
     max_k = _get(cfg, "max_k", int, default=8, lo=1, hi=64)
     radius = reference_radius(spec)
     # M_0..M_max_k of each replicate; the cross-block route takes them from
-    # the eigenvalues of B's Gram matrix, with no SVD
+    # traces of powers of B's Gram matrix, which carries the scale
     if _cross_block_only(spec):
         def one(i):
-            return moments_bipartite(_scaled_cross_block(spec, i), max_k)
+            return moments_bipartite(sample_cross_block(spec, i), max_k)
         moments = _map_replicates(one, replicates)
     else:
         moments = [[empirical_moment(e, k) for k in range(max_k + 1)]
@@ -331,6 +331,8 @@ def _run_stieltjes(cfg, seed, replicates):
     spec = _ensemble_spec(cfg, seed)
     z_grid = _get(cfg, "z_grid", list,
                   default=[[0.0, 1.0], [0.5, 1.0], [-0.5, 0.5], [1.0, 2.0]])
+    if not z_grid:
+        raise ConfigError("z_grid", "needs at least one point")
     radius = reference_radius(spec)
     for j, pair in enumerate(z_grid):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -414,6 +416,10 @@ def _hankel_gammas(cfg, source: str, k: int):
         m = _get(cfg, "hankel.m", int, required=True, lo=3)
         nu1 = _get(cfg, "hankel.nu1", float, required=True)
         nu2 = _get(cfg, "hankel.nu2", float, required=True)
+        # each fraction's own rule; the joint one names the section
+        for field, nu in (("hankel.nu1", nu1), ("hankel.nu2", nu2)):
+            if not 0.0 < nu < 1.0:
+                raise ConfigError(field, "must lie in (0, 1)")
         vals = [1.0] + [0.0] * L
         for j in range(1, k + 1):
             vals[2 * j] = float(gamma_proposition_printed(j, m, nu1, nu2))

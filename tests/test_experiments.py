@@ -195,6 +195,21 @@ OUT_OF_RANGE = [
     ("charfn.t_max", _charfn_cfg(t_max=-5.0), []),
     ("charfn.t_max", _charfn_cfg(t_max=0.0), []),
     ("charfn", _charfn_cfg(t_max=0.01), []),
+    # proposition_printed's fractions each lie in (0, 1); 1.2 + 2 * -0.1 = 1
+    # met the joint rule and wrote gamma_2 = -0.115.  The joint rule names
+    # the section.
+    ("hankel.nu1", _hankel_cfg(source="proposition_printed", m=3, nu1=1.2,
+                               nu2=-0.1), []),
+    ("hankel.nu1", _hankel_cfg(source="proposition_printed", m=3, nu1=0.0,
+                               nu2=0.5), []),
+    ("hankel.nu2", _hankel_cfg(source="proposition_printed", m=3, nu1=0.5,
+                               nu2=-0.1), []),
+    ("hankel.nu2", _hankel_cfg(source="proposition_printed", m=3, nu1=0.5,
+                               nu2=1.0), []),
+    ("hankel", _hankel_cfg(source="proposition_printed", m=3, nu1=0.5,
+                           nu2=0.5), []),
+    # an empty grid was solved and written as a header-only stieltjes.csv
+    ("z_grid", rademacher_cfg("stieltjes", n=20, z_grid=[]), []),
 ]
 
 
@@ -771,13 +786,13 @@ class TestMomentsRun:
 
     def test_ensemble_record_replays_the_moments(self, tmp_path):
         # zero intra blocks: the replay samples the cross block alone and
-        # takes its moments from the Gram matrix
+        # takes its moments from traces of Gram-matrix powers
         run_experiment(zero_intra_cfg("moments", n=40), tmp_path, seed=11,
                        replicates=3)
         report = json.loads((tmp_path / "report.json").read_text())
         spec = EnsembleSpec.from_dict(report["ensemble"])
-        moments = [moments_bipartite(scale_matrix(
-            sample_cross_block(spec, i), spec.n), 8) for i in range(3)]
+        moments = [moments_bipartite(sample_cross_block(spec, i), 8)
+                   for i in range(3)]
         assert [float(np.mean([m[k] for m in moments])) for k in range(9)] \
             == [row["empirical"] for row in report["moments"]]
 
@@ -793,6 +808,16 @@ class TestMomentsRun:
         assert [r["empirical"] for r in rows[1::2]] == [0.0] * 4
         # tr(B B^T) = n1 * n2 / (4 n) for a +-1 block: M_2 = 2 n1 n2 / (4 n^2)
         assert rows[2]["empirical"] == pytest.approx(0.08, rel=1e-14)
+
+    def test_two_part_moments_take_no_eigensolve(self, monkeypatch,
+                                                 tmp_path):
+        for name in ("eigenvalues_sym", "singular_values"):
+            monkeypatch.setattr(spectral, name, _refuse(name))
+        monkeypatch.setattr(np.linalg, "svd", _refuse("np.linalg.svd"))
+        rep = run_experiment(zero_intra_cfg("moments", n=60), tmp_path,
+                             replicates=2)
+        assert rep["moments"][2]["empirical"] == pytest.approx(0.08,
+                                                               rel=1e-14)
 
     def test_theoretical_moments_csv(self, tmp_path):
         cfg = rademacher_cfg("moments", n=40, fractions=(1.0,), max_k=2)

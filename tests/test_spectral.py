@@ -241,21 +241,33 @@ class TestEigenvaluesBipartite:
         assert np.sum(got == 0.0) >= abs(n1 - n2)
 
 
+def assert_moments_of_the_spectrum(got, B, n):
+    """got is [M_0..M_64] of [[0, B], [B^T, 0]]/(2 sqrt n): each moment
+    within 1e-10 of mean|lambda|^k, the scale of M_k and of its rounding;
+    below the smallest normal float no relative accuracy is left, so that
+    is the floor."""
+    eigs = eigenvalues_bipartite(scale_matrix(B, n))
+    assert got[0] == 1.0 and got[1::2] == [0.0] * 32
+    for k in range(65):
+        scale = float(np.mean(np.abs(eigs) ** k))
+        assert abs(got[k] - empirical_moment(eigs, k)) <= \
+            1e-10 * scale + np.finfo(float).tiny
+
+
 class TestMomentsBipartite:
     @pytest.mark.parametrize("fractions", [(0.75, 0.25), (0.25, 0.75)],
                              ids=["n1>n2", "n1<n2"])
     def test_rademacher_traces_are_exact_integers(self, fractions):
-        # S = 2 sqrt(n) B is a +-1 matrix, so with G the smaller Gram matrix
-        # of S, M_2j = 2/n * tr(G^j) / (4n)^j exactly
+        # B is a +-1 matrix, so with G the smaller Gram matrix of B,
+        # M_2j = 2/n * tr(G^j) / (4n)^j exactly
         n = 96
         spec = EnsembleSpec(make_partition(n, fractions),
                             EntryLaw.constant_zero(), EntryLaw.rademacher(),
                             seed=9)
         for replicate in range(3):
-            B = scale_matrix(sample_cross_block(spec, replicate), n)
-            S = np.rint(B * (2 * math.sqrt(n))).astype(int)
-            assert set(np.unique(S)) == {-1, 1}
-            S = S.astype(object)
+            B = sample_cross_block(spec, replicate)
+            assert set(np.unique(B)) == {-1.0, 1.0}
+            S = B.astype(int).astype(object)
             G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
             got = moments_bipartite(B, 8)
             assert got[0] == 1.0 and got[1::2] == [0.0] * 4
@@ -274,23 +286,25 @@ class TestMomentsBipartite:
            layout=st.sampled_from(["F", "C"]),
            seed=st.integers(0, 2**64 - 1))
     def test_matches_the_moments_of_the_spectrum(self, n1, n2, layout, seed):
-        # each moment within 1e-10 of mean|lambda|^k, the scale of M_k and
-        # of its rounding; below the smallest normal float no relative
-        # accuracy is left, so that is the floor
         spec = EnsembleSpec(PartitionSpec(n1 + n2, (n1, n2)),
                             EntryLaw.constant_zero(),
                             EntryLaw.uniform_interval(-1, 1), seed)
-        B = np.asarray(scale_matrix(sample_cross_block(spec), spec.n),
-                       order=layout)
+        B = np.asarray(sample_cross_block(spec), order=layout)
         kept = B.copy()
         got = moments_bipartite(B, 64)
         assert B.tobytes() == kept.tobytes()
-        eigs = eigenvalues_bipartite(B)
-        assert got[0] == 1.0 and got[1::2] == [0.0] * 32
-        for k in range(65):
-            scale = float(np.mean(np.abs(eigs) ** k))
-            assert abs(got[k] - empirical_moment(eigs, k)) <= \
-                1e-10 * scale + np.finfo(float).tiny
+        assert_moments_of_the_spectrum(got, B, spec.n)
+
+    def test_scaled_moments_are_finite_where_raw_traces_overflow(self):
+        # entries +-3e4: tr((B^T B)^32) is about 4e345 and overflows, while
+        # M_64 of the scaled matrix is about 3e273
+        spec = EnsembleSpec(make_partition(40, (0.75, 0.25)),
+                            EntryLaw.constant_zero(),
+                            EntryLaw.two_point(3e4, -3e4, 0.5), seed=0)
+        B = sample_cross_block(spec)
+        got = moments_bipartite(B, 64)
+        assert got[64] > 1e270 and all(map(math.isfinite, got))
+        assert_moments_of_the_spectrum(got, B, spec.n)
 
     @pytest.mark.parametrize("max_k", [-1, 65])
     def test_order_outside_0_to_64_is_refused(self, max_k):
