@@ -362,9 +362,10 @@ def _zeros(shape: tuple[int, int]) -> np.ndarray:
     larger buffer grows the heap by a whole matrix: peak memory would hang
     on which thread drew which replicate.  A mapping of its own leaves the
     heaps to small blocks.  Every entry gets written, so the pages are
-    faulted in at once where the platform allows it.
+    faulted in at once where the platform allows it.  An empty shape, which
+    no mapping can hold, gets a plain empty array.
     """
-    if not hasattr(mmap, "MAP_ANONYMOUS"):  # pragma: no cover - not POSIX
+    if not math.prod(shape) or not hasattr(mmap, "MAP_ANONYMOUS"):
         return np.zeros(shape)
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS \
         | getattr(mmap, "MAP_POPULATE", 0)
@@ -444,21 +445,19 @@ def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """sample_matrix(spec, replicate)[:n1, n1:], n1 the size of the first
     part, drawn without the rest of the matrix.
 
-    The block is column-major (F-contiguous) in a mapping of its own: the
-    layout in which `singular_values(B, overwrite=True)` solves it in place.
-    Rows 0..n1-1 are the stream's prefix up to _row_start(n1, n), drawn in
-    strips of _ROW_BLOCK rows; row i reaches the block's columns at offset
-    n1 - i.  One gather takes a strip's block rows out of its draw.  Every
-    entry of the block joins two parts, so the strip takes the cross law,
-    mapped in place, and is then copied into B.
+    The block is C-order in a mapping of its own.  Rows 0..n1-1 are the
+    stream's prefix up to _row_start(n1, n), drawn in strips of _ROW_BLOCK
+    rows; row i reaches the block's columns at offset n1 - i.  One gather
+    takes a strip's block rows out of its draw into B's rows.  Every entry
+    of the block joins two parts, so those rows take the cross law, mapped
+    in place.
     """
     n, n1 = spec.n, spec.partition.sizes[0]
     n2 = n - n1
     uniforms = _philox(spec.seed, replicate)
-    B = _zeros((n2, n1)).T
+    B = _zeros((n1, n2))
     rows = min(_ROW_BLOCK, n1)
     buf = np.empty(_row_start(rows, n))  # as in _symmetric_fill
-    strip = np.empty((rows, n2))
     index = np.empty((rows, n2), dtype=np.intp)
     for r in range(0, n1, _ROW_BLOCK):
         h = min(_ROW_BLOCK, n1 - r)
@@ -468,9 +467,9 @@ def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
         d = np.arange(h)
         np.add.outer(_row_start(d, n - r) + n1 - r - d, np.arange(n2),
                      out=index[:h])
-        np.take(u, index[:h], out=strip[:h], mode="clip")
-        spec.law_cross.from_uniform(strip[:h], out=strip[:h])
-        B[r:r + h] = strip[:h]
+        strip = B[r:r + h]
+        np.take(u, index[:h], out=strip, mode="clip")
+        spec.law_cross.from_uniform(strip, out=strip)
     return B
 
 

@@ -238,18 +238,14 @@ def _cross_block_only(spec: EnsembleSpec) -> bool:
     return spec.partition.m == 2 and spec.law_intra.raw_moment(2) == 0
 
 
-def _scaled_cross_block(spec: EnsembleSpec, i: int) -> np.ndarray:
-    return scale_matrix(sample_cross_block(spec, i), spec.n, overwrite=True)
-
-
 def _spectra(spec: EnsembleSpec, replicates: int):
-    # on the cross-block route the spectrum is +-sigma(B); every other
-    # ensemble is solved whole.  Each replicate scales and solves its own
-    # fresh sample in place.
+    # on the cross-block route the spectrum is +-sigma(B), from an SVD of a
+    # copy of B; every other ensemble is solved whole, in place.  Each
+    # replicate scales its own fresh sample in place.
     if _cross_block_only(spec):
         def one(i):
-            return eigenvalues_bipartite(_scaled_cross_block(spec, i),
-                                         overwrite=True)
+            return eigenvalues_bipartite(scale_matrix(
+                sample_cross_block(spec, i), spec.n, overwrite=True))
     else:
         def one(i):
             return eigenvalues_sym(scale_matrix(sample_matrix(spec, i),

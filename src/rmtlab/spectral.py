@@ -4,13 +4,15 @@ Spectra, empirical spectral distributions (step CDFs), empirical moments,
 empirical Stieltjes transforms, singular values, and numeric checks of the
 rank inequality and the Stieltjes perturbation bound.
 
-Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd`,
-`dsyevd_2stage` and `dgesdd` are reached through ctypes: `blas_threads`
-reads the pool size, and a symmetric solve or a singular-value solve may
-overwrite its input instead of copying it.  ctypes releases the GIL for
-the length of the call, so replicate threads solve side by side.  Every
-other solve, and every solve where the pool size is unknown (None), is
-`np.linalg.eigvalsh` or `np.linalg.svd`.
+Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd` and
+`dsyevd_2stage` are reached through ctypes: `blas_threads` reads the pool
+size, and a symmetric solve may overwrite its input instead of copying it.
+ctypes releases the GIL for the length of the call, so replicate threads
+solve side by side.  Every other symmetric solve, and every symmetric
+solve where the pool size is unknown (None), is `np.linalg.eigvalsh`; every
+singular-value solve is `np.linalg.svd` on a copy.  A solve whose values
+are not all finite (an infinite entry, or an overflow inside the solver)
+raises SpectralError.
 
 The solve contract: an in-place solve below order `_TWO_STAGE_FROM_N`, or
 on a pool of more than one thread, gives `eigvalsh`'s bits.  From that
@@ -42,7 +44,8 @@ from .ensemble import _zeros
 
 
 class SpectralError(RuntimeError):
-    """Eigen/singular value computation failed to converge."""
+    """Eigen/singular value computation did not converge, or gave values
+    that are not finite."""
 
 
 # rows per strip of the symmetry check; a strip and its transpose stay in cache
@@ -51,13 +54,13 @@ _STRIP = 64
 
 class _Binding(NamedTuple):
     """The OpenBLAS that numpy ships, the 64-bit-integer scipy-openblas
-    build: its pool size, read and set, and its LAPACKE drivers."""
+    build: its pool size, read and set, and its LAPACKE symmetric
+    eigensolvers."""
 
     get: Callable
     put: Callable
     evd: Callable
     evd2: Callable
-    gesdd: Callable
 
 
 def _openblas() -> _Binding | None:
@@ -70,20 +73,16 @@ def _openblas() -> _Binding | None:
             b = _Binding(lib.scipy_openblas_get_num_threads64_,
                          lib.scipy_openblas_set_num_threads64_,
                          lib.scipy_LAPACKE_dsyevd64_,
-                         lib.scipy_LAPACKE_dsyevd_2stage64_,
-                         lib.scipy_LAPACKE_dgesdd64_)
+                         lib.scipy_LAPACKE_dsyevd_2stage64_)
         except AttributeError:
             continue
         b.get.restype, b.get.argtypes = ctypes.c_int, []
         b.put.restype, b.put.argtypes = None, [ctypes.c_int]
         i64, ptr = ctypes.c_int64, ctypes.c_void_p  # lapack_int = int64
-        b.evd.restype = b.evd2.restype = b.gesdd.restype = i64
+        b.evd.restype = b.evd2.restype = i64
         # (layout, jobz, uplo, n, a, lda, w) -> info
         b.evd.argtypes = b.evd2.argtypes = [
             ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
-        # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt) -> info
-        b.gesdd.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr, i64,
-                            ptr, ptr, i64, ptr, i64]
         return b
     return None
 
@@ -108,7 +107,7 @@ def _set_blas_threads(k: int) -> None:
 
 def _lapacke_check(info: int, what: str) -> None:
     """Raise for a LAPACKE status: SpectralError above 0 (no convergence)
-    or at -5 (a NaN in the matrix, each driver's fifth argument), and
+    or at -5 (a NaN in the matrix, the fifth argument of both drivers), and
     RuntimeError, a bug, at any other negative status."""
     if info > 0 or info == -5:
         raise SpectralError(f"{what} did not converge (info {info})")
@@ -140,7 +139,7 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     if not (_OPENBLAS and overwrite and M.flags.writeable
             and (M.flags.c_contiguous or M.flags.f_contiguous)):
         try:
-            return np.linalg.eigvalsh(M)
+            return _finite(np.linalg.eigvalsh(M), "eigensolver")
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SpectralError(f"eigensolver did not converge: {exc}") \
                 from exc
@@ -150,19 +149,27 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
         else _OPENBLAS.evd
     _lapacke_check(evd(_COL_MAJOR, b"N", b"L", n, M.ctypes.data, n,
                        w.ctypes.data), "eigensolver")
-    return w
+    return _finite(w, "eigensolver")
 
 
-def eigenvalues_bipartite(B: np.ndarray, overwrite: bool = False) \
-        -> np.ndarray:
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, once all are finite.  A NaN entry is refused before the
+    solve, but an infinite one, or an overflow inside it, gives NaN."""
+    if not np.isfinite(values).all():
+        raise SpectralError(f"{what} gave values that are not finite")
+    return values
+
+
+def eigenvalues_bipartite(B: np.ndarray) -> np.ndarray:
     """All eigenvalues of [[0, B], [B^T, 0]], sorted ascending.
 
     For an n1 x n2 block B they are -sigma(B), |n1 - n2| exact zeros and
-    sigma(B), from one SVD of B.  With `overwrite`, B may be the solve's
-    workspace (see singular_values).
+    sigma(B), from one SVD of B, which is left as it is.
     """
     B = np.asarray(B, dtype=float)
-    s = singular_values(B, overwrite=overwrite)
+    s = singular_values(B)
+    if not sum(B.shape):
+        raise ValueError("[[0, B], [B^T, 0]] of positive order required")
     # 0.0 - s, not -s: a zero singular value must not become -0.0
     return np.concatenate((0.0 - s, np.zeros(abs(B.shape[0] - B.shape[1])),
                            s[::-1]))
@@ -195,6 +202,8 @@ def moments_bipartite(B: np.ndarray, max_k: int) -> list[float]:
     if B.ndim != 2:
         raise ValueError("matrix required")
     n = sum(B.shape)
+    if not n:
+        raise ValueError("[[0, B], [B^T, 0]] of positive order required")
     X = B if B.shape[0] >= B.shape[1] else B.T
     p = X.shape[1]
     G = _zeros((p, p))
@@ -220,32 +229,16 @@ def _inner(A: np.ndarray, C: np.ndarray, out: np.ndarray) -> float:
     return float(np.sum(np.multiply(A, C, out=out)))
 
 
-def singular_values(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Singular values of a matrix, nonincreasing.
-
-    With `overwrite`, a writeable, nonempty, F-contiguous float64 M is
-    LAPACK's `dgesdd` workspace and holds garbage afterwards; `dgesdd` runs
-    on M's column-major storage through LAPACKE, outside the GIL.  That is
-    the layout `np.linalg.svd` copies M into before it calls `dgesdd`, so
-    the values have its bits.  Every other M, and every M without
-    `overwrite`, is solved by `np.linalg.svd` on a copy.  (A 1 x k C-order
-    array is F-contiguous too: the flag, not the layout, gives M away.)
-    """
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, nonincreasing, from `np.linalg.svd` on
+    a copy of M."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("matrix required")
-    if not (_OPENBLAS and overwrite and M.size and M.flags.writeable
-            and M.flags.f_contiguous):
-        try:
-            return np.linalg.svd(M, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise SpectralError(f"SVD did not converge: {exc}") from exc
-    m, n = M.shape
-    s = np.empty(min(m, n))
-    # jobz N: no singular vectors, so u and vt are not referenced
-    _lapacke_check(_OPENBLAS.gesdd(_COL_MAJOR, b"N", m, n, M.ctypes.data, m,
-                                   s.ctypes.data, None, m, None, n), "SVD")
-    return s
+    try:
+        return _finite(np.linalg.svd(M, compute_uv=False), "SVD")
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"SVD did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -308,16 +308,13 @@ def _mapping(A):
 class TestSampling:
     def test_samples_are_mappings_of_their_own(self):
         # a dropped sample goes back to the system at once instead of
-        # leaving a hole in the drawing thread's malloc heap; the cross
-        # block is column-major, the layout its SVD solves in place
+        # leaving a hole in the drawing thread's malloc heap
         spec = rademacher_spec(300, [0.25, 0.75])
         for sample in (sample_matrix, sample_cross_block, sample_graph):
             A = sample(spec, 0)
             buf = _mapping(A)
             assert isinstance(buf, mmap.mmap) and len(buf) == A.nbytes
-            assert A.flags.writeable and (A.flags.f_contiguous
-                                          if sample is sample_cross_block
-                                          else A.flags.c_contiguous)
+            assert A.flags.writeable and A.flags.c_contiguous
             gone = weakref.ref(buf)
             del A, buf
             assert gone() is None

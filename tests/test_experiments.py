@@ -742,20 +742,6 @@ class TestSpectraRoute:
         got = _spectra(spec, 3)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    @pytest.mark.skipif(spectral._OPENBLAS is None,
-                        reason="numpy's OpenBLAS is not reachable")
-    @pytest.mark.parametrize("replicates", [1, 3])
-    def test_two_part_route_solves_in_place(self, monkeypatch, replicates):
-        # the sampled block is dgesdd's workspace; numpy's svd is not called
-        spec = EnsembleSpec(make_partition(90, (0.7, 0.3)),
-                            EntryLaw.constant_zero(), EntryLaw.rademacher(),
-                            seed=4)
-        want = [eigenvalues_bipartite(scale_matrix(
-            sample_cross_block(spec, r), spec.n)) for r in range(replicates)]
-        monkeypatch.setattr(np.linalg, "svd", _refuse("np.linalg.svd"))
-        got = _spectra(spec, replicates)
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-
     def test_zero_sampled_blocks_of_a_random_law_are_solved_whole(self):
         # the intra law, not the sample, picks the route; the two routes
         # agree on such a matrix to the eigenvalues_bipartite tolerance

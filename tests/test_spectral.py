@@ -170,6 +170,15 @@ class TestInPlaceSolve:
             _set_blas_threads(found)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("overwrite", [
+        False, pytest.param(True, marks=needs_openblas)],
+        ids=["copy", "in_place"])
+    def test_infinite_entry_is_a_spectral_error(self, overwrite):
+        # the solve gives NaN for it, where a NaN entry is refused
+        M = np.array([[np.inf, 1.0], [1.0, 2.0]])
+        with pytest.raises(SpectralError, match="not finite"):
+            eigenvalues_sym(M, overwrite=overwrite)
+
     def test_without_the_binding_eigvalsh_solves(self, monkeypatch):
         monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
         M = random_symmetric(30, np.random.default_rng(5))
@@ -239,6 +248,15 @@ class TestEigenvaluesBipartite:
         assert np.max(np.abs(got - want)) <= tol
         assert not np.any(np.signbit(got[got == 0.0]))
         assert np.sum(got == 0.0) >= abs(n1 - n2)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_empty_block_gives_zeros(self, shape):
+        assert eigenvalues_bipartite(np.ones(shape)).tobytes() == \
+            np.zeros(3).tobytes()
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match="positive order"):
+            eigenvalues_bipartite(np.ones((0, 0)))
 
 
 def assert_moments_of_the_spectrum(got, B, n):
@@ -313,6 +331,15 @@ class TestMomentsBipartite:
 
     def test_max_k_zero_is_m0_alone(self):
         assert moments_bipartite(np.ones((3, 2)), 0) == [1.0]
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_empty_block_has_the_moments_of_zero(self, shape):
+        # [[0, B], [B^T, 0]] is the zero matrix of order 3
+        assert moments_bipartite(np.ones(shape), 8) == [1.0] + [0.0] * 8
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match="positive order"):
+            moments_bipartite(np.ones((0, 0)), 8)
 
 
 class TestESD:
@@ -516,36 +543,8 @@ class TestSingularValues:
 
 
 class TestInPlaceSingularSolve:
-    @needs_openblas
-    @settings(max_examples=60, deadline=None)
-    @example(m=640, n=160, pool=1, seed=0)
-    @example(m=640, n=160, pool=2, seed=1)
-    @example(m=1600, n=400, pool=1, seed=2)
-    @example(m=1600, n=400, pool=2, seed=3)
-    @example(m=1, n=1, pool=1, seed=4)
-    @given(m=st.integers(1, 60), n=st.integers(1, 60),
-           pool=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_numpy_svd_bit_for_bit(self, m, n, pool, seed):
-        A = np.random.default_rng(seed).uniform(-1, 1, size=(m, n))
-        M = np.asfortranarray(A)
-        gesdd, solved = spectral._OPENBLAS.gesdd, []
-
-        def spy(*args):
-            solved.append(args[4])  # the address of the workspace
-            return gesdd(*args)
-
-        found = blas_threads()
-        _set_blas_threads(pool)
-        try:
-            want = np.linalg.svd(A, compute_uv=False)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr("rmtlab.spectral._OPENBLAS",
-                              spectral._OPENBLAS._replace(gesdd=spy))
-                got = singular_values(M, overwrite=True)
-        finally:
-            _set_blas_threads(found)
-        assert got.tobytes() == want.tobytes()
-        assert solved == [M.ctypes.data]  # dgesdd, in M's own storage
+    """singular_values and eigenvalues_bipartite solve a copy: an input of
+    any layout is left as it was."""
 
     @pytest.mark.parametrize("k", [1, 2, 9])
     def test_c_order_row_is_untouched_without_overwrite(self, k):
@@ -560,21 +559,25 @@ class TestInPlaceSingularSolve:
 
     @pytest.mark.parametrize("make", [
         lambda A: np.ascontiguousarray(A),
+        lambda A: np.asfortranarray(A),
         lambda A: np.asfortranarray(A)[:, ::2],
         lambda A: np.asfortranarray(A.astype(np.float32)),
         lambda A: np.asfortranarray(A).tolist()],
-        ids=["c_order", "strided", "float32", "list"])
+        ids=["c_order", "fortran", "strided", "float32", "list"])
     def test_other_layouts_match(self, make):
         A = np.random.default_rng(6).random((30, 12))
         M = make(A)
+        kept = np.array(M)
         want = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-        assert singular_values(M, overwrite=True).tobytes() == want.tobytes()
+        assert singular_values(M).tobytes() == want.tobytes()
+        eigenvalues_bipartite(M)
+        assert np.asarray(M).tobytes() == kept.tobytes()
 
     def test_read_only_input_is_not_written(self):
         M = np.asfortranarray(np.random.default_rng(7).random((20, 9)))
         M.flags.writeable = False
         kept = M.copy()
-        assert singular_values(M, overwrite=True).tobytes() == \
+        assert singular_values(M).tobytes() == \
             np.linalg.svd(kept, compute_uv=False).tobytes()
         assert np.array_equal(M, kept)
 
@@ -582,16 +585,22 @@ class TestInPlaceSingularSolve:
         monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
         A = np.random.default_rng(8).random((40, 15))
         M = np.asfortranarray(A)
-        assert singular_values(M, overwrite=True).tobytes() == \
+        assert singular_values(M).tobytes() == \
             np.linalg.svd(A, compute_uv=False).tobytes()
         assert np.array_equal(M, A)
 
-    @pytest.mark.parametrize("overwrite", [False, True])
-    def test_nan_is_a_spectral_error(self, overwrite):
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_nan_is_a_spectral_error(self, transposed):
         M = np.asfortranarray(np.random.default_rng(9).random((6, 4)))
         M[2, 1] = np.nan
         with pytest.raises(SpectralError):
-            singular_values(M, overwrite=overwrite)
+            singular_values(M.T if transposed else M)
+
+    @pytest.mark.parametrize("solve", [singular_values, eigenvalues_bipartite])
+    def test_infinite_entry_is_a_spectral_error(self, solve):
+        # the SVD returns NaN for it, where a NaN entry is refused
+        with pytest.raises(SpectralError, match="not finite"):
+            solve(np.array([[np.inf, 1.0], [1.0, 2.0]]))
 
 
 def test_numeric_rank():
