@@ -3,7 +3,9 @@
 A matrix of order n is split by a partition of {0,...,n-1} into parts.
 Entries whose endpoints share a part are drawn from one bounded scalar law,
 cross-part entries from another; the upper triangle (diagonal included) is
-drawn independently and mirrored.  Sampling is counter-based, so a given
+drawn independently.  `sample_matrix` mirrors it into the lower one; the
+run path keeps the triangle alone (`_sample_upper`), which is all that its
+symmetric solve reads.  Sampling is counter-based, so a given
 (spec, replicate) pair always produces the same matrix regardless of
 traversal order or thread schedule.
 """
@@ -361,19 +363,19 @@ def _zeros(shape: tuple[int, int]) -> np.ndarray:
     resident.  A smaller block may then split that hole, and the next
     larger buffer grows the heap by a whole matrix: peak memory would hang
     on which thread drew which replicate.  A mapping of its own leaves the
-    heaps to small blocks.  Every entry gets written, so the pages are
-    faulted in at once where the platform allows it.  An empty shape, which
-    no mapping can hold, gets a plain empty array.
+    heaps to small blocks.  A page is faulted in when it is first written:
+    a run-path sample writes its upper triangle alone, so with 4 KB pages
+    most of its strictly-lower triangle never becomes resident.  An empty
+    shape, which no mapping can hold, gets a plain empty array.
     """
     if not math.prod(shape) or not hasattr(mmap, "MAP_ANONYMOUS"):
         return np.zeros(shape)
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS \
-        | getattr(mmap, "MAP_POPULATE", 0)
-    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=flags)
+    buf = mmap.mmap(-1, 8 * math.prod(shape),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     return np.frombuffer(buf).reshape(shape)
 
 
-# rows per strip of _symmetric_fill; a strip's blocks stay in cache
+# rows per strip of _upper_fill; a strip's blocks stay in cache
 _ROW_BLOCK = 64
 
 
@@ -383,9 +385,9 @@ def _row_start(i: int, width: int) -> int:
     return i * width - i * (i - 1) // 2
 
 
-def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
-                    stream: int = 0, diagonal: bool = True) -> np.ndarray:
-    """Symmetric matrix whose upper triangle is one _philox stream.
+def _upper_fill(partition, intra, cross, seed: int, replicate: int,
+                stream: int = 0, diagonal: bool = True) -> np.ndarray:
+    """Upper triangle of a symmetric matrix, drawn from one _philox stream.
 
     The stream fills the upper triangle row by row, row i taking columns
     i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0) from
@@ -397,8 +399,9 @@ def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
     r..lo-1 lie in earlier parts: they take `cross` on columns lo..mid-1,
     and on the square of columns r..lo-1 (at most 63 x 63) `intra` or
     `cross` by whether row and column share a part.  Every row takes
-    `cross` from column mid on.  What lies below the diagonal is
-    overwritten when the upper triangle is mirrored into the lower one.
+    `cross` from column mid on.  Below the diagonal only the strips' own
+    squares are written, with values that mean nothing: the rest of the
+    lower triangle stays unwritten, and mostly not resident (see _zeros).
     """
     n = partition.n
     k = 0 if diagonal else 1
@@ -430,15 +433,35 @@ def _symmetric_fill(partition, intra, cross, seed: int, replicate: int,
         cross(A[r:last + 1, mid:], out=A[r:last + 1, mid:])
     if not diagonal:
         A.flat[::n + 1] = 0.0
-    for i in range(1, n):
+    return A
+
+
+def _upper_strips(n: int):
+    """Index pairs of the strips [r:r + _ROW_BLOCK, r:] of an n x n matrix:
+    they cover its upper triangle, and below the diagonal only the squares
+    that _upper_fill writes too."""
+    return (np.s_[r:r + _ROW_BLOCK, r:] for r in range(0, n, _ROW_BLOCK))
+
+
+def _mirror(A: np.ndarray) -> np.ndarray:
+    """A, its strictly-lower triangle overwritten by its upper one's
+    transpose."""
+    for i in range(1, A.shape[0]):
         A[i, :i] = A[:i, i]
     return A
 
 
+def _sample_upper(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
+    """The upper triangle, diagonal included, of sample_matrix(spec,
+    replicate), what the run path's symmetric solve reads; the strictly
+    lower triangle holds nothing of the matrix."""
+    return _upper_fill(spec.partition, spec.law_intra.from_uniform,
+                       spec.law_cross.from_uniform, spec.seed, replicate)
+
+
 def sample_matrix(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """Draw one symmetric matrix; pure function of (spec, replicate)."""
-    return _symmetric_fill(spec.partition, spec.law_intra.from_uniform,
-                           spec.law_cross.from_uniform, spec.seed, replicate)
+    return _mirror(_sample_upper(spec, replicate))
 
 
 def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
@@ -457,7 +480,7 @@ def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     uniforms = _philox(spec.seed, replicate)
     B = _zeros((n1, n2))
     rows = min(_ROW_BLOCK, n1)
-    buf = np.empty(_row_start(rows, n))  # as in _symmetric_fill
+    buf = np.empty(_row_start(rows, n))  # as in _upper_fill
     index = np.empty((rows, n2), dtype=np.intp)
     for r in range(0, n1, _ROW_BLOCK):
         h = min(_ROW_BLOCK, n1 - r)
@@ -483,3 +506,13 @@ def scale_matrix(A: np.ndarray, n: int | None = None,
         if A.shape != (n, n) or n < 1:
             raise EnsembleError("square matrix of positive order required")
     return np.divide(A, 2.0 * math.sqrt(n), out=A if overwrite else None)
+
+
+def _scale_upper(T: np.ndarray) -> np.ndarray:
+    """scale_matrix(T, overwrite=True) on the strips of _upper_strips alone:
+    the same division of every entry of T's upper triangle, and the pages
+    below the strips are left as they are."""
+    scale = 2.0 * math.sqrt(T.shape[0])
+    for s in _upper_strips(T.shape[0]):
+        np.divide(T[s], scale, out=T[s])
+    return T

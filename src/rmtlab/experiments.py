@@ -37,12 +37,13 @@ import numpy as np
 
 from . import __version__
 from .ensemble import (SEED_HI, EnsembleError, EnsembleSpec, EntryLaw,
-                       check_fractions, is_finite, make_partition,
-                       sample_cross_block, sample_matrix, scale_matrix,
-                       singleton_partition)
-from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
+                       _sample_upper, _scale_upper, check_fractions,
+                       is_finite, make_partition, sample_cross_block,
+                       scale_matrix, singleton_partition)
+from .graphenergy import (_sample_graph_upper, check_large_parts,
+                          energy_bounds_unbalanced,
                           energy_decomposition_check, graph_energy,
-                          leading_energy, sample_graph)
+                          leading_energy)
 from .laws import (LawError, catalan, gamma_bipartite_printed,
                    gamma_proposition_printed, hankel_report, limit_moments,
                    pseudo_char_grid, semicircle_cdf, semicircle_moment,
@@ -240,17 +241,26 @@ def _cross_block_only(spec: EnsembleSpec) -> bool:
 
 def _spectra(spec: EnsembleSpec, replicates: int):
     # on the cross-block route the spectrum is +-sigma(B), from an SVD of a
-    # copy of B; every other ensemble is solved whole, in place.  Each
-    # replicate scales its own fresh sample in place.
+    # copy of B; every other ensemble is solved whole, in place, from the
+    # upper triangle that is all its sample holds.  Each replicate scales
+    # its own fresh sample in place.
     if _cross_block_only(spec):
         def one(i):
             return eigenvalues_bipartite(scale_matrix(
                 sample_cross_block(spec, i), spec.n, overwrite=True))
     else:
         def one(i):
-            return eigenvalues_sym(scale_matrix(sample_matrix(spec, i),
-                                                overwrite=True),
-                                   overwrite=True)
+            return eigenvalues_sym(_scale_upper(_sample_upper(spec, i)),
+                                   overwrite=True, upper=True)
+    return _map_replicates(one, replicates)
+
+
+def _energies(spec: EnsembleSpec, replicates: int):
+    # each replicate's graph is drawn as its upper triangle and solved in
+    # place
+    def one(i):
+        return graph_energy(_sample_graph_upper(spec, i), overwrite=True,
+                            upper=True)
     return _map_replicates(one, replicates)
 
 
@@ -489,11 +499,7 @@ def _run_energy(cfg, seed, replicates):
         m_report = len(fractions)
         c = (m_report - 1) / m_report
     prediction = leading_energy(n, p, c)
-
-    def one(i):
-        return graph_energy(sample_graph(spec, i), overwrite=True)
-
-    energies = _map_replicates(one, replicates)
+    energies = _energies(spec, replicates)
     rows = []
     for i, e in enumerate(energies):
         rows.append({"n": n, "p": p, "m": m_report, "replicate": i,

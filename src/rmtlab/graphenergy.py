@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .ensemble import (EnsembleError, EnsembleSpec, PartitionSpec,
-                       _symmetric_fill, _zeros)
+                       _mirror, _upper_fill, _upper_strips, _zeros)
 from .spectral import eigenvalues_sym, singular_values
 
 # stream tags for _philox so graph edges and decomposition fills
@@ -34,15 +34,25 @@ def sample_graph(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     sample_matrix, the diagonal takes no stream entries and is 0, so graph
     records replay here.  Deterministic per (spec, replicate).
     """
-    return _symmetric_fill(spec.partition, spec.law_intra.from_uniform,
-                           spec.law_cross.from_uniform, spec.seed, replicate,
-                           stream=_EDGE_STREAM, diagonal=False)
+    return _mirror(_sample_graph_upper(spec, replicate))
 
 
-def graph_energy(A: np.ndarray, overwrite: bool = False) -> float:
+def _sample_graph_upper(spec: EnsembleSpec, replicate: int = 0) \
+        -> np.ndarray:
+    """The upper triangle of sample_graph(spec, replicate), what the run
+    path's solves read (see ensemble._sample_upper)."""
+    return _upper_fill(spec.partition, spec.law_intra.from_uniform,
+                       spec.law_cross.from_uniform, spec.seed, replicate,
+                       stream=_EDGE_STREAM, diagonal=False)
+
+
+def graph_energy(A: np.ndarray, overwrite: bool = False, *,
+                 upper: bool = False) -> float:
     """Sum of absolute adjacency eigenvalues; with `overwrite` the solve may
-    use A as its workspace (see eigenvalues_sym)."""
-    return float(np.sum(np.abs(eigenvalues_sym(A, overwrite=overwrite))))
+    use A as its workspace, and with `upper` it reads A's upper triangle
+    alone (see eigenvalues_sym)."""
+    return float(np.sum(np.abs(eigenvalues_sym(A, overwrite=overwrite,
+                                               upper=upper))))
 
 
 def leading_energy(n: int, p: float, c: float = 1.0) -> float:
@@ -98,19 +108,21 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     A is sample_graph(spec, replicate), with no edge inside a part.  D is
     zero outside the diagonal blocks of the large parts; each block is the
     same block of one fill of the cross law over every strict-upper pair,
-    drawn on its own stream (diagonal 0) and mirrored.  X = A + D keeps A's
-    cross entries and fills the empty large blocks, which needs an A with
-    no intra entries: an intra law that is not 0 raises EnsembleError.
+    drawn on its own stream (diagonal 0), and D is symmetric.  X = A + D
+    keeps A's cross entries and fills the empty large blocks, which needs an
+    A with no intra entries: an intra law that is not 0 raises
+    EnsembleError.
     Ky Fan gives E(X) - E(D) <= E(A) <= E(X) + E(D).  All three matrices
     are symmetric with 0/1 entries, so A + D == X and X - D == A hold
     exactly and each energy is one symmetric eigen-solve: both Ky Fan
     sums follow from E(A), E(X) and E(D), and E(D) is the sum of its
     blocks' energies.  `block_diagonal` is true by construction.
 
-    Each solve overwrites its matrix.  The fill is dropped once D's blocks
-    are copied out; X is built in a fresh sample of A, and A is drawn again
-    for its own solve, so one n x n matrix and D's blocks are held at a
-    time.
+    Each solve overwrites its matrix and reads its upper triangle alone,
+    which is all that is drawn, copied and added: the strips of
+    _upper_strips.  The fill is dropped once D's blocks are copied out; X
+    is built in a fresh sample of A, and A is drawn again for its own
+    solve, so one n x n matrix and D's blocks are held at a time.
     """
     if spec.law_intra.raw_moment(2) != 0:
         raise EnsembleError("the decomposition needs a zero intra law")
@@ -118,25 +130,28 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     large = set(large_part_indices)
     n, cross = spec.n, spec.law_cross.from_uniform
     # one part, so each strip takes one map
-    fill = _symmetric_fill(PartitionSpec(n, (n,)), cross, cross, spec.seed,
-                           replicate, stream=_FILL_STREAM, diagonal=False)
+    fill = _upper_fill(PartitionSpec(n, (n,)), cross, cross, spec.seed,
+                       replicate, stream=_FILL_STREAM, diagonal=False)
     ends = list(itertools.accumulate(spec.partition.sizes))
     blocks = []
     for a, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
         if a in large:
             block = _zeros((hi - lo, hi - lo))
-            block[...] = fill[lo:hi, lo:hi]
+            for s in _upper_strips(hi - lo):  # no view of fill outlives it
+                block[s] = fill[lo:hi, lo:hi][s]
             blocks.append((slice(lo, hi), block))
     del fill
-    X = sample_graph(spec, replicate)
-    for s, block in blocks:
-        X[s, s] += block
-    eX = graph_energy(X, overwrite=True)
+    X = _sample_graph_upper(spec, replicate)
+    for span, block in blocks:
+        for s in _upper_strips(len(block)):
+            X[span, span][s] += block[s]
+    eX = graph_energy(X, overwrite=True, upper=True)
     del X
-    eD = sum((graph_energy(block, overwrite=True) for _, block in blocks),
-             0.0)
+    eD = sum((graph_energy(block, overwrite=True, upper=True)
+              for _, block in blocks), 0.0)
     del blocks
-    eA = graph_energy(sample_graph(spec, replicate), overwrite=True)
+    eA = graph_energy(_sample_graph_upper(spec, replicate), overwrite=True,
+                      upper=True)
     upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
     lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)
     return {

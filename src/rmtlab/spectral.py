@@ -11,14 +11,19 @@ ctypes releases the GIL for the length of the call, so replicate threads
 solve side by side.  Every other symmetric solve, and every symmetric
 solve where the pool size is unknown (None), is `np.linalg.eigvalsh`; every
 singular-value solve is `np.linalg.svd` on a copy.  A solve whose values
-are not all finite (an infinite entry, or an overflow inside the solver)
-raises SpectralError.
+are not all finite (a NaN or infinite entry that it reads, or an overflow
+inside the solver) raises SpectralError.
 
-The solve contract: an in-place solve below order `_TWO_STAGE_FROM_N`, or
-on a pool of more than one thread, gives `eigvalsh`'s bits.  From that
-order on a one-thread pool the driver is `dsyevd_2stage` (full to band to
-tridiagonal), whose eigenvalues differ from `eigvalsh`'s in the last bits;
-outputs stay a pure function of (config, seed) on one host.
+The solve contract: every symmetric solve reads the upper triangle of its
+matrix, diagonal included, and nothing else.  `eigenvalues_sym` first
+checks that the matrix is exactly symmetric, unless it is told that the
+upper triangle alone holds it, as it does on the run path; the strictly
+lower triangle may then hold anything, NaN included.  An in-place solve
+below order `_TWO_STAGE_FROM_N`, or on a pool of more than one thread,
+gives `eigvalsh`'s bits.  From that order on a one-thread pool the driver
+is `dsyevd_2stage` (full to band to tridiagonal), whose eigenvalues differ
+from `eigvalsh`'s in the last bits; outputs stay a pure function of
+(config, seed) on one host.
 
 The moments of [[0, B], [B^T, 0]] are traces of powers of B's smaller
 Gram matrix G, scaled by 1/(4n) before any power is formed, with no SVD
@@ -115,17 +120,23 @@ def _lapacke_check(info: int, what: str) -> None:
         raise RuntimeError(f"LAPACKE solve failed (info {info})")
 
 
-def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def eigenvalues_sym(M: np.ndarray, overwrite: bool = False, *,
+                    upper: bool = False) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
-    With `overwrite`, a float64 contiguous M is the solver's workspace and
-    holds garbage afterwards; otherwise `np.linalg.eigvalsh` solves a copy.
-    The in-place solve reads the lower triangle.  Below order
-    `_TWO_STAGE_FROM_N`, or on a BLAS pool of more than one thread, it is
-    LAPACK's `dsyevd`, as `eigvalsh` calls it, and gives `eigvalsh`'s bits.
-    From that order on a one-thread pool it is `dsyevd_2stage`: each
-    eigenvalue is within n * eps * max|eigenvalue| of `eigvalsh`'s, and
-    the same M gives the same bits on one host.
+    M must be exactly symmetric, which is checked, and a NaN entry fails
+    that check.  With `upper`, M's upper triangle (diagonal included) is
+    the matrix: nothing is checked, and the strictly-lower triangle is
+    never read.  With `overwrite`, a float64 C-contiguous M is the solver's
+    workspace and holds garbage afterwards; otherwise
+    `np.linalg.eigvalsh(M.T)` solves a copy.  Either solve reads M's upper
+    triangle, the lower one of M.T, and a NaN there is a SpectralError.
+    Below order `_TWO_STAGE_FROM_N`, or on a BLAS pool of more than one
+    thread, the in-place solve is LAPACK's `dsyevd`, as `eigvalsh` calls
+    it, and gives `eigvalsh`'s bits.  From that order on a one-thread pool
+    it is `dsyevd_2stage`: each eigenvalue is within n * eps *
+    max|eigenvalue| of `eigvalsh`'s, and the same M gives the same bits on
+    one host.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -133,17 +144,18 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
         raise ValueError("square matrix of positive order required")
     # strip r compares rows r.. of the upper triangle with columns r.. of the
     # lower one; NaN equals nothing, so a NaN anywhere fails
-    if not all(np.array_equal(M[r:r + _STRIP, r:], M[r:, r:r + _STRIP].T)
-               for r in range(0, n, _STRIP)):
+    if not upper and not all(
+            np.array_equal(M[r:r + _STRIP, r:], M[r:, r:r + _STRIP].T)
+            for r in range(0, n, _STRIP)):
         raise ValueError("matrix is not exactly symmetric")
     if not (_OPENBLAS and overwrite and M.flags.writeable
-            and (M.flags.c_contiguous or M.flags.f_contiguous)):
+            and M.flags.c_contiguous):
         try:
-            return _finite(np.linalg.eigvalsh(M), "eigensolver")
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            return _finite(np.linalg.eigvalsh(M.T), "eigensolver")
+        except np.linalg.LinAlgError as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") \
                 from exc
-    # M is exactly symmetric, so its memory read column-major is M itself
+    # M read column-major is M.T, whose lower triangle is M's upper one
     w = np.empty(n)
     evd = _OPENBLAS.evd2 if n >= _TWO_STAGE_FROM_N and blas_threads() == 1 \
         else _OPENBLAS.evd
@@ -153,8 +165,9 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """values, once all are finite.  A NaN entry is refused before the
-    solve, but an infinite one, or an overflow inside it, gives NaN."""
+    """values, once all are finite.  An infinite entry, or an overflow
+    inside a solve, gives NaN, where LAPACKE refuses a NaN entry before
+    its solve."""
     if not np.isfinite(values).all():
         raise SpectralError(f"{what} gave values that are not finite")
     return values
@@ -187,7 +200,9 @@ def moments_bipartite(B: np.ndarray, max_k: int) -> list[float]:
     tr(G^(2a-1)) = <P_a, P_(a-1)> and tr(G^(2a)) = <P_a, P_a> are pairwise
     sums of elementwise products (P_0 = I: tr G is G's trace).  No
     eigensolve runs; G and two more p x p arrays are held for any max_k.
-    The caller's B is left as it is.
+    The caller's B is left as it is.  A NaN or infinite entry of B is a
+    SpectralError, as in eigenvalues_bipartite; finite entries give the
+    moments, overflowed or not.
 
     On 640 x 160 and 160 x 640 Rademacher blocks M_2 to M_8 are within
     6e-16 relative of the exact integer traces.  max_k = 8 takes one
@@ -208,6 +223,9 @@ def moments_bipartite(B: np.ndarray, max_k: int) -> list[float]:
     p = X.shape[1]
     G = _zeros((p, p))
     np.matmul(X.T, X, out=G)
+    # tr(X^T X) is not finite where an entry of X is not, or it overflows
+    if not np.isfinite(np.trace(G)) and not np.isfinite(X).all():
+        raise SpectralError("block has entries that are not finite")
     del B, X
     np.divide(G, 4 * n, out=G)
     traces = [float(np.trace(G))]  # tr(G^j), j = 1, 2, ...

@@ -3,6 +3,7 @@ import math
 import mmap
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import graph_spec
 from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
-                             EntryLaw, PartitionSpec, _philox,
-                             _symmetric_fill, make_partition,
+                             EntryLaw, PartitionSpec, _mirror, _philox,
+                             _sample_upper, _scale_upper, _upper_fill,
+                             make_partition,
                              sample_cross_block, sample_matrix, scale_matrix,
                              singleton_partition)
 from rmtlab.graphenergy import (energy_decomposition_check, graph_energy,
@@ -305,6 +307,21 @@ def _mapping(A):
     return A.obj if isinstance(A, memoryview) else A
 
 
+THP = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+THP_ALWAYS = THP.exists() and "[always]" in THP.read_text()
+
+
+def resident_share(A):
+    """Share of the pages of A's mapping that are resident: bit 63 of each
+    page's /proc/self/pagemap entry.  smaps cannot tell, since it merges
+    adjacent anonymous mappings into one entry."""
+    first, count = A.ctypes.data // mmap.PAGESIZE, A.nbytes // mmap.PAGESIZE
+    with open("/proc/self/pagemap", "rb") as fh:
+        fh.seek(8 * first)
+        entries = np.frombuffer(fh.read(8 * count), dtype=np.uint64)
+    return np.count_nonzero(entries >> np.uint64(63)) / count
+
+
 class TestSampling:
     def test_samples_are_mappings_of_their_own(self):
         # a dropped sample goes back to the system at once instead of
@@ -318,6 +335,21 @@ class TestSampling:
             gone = weakref.ref(buf)
             del A, buf
             assert gone() is None
+
+    @pytest.mark.skipif(not Path("/proc/self/pagemap").exists()
+                        or mmap.PAGESIZE != 4096,
+                        reason="no pagemap, or pages other than 4 KB")
+    @pytest.mark.skipif(THP_ALWAYS, reason="a 2 MB page would fault the "
+                        "lower triangle in with the upper one")
+    def test_run_path_sample_leaves_the_lower_triangle_out(self):
+        # rows of 2048 entries are four pages each, and a row is written
+        # from its strip's first column on: 5/8 of the pages are resident,
+        # where a mirrored sample has all of them
+        spec = rademacher_spec(2048, [0.5, 0.5])
+        T = _scale_upper(_sample_upper(spec, 0))
+        assert T.ctypes.data % mmap.PAGESIZE == 0
+        assert resident_share(T) <= 0.70
+        assert resident_share(_mirror(T)) == 1.0
 
     def test_zero_laws_give_zero_matrix(self):
         spec = EnsembleSpec(make_partition(6, [0.5, 0.5]),
@@ -489,18 +521,41 @@ def check_decomposition(part, large, p, seed, replicate):
     blocks = [D[labels == a][:, labels == a] for a in sorted(large)]
     solved = []
 
-    def recording(M, overwrite=False):
-        solved.append(M.copy())  # the check solves M in place
-        return graph_energy(M, overwrite)
+    def recording(M, overwrite=False, upper=False):
+        # the check solves M in place, from its upper triangle
+        solved.append(np.triu(M) if upper else M.copy())
+        return graph_energy(M, overwrite, upper=upper)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("rmtlab.graphenergy.graph_energy", recording)
         r = energy_decomposition_check(spec, large, replicate)
     assert [M.tobytes() for M in solved] == \
-        [M.tobytes() for M in [X, *blocks, A]]
+        [np.triu(M).tobytes() for M in [X, *blocks, A]]
     assert (r["energy_A"], r["energy_X"]) == \
         (graph_energy(A), graph_energy(X))
     assert r["energy_D"] == sum((graph_energy(b) for b in blocks), 0.0)
+
+
+def test_decomposition_holds_one_matrix_of_order_n_at_a_time(monkeypatch):
+    # the fill, X and A are each unmapped before the next one is drawn or
+    # solved, and no view of one outlives it
+    from rmtlab import graphenergy
+    drawn = []
+
+    def fill(*args, **kwargs):
+        A = _upper_fill(*args, **kwargs)
+        drawn.append(weakref.ref(_mapping(A)))
+        return A
+
+    def solve(M, overwrite=False, upper=False):
+        assert [r() for r in drawn if r() is not None] in ([], [_mapping(M)])
+        return graph_energy(M, overwrite, upper=upper)
+
+    monkeypatch.setattr(graphenergy, "_upper_fill", fill)
+    monkeypatch.setattr(graphenergy, "graph_energy", solve)
+    energy_decomposition_check(
+        graph_spec(PartitionSpec(150, (90, 30, 30)), 0.5, 3), [0, 1, 2])
+    assert len(drawn) == 3
 
 
 def _at_most_400(sizes):
@@ -617,8 +672,8 @@ class TestFillMatchesIndexOracle:
     def test_fill_on_random_partitions(self, sizes, laws, diagonal, seed):
         part = PartitionSpec(sum(sizes), sizes)
         intra, cross = (law.from_uniform for law in laws)
-        got = _symmetric_fill(part, intra, cross, seed, 2, stream=1,
-                              diagonal=diagonal)
+        got = _mirror(_upper_fill(part, intra, cross, seed, 2, stream=1,
+                                  diagonal=diagonal))
         assert got.tobytes() == oracle_fill(part, intra, cross, seed, 2,
                                             stream=1,
                                             diagonal=diagonal).tobytes()

@@ -15,13 +15,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import graph_spec
 from rmtlab import experiments, spectral
 from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
-                             make_partition, sample_cross_block,
-                             sample_matrix, scale_matrix)
-from rmtlab.experiments import (KINDS, ConfigError, NumericError, _spectra,
+                             _sample_upper, make_partition,
+                             sample_cross_block, sample_matrix, scale_matrix,
+                             singleton_partition)
+from rmtlab.experiments import (KINDS, ConfigError, NumericError,
+                                _cross_block_only, _energies, _spectra,
                                 reference_radius, run_experiment)
 from rmtlab.graphenergy import graph_energy, sample_graph
 from rmtlab.laws import catalan, pseudo_char_grid, semicircle_moment
@@ -717,8 +722,8 @@ class TestSpectraRoute:
         n1 = spec.partition.sizes[0]
         want = [eigenvalues_bipartite(scale_matrix(sample_matrix(spec, r))
                                       [:n1, n1:]) for r in range(3)]
-        monkeypatch.setattr(experiments, "sample_matrix",
-                            _refuse("sample_matrix"))
+        monkeypatch.setattr(experiments, "_sample_upper",
+                            _refuse("_sample_upper"))
         got = _spectra(spec, 3)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -754,6 +759,43 @@ class TestSpectraRoute:
         assert got.tobytes() == eigenvalues_sym(M).tobytes()
         assert np.max(np.abs(got - eigenvalues_bipartite(M[:5, 5:]))) <= \
             1e-13 * max(1.0, np.linalg.norm(M[:5, 5:], 2))
+
+
+# small hosts: a few parts of 1..70 rows, strips cut inside and across them
+HOSTS = st.lists(st.integers(1, 70), min_size=1, max_size=4).map(
+    lambda sizes: PartitionSpec(sum(sizes), tuple(sizes)))
+RUN_LAWS = [EntryLaw.constant_zero(), EntryLaw.rademacher(),
+            EntryLaw.bernoulli(Fraction(3, 10)),
+            EntryLaw.two_point(-1, 2, Fraction(2, 3)),
+            EntryLaw.uniform_interval(-1, 1)]
+
+
+class TestRunPathTriangle:
+    """The run path samples, scales and solves the upper triangle alone;
+    its spectra and energies are those of the mirrored public samples, bit
+    for bit.  The reference goes through the replicate map too, so both
+    solve on the same BLAS pool."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(part=HOSTS, intra=st.sampled_from(RUN_LAWS),
+           cross=st.sampled_from(RUN_LAWS), seed=st.integers(0, 2**64 - 1))
+    def test_spectra(self, part, intra, cross, seed):
+        spec = EnsembleSpec(part, intra, cross, seed)
+        assume(not _cross_block_only(spec))  # no symmetric solve there
+        got = _spectra(spec, 2)
+        want = experiments._map_replicates(
+            lambda r: eigenvalues_sym(scale_matrix(sample_matrix(spec, r))),
+            2)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(part=st.one_of(HOSTS, st.integers(1, 150).map(
+               singleton_partition)),
+           p=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**64 - 1))
+    def test_energies(self, part, p, seed):
+        spec = graph_spec(part, p, seed)
+        assert _energies(spec, 2) == experiments._map_replicates(
+            lambda r: graph_energy(sample_graph(spec, r)), 2)
 
 
 class TestMomentsRun:
@@ -1283,9 +1325,9 @@ class TestThreads:
             seen.append(blas_threads())
             if i in failing:
                 raise failing[i](f"replicate {i}")
-            return sample_matrix(spec, i)
+            return _sample_upper(spec, i)
 
-        monkeypatch.setattr(experiments, "sample_matrix", sample)
+        monkeypatch.setattr(experiments, "_sample_upper", sample)
         with pytest.raises(raised) as info:
             run_experiment(rademacher_cfg("esd", n=40), tmp_path / "out",
                            replicates=6)
@@ -1336,9 +1378,9 @@ class TestThreads:
         def sample(spec, i):
             ran.add(threading.current_thread())
             all_in_flight.wait()
-            return sample_matrix(spec, i)
+            return _sample_upper(spec, i)
 
-        monkeypatch.setattr(experiments, "sample_matrix", sample)
+        monkeypatch.setattr(experiments, "_sample_upper", sample)
         rep = run_experiment(rademacher_cfg("esd", n=40), tmp_path,
                              replicates=8)
         assert rep["env"]["replicate_workers"] == len(ran) == 4
@@ -1356,7 +1398,7 @@ class TestThreads:
             both_started.wait()  # replicates 0 and 1 are both in flight
             raise (first, second)[i](f"replicate {i}")
 
-        monkeypatch.setattr(experiments, "sample_matrix", sample)
+        monkeypatch.setattr(experiments, "_sample_upper", sample)
         with pytest.raises(raised) as info:
             run_experiment(rademacher_cfg("esd", n=40), tmp_path / "out",
                            replicates=2)

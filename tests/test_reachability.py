@@ -63,6 +63,10 @@ ALLOWED = {
     "laws.semicircle_density": "public API (rmtlab.__all__)",
     "ensemble.EnsembleSpec.from_dict":
         "replays a report's `ensemble` record",
+    "ensemble.sample_matrix":
+        "public and replay API: a run samples the upper triangle alone",
+    "graphenergy.sample_graph": "ditto, for a graph record",
+    "ensemble._mirror": "completes sample_matrix and sample_graph",
     "spectral._openblas": "runs once, at import",
     "walks._walk_sum": "exact finite-n oracle, to be wired in (ROADMAP 1)",
     "walks._kept_edges": "ditto",

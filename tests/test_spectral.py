@@ -189,6 +189,78 @@ class TestInPlaceSolve:
         assert blas_threads() is None
 
 
+def upper_with_nan_below(M):
+    """M's upper triangle, diagonal included, with NaN below it."""
+    T = np.triu(M)
+    T[np.tril_indices(len(M), -1)] = np.nan
+    return T
+
+
+class TestTriangleSolve:
+    """With `upper`, a solve reads M's upper triangle and nothing else: NaN
+    below the diagonal changes no bit on any route, and NaN in the upper
+    triangle is a SpectralError."""
+
+    def solve_both(self, n, pool, seed):
+        """(solve of a symmetric M, solve of its upper triangle with NaN
+        below, eigvalsh(M)), each in place on a pool of `pool` threads."""
+        M = random_symmetric(n, np.random.default_rng(seed))
+        T = upper_with_nan_below(M)
+        found = blas_threads()
+        _set_blas_threads(pool)
+        try:
+            return (eigenvalues_sym(M.copy(), overwrite=True),
+                    eigenvalues_sym(T, overwrite=True, upper=True),
+                    np.linalg.eigvalsh(M))
+        finally:
+            _set_blas_threads(found)
+
+    @needs_openblas
+    @pytest.mark.parametrize("n, pool", [(1, 1), (2, 2), (150, 1), (150, 2),
+                                         (spectral._TWO_STAGE_FROM_N - 1, 1)])
+    def test_dsyevd_below_the_cut(self, n, pool):
+        whole, upper, want = self.solve_both(n, pool, n)
+        assert upper.tobytes() == whole.tobytes() == want.tobytes()
+
+    @needs_openblas
+    def test_dsyevd_2stage_at_the_cut_on_one_thread(self):
+        cut = spectral._TWO_STAGE_FROM_N
+        whole, upper, want = self.solve_both(cut, 1, cut)
+        assert upper.tobytes() == whole.tobytes()
+        assert upper.tobytes() != want.tobytes()  # the two-stage driver's
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("n", [1, 50, 200])
+    def test_without_the_binding_eigvalsh_solves(self, monkeypatch, n,
+                                                 overwrite):
+        monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
+        M = random_symmetric(n, np.random.default_rng(n))
+        T = upper_with_nan_below(M)
+        kept = T.copy()
+        got = eigenvalues_sym(T, overwrite=overwrite, upper=True)
+        assert got.tobytes() == np.linalg.eigvalsh(M).tobytes() == \
+            eigenvalues_sym(M).tobytes()
+        assert np.array_equal(T, kept, equal_nan=True)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (3, 40), (69, 69), (0, 69)])
+    @pytest.mark.parametrize("route", [
+        "copy", pytest.param("in_place", marks=needs_openblas),
+        "no_binding"])
+    def test_nan_in_the_triangle_is_a_spectral_error(self, monkeypatch, i, j,
+                                                     route):
+        if route == "no_binding":
+            monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
+        T = np.triu(random_symmetric(70, np.random.default_rng(61)))
+        T[i, j] = np.nan
+        with pytest.raises(SpectralError):
+            eigenvalues_sym(T, overwrite=route == "in_place", upper=True)
+
+    def test_the_symmetry_check_still_reads_both_triangles(self):
+        T = np.triu(random_symmetric(70, np.random.default_rng(67)))
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            eigenvalues_sym(T, overwrite=True)
+
+
 def two_part(B):
     """[[0, B], [B^T, 0]]."""
     n1, n2 = B.shape
@@ -323,6 +395,27 @@ class TestMomentsBipartite:
         got = moments_bipartite(B, 64)
         assert got[64] > 1e270 and all(map(math.isfinite, got))
         assert_moments_of_the_spectrum(got, B, spec.n)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape, at", [((30, 10), (0, 0)),
+                                           ((30, 10), (29, 9)),
+                                           ((10, 30), (4, 17))])
+    def test_entry_that_is_not_finite_is_a_spectral_error(self, value, shape,
+                                                           at):
+        # as eigenvalues_bipartite refuses the same block
+        B = np.random.default_rng(71).uniform(-1, 1, size=shape)
+        B[at] = value
+        for layout in (B, np.asfortranarray(B)):
+            with pytest.raises(SpectralError, match="not finite"):
+                moments_bipartite(layout, 8)
+        with pytest.raises(SpectralError):
+            eigenvalues_bipartite(B)
+
+    def test_finite_entries_whose_gram_matrix_overflows_give_moments(self):
+        # 1e160^2 overflows, so tr G is infinite, but no entry is
+        with np.errstate(over="ignore"):
+            got = moments_bipartite(np.full((3, 2), 1e160), 4)
+        assert got[:2] == [1.0, 0.0] and math.isinf(got[2])
 
     @pytest.mark.parametrize("max_k", [-1, 65])
     def test_order_outside_0_to_64_is_refused(self, max_k):
