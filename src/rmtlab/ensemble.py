@@ -385,15 +385,15 @@ def _row_start(i: int, width: int) -> int:
     return i * width - i * (i - 1) // 2
 
 
-def _upper_fill(partition, intra, cross, seed: int, replicate: int,
-                stream: int = 0, diagonal: bool = True) -> np.ndarray:
-    """Upper triangle of a symmetric matrix, drawn from one _philox stream.
+def _upper_fill(spec: EnsembleSpec, replicate: int,
+                diagonal: bool = True) -> np.ndarray:
+    """Upper triangle of a matrix of spec, drawn from stream 0 of _philox.
 
     The stream fills the upper triangle row by row, row i taking columns
     i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0) from
     offset _row_start.  It is drawn and mapped in strips of _ROW_BLOCK rows,
     each strip's draw continuing the stream, from the strip's first row r
-    on.  The maps act elementwise, each on a block of the strip that it
+    on.  Its laws' maps act elementwise, each on a block of the strip that it
     overwrites (map(u, out=u)).  With lo..mid-1 the columns of the last
     row's part from r on, rows lo.. take `intra` on columns lo..mid-1.  Rows
     r..lo-1 lie in earlier parts: they take `cross` on columns lo..mid-1,
@@ -403,12 +403,13 @@ def _upper_fill(partition, intra, cross, seed: int, replicate: int,
     squares are written, with values that mean nothing: the rest of the
     lower triangle stays unwritten, and mostly not resident (see _zeros).
     """
-    n = partition.n
+    n = spec.n
+    intra, cross = spec.law_intra.from_uniform, spec.law_cross.from_uniform
     k = 0 if diagonal else 1
     width = n - k
-    uniforms = _philox(seed, replicate, stream)
+    uniforms = _philox(spec.seed, replicate)
     A = _zeros((n, n))
-    labels = partition.part_labels()
+    labels = spec.partition.part_labels()
     # every strip is drawn into the first one's buffer: a fresh draw per
     # strip may fault its pages in anew, as the thread heap shrinks and grows
     buf = np.empty(_row_start(min(_ROW_BLOCK, width), width))
@@ -455,8 +456,7 @@ def _sample_upper(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """The upper triangle, diagonal included, of sample_matrix(spec,
     replicate), what the run path's symmetric solve reads; the strictly
     lower triangle holds nothing of the matrix."""
-    return _upper_fill(spec.partition, spec.law_intra.from_uniform,
-                       spec.law_cross.from_uniform, spec.seed, replicate)
+    return _upper_fill(spec, replicate)
 
 
 def sample_matrix(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
@@ -464,36 +464,53 @@ def sample_matrix(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     return _mirror(_sample_upper(spec, replicate))
 
 
+def _stream_block(spec: EnsembleSpec, replicate: int, rows: slice,
+                  cols: slice, *, stream: int = 0,
+                  diagonal: bool = True) -> np.ndarray:
+    """The rows x cols rectangle, C-order in a mapping of its own, of the
+    upper triangle that `stream` fills as _upper_fill does, every entry
+    mapped by spec.law_cross; without `diagonal` the diagonal is 0.
+
+    Philox makes four doubles per counter step: advance(offset // 4) and
+    offset % 4 single draws reach row rows.start.  Whole rows are then
+    drawn in strips of _ROW_BLOCK, and one gather per strip copies its
+    rectangle [r:r+_ROW_BLOCK, max(c0, r):c1] out of the draw, entry (i, j)
+    at offset j - i - k of row i.  Below the diagonal only those squares
+    are written, with values that mean nothing.
+    """
+    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+    k = 0 if diagonal else 1
+    width = spec.n - k
+    uniforms = _philox(spec.seed, replicate, stream)
+    uniforms.bit_generator.advance(_row_start(r0, width) // 4)
+    uniforms.random(_row_start(r0, width) % 4)
+    B = _zeros((r1 - r0, c1 - c0))
+    # as in _upper_fill, every strip is drawn into the first one's buffer
+    h = min(_ROW_BLOCK, r1 - r0)
+    buf = np.empty(_row_start(min(h, width - r0), width - r0))
+    index = np.empty((h, max(c1 - max(c0, r0), 0)), dtype=np.intp)
+    for r in range(r0, r1, _ROW_BLOCK):
+        h, c, w = min(_ROW_BLOCK, r1 - r), max(c0, r), width - r
+        # the draw's row d is row r + d: rows from `width` on hold none
+        u = uniforms.random(out=buf[:_row_start(min(h, w), w)])
+        if u.size and c < c1:
+            d = np.arange(h)
+            at = np.add.outer(_row_start(d, w) - d - k + c - r,
+                              np.arange(c1 - c), out=index[:h, :c1 - c])
+            strip = B[r - r0:r - r0 + h, c - c0:]
+            np.take(u, at, out=strip, mode="clip")
+            spec.law_cross.from_uniform(strip, out=strip)
+    if not diagonal:
+        i = np.arange(max(r0, c0), min(r1, c1))
+        B[i - r0, i - c0] = 0.0
+    return B
+
+
 def sample_cross_block(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """sample_matrix(spec, replicate)[:n1, n1:], n1 the size of the first
-    part, drawn without the rest of the matrix.
-
-    The block is C-order in a mapping of its own.  Rows 0..n1-1 are the
-    stream's prefix up to _row_start(n1, n), drawn in strips of _ROW_BLOCK
-    rows; row i reaches the block's columns at offset n1 - i.  One gather
-    takes a strip's block rows out of its draw into B's rows.  Every entry
-    of the block joins two parts, so those rows take the cross law, mapped
-    in place.
-    """
-    n, n1 = spec.n, spec.partition.sizes[0]
-    n2 = n - n1
-    uniforms = _philox(spec.seed, replicate)
-    B = _zeros((n1, n2))
-    rows = min(_ROW_BLOCK, n1)
-    buf = np.empty(_row_start(rows, n))  # as in _upper_fill
-    index = np.empty((rows, n2), dtype=np.intp)
-    for r in range(0, n1, _ROW_BLOCK):
-        h = min(_ROW_BLOCK, n1 - r)
-        # the strip's draw is an upper triangle of width n - r, whose row d
-        # is row r + d of the matrix
-        u = uniforms.random(out=buf[:_row_start(h, n - r)])
-        d = np.arange(h)
-        np.add.outer(_row_start(d, n - r) + n1 - r - d, np.arange(n2),
-                     out=index[:h])
-        strip = B[r:r + h]
-        np.take(u, index[:h], out=strip, mode="clip")
-        spec.law_cross.from_uniform(strip, out=strip)
-    return B
+    part, drawn alone: every entry joins two parts, so takes the cross law."""
+    n1 = spec.partition.sizes[0]
+    return _stream_block(spec, replicate, slice(0, n1), slice(n1, spec.n))
 
 
 def scale_matrix(A: np.ndarray, n: int | None = None,

@@ -251,7 +251,7 @@ def _spectra(spec: EnsembleSpec, replicates: int):
     else:
         def one(i):
             return eigenvalues_sym(_scale_upper(_sample_upper(spec, i)),
-                                   overwrite=True, upper=True)
+                                   upper=True)
     return _map_replicates(one, replicates)
 
 
@@ -259,8 +259,7 @@ def _energies(spec: EnsembleSpec, replicates: int):
     # each replicate's graph is drawn as its upper triangle and solved in
     # place
     def one(i):
-        return graph_energy(_sample_graph_upper(spec, i), overwrite=True,
-                            upper=True)
+        return graph_energy(_sample_graph_upper(spec, i), upper=True)
     return _map_replicates(one, replicates)
 
 

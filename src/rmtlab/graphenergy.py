@@ -16,14 +16,9 @@ import math
 
 import numpy as np
 
-from .ensemble import (EnsembleError, EnsembleSpec, PartitionSpec,
-                       _mirror, _upper_fill, _upper_strips, _zeros)
+from .ensemble import (EnsembleError, EnsembleSpec, _mirror, _stream_block,
+                       _upper_fill, _upper_strips)
 from .spectral import eigenvalues_sym, singular_values
-
-# stream tags for _philox so graph edges and decomposition fills
-# never reuse the same uniforms
-_EDGE_STREAM = 0
-_FILL_STREAM = 1
 
 
 def sample_graph(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
@@ -41,18 +36,14 @@ def _sample_graph_upper(spec: EnsembleSpec, replicate: int = 0) \
         -> np.ndarray:
     """The upper triangle of sample_graph(spec, replicate), what the run
     path's solves read (see ensemble._sample_upper)."""
-    return _upper_fill(spec.partition, spec.law_intra.from_uniform,
-                       spec.law_cross.from_uniform, spec.seed, replicate,
-                       stream=_EDGE_STREAM, diagonal=False)
+    return _upper_fill(spec, replicate, diagonal=False)
 
 
-def graph_energy(A: np.ndarray, overwrite: bool = False, *,
-                 upper: bool = False) -> float:
-    """Sum of absolute adjacency eigenvalues; with `overwrite` the solve may
-    use A as its workspace, and with `upper` it reads A's upper triangle
-    alone (see eigenvalues_sym)."""
-    return float(np.sum(np.abs(eigenvalues_sym(A, overwrite=overwrite,
-                                               upper=upper))))
+def graph_energy(A: np.ndarray, *, upper: bool = False) -> float:
+    """Sum of absolute adjacency eigenvalues; with `upper`, A's upper
+    triangle is the adjacency, and the solve may use A as its workspace
+    (see eigenvalues_sym)."""
+    return float(np.sum(np.abs(eigenvalues_sym(A, upper=upper))))
 
 
 def leading_energy(n: int, p: float, c: float = 1.0) -> float:
@@ -106,9 +97,9 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     """Fill the large diagonal blocks and certify the energy sandwich.
 
     A is sample_graph(spec, replicate), with no edge inside a part.  D is
-    zero outside the diagonal blocks of the large parts; each block is the
-    same block of one fill of the cross law over every strict-upper pair,
-    drawn on its own stream (diagonal 0), and D is symmetric.  X = A + D
+    symmetric and zero outside the diagonal blocks of the large parts; each
+    block is the same block of one upper triangle of the cross law over
+    every strict-upper pair, on a stream of its own (diagonal 0).  X = A + D
     keeps A's cross entries and fills the empty large blocks, which needs an
     A with no intra entries: an intra law that is not 0 raises
     EnsembleError.
@@ -118,40 +109,29 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     sums follow from E(A), E(X) and E(D), and E(D) is the sum of its
     blocks' energies.  `block_diagonal` is true by construction.
 
-    Each solve overwrites its matrix and reads its upper triangle alone,
-    which is all that is drawn, copied and added: the strips of
-    _upper_strips.  The fill is dropped once D's blocks are copied out; X
-    is built in a fresh sample of A, and A is drawn again for its own
-    solve, so one n x n matrix and D's blocks are held at a time.
+    Each solve overwrites its matrix, an upper triangle: all that is drawn
+    and added are the strips of _upper_strips.  D's blocks are gathered
+    straight out of their stream (_stream_block); X is built in a fresh
+    sample of A, and A is drawn again for its own solve, so one n x n
+    matrix and D's blocks are held at a time.
     """
     if spec.law_intra.raw_moment(2) != 0:
         raise EnsembleError("the decomposition needs a zero intra law")
     check_large_parts(spec.partition.m, large_part_indices)
-    large = set(large_part_indices)
-    n, cross = spec.n, spec.law_cross.from_uniform
-    # one part, so each strip takes one map
-    fill = _upper_fill(PartitionSpec(n, (n,)), cross, cross, spec.seed,
-                       replicate, stream=_FILL_STREAM, diagonal=False)
-    ends = list(itertools.accumulate(spec.partition.sizes))
-    blocks = []
-    for a, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
-        if a in large:
-            block = _zeros((hi - lo, hi - lo))
-            for s in _upper_strips(hi - lo):  # no view of fill outlives it
-                block[s] = fill[lo:hi, lo:hi][s]
-            blocks.append((slice(lo, hi), block))
-    del fill
+    ends = [0, *itertools.accumulate(spec.partition.sizes)]
+    spans = [slice(ends[a], ends[a + 1]) for a in sorted(large_part_indices)]
+    # on stream 1, D's blocks share no uniform with the edges (stream 0)
+    blocks = [(s, _stream_block(spec, replicate, s, s, stream=1,
+                                diagonal=False)) for s in spans]
     X = _sample_graph_upper(spec, replicate)
     for span, block in blocks:
         for s in _upper_strips(len(block)):
             X[span, span][s] += block[s]
-    eX = graph_energy(X, overwrite=True, upper=True)
+    eX = graph_energy(X, upper=True)
     del X
-    eD = sum((graph_energy(block, overwrite=True, upper=True)
-              for _, block in blocks), 0.0)
+    eD = sum((graph_energy(block, upper=True) for _, block in blocks), 0.0)
     del blocks
-    eA = graph_energy(_sample_graph_upper(spec, replicate), overwrite=True,
-                      upper=True)
+    eA = graph_energy(_sample_graph_upper(spec, replicate), upper=True)
     upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
     lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)
     return {

@@ -6,7 +6,7 @@ rank inequality and the Stieltjes perturbation bound.
 
 Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd` and
 `dsyevd_2stage` are reached through ctypes: `blas_threads` reads the pool
-size, and a symmetric solve may overwrite its input instead of copying it.
+size, and a symmetric solve of a triangle (`upper=True`) may overwrite it.
 ctypes releases the GIL for the length of the call, so replicate threads
 solve side by side.  Every other symmetric solve, and every symmetric
 solve where the pool size is unknown (None), is `np.linalg.eigvalsh`; every
@@ -15,10 +15,11 @@ are not all finite (a NaN or infinite entry that it reads, or an overflow
 inside the solver) raises SpectralError.
 
 The solve contract: every symmetric solve reads the upper triangle of its
-matrix, diagonal included, and nothing else.  `eigenvalues_sym` first
-checks that the matrix is exactly symmetric, unless it is told that the
-upper triangle alone holds it, as it does on the run path; the strictly
-lower triangle may then hold anything, NaN included.  An in-place solve
+matrix, diagonal included, and nothing else.  `eigenvalues_sym` checks
+that the matrix is exactly symmetric and solves a copy, unless it is
+handed the upper triangle alone (`upper=True`, the run path), which may
+have anything below it, NaN included, and is solved in place where its
+layout allows.  An in-place solve
 below order `_TWO_STAGE_FROM_N`, or on a pool of more than one thread,
 gives `eigvalsh`'s bits.  From that order on a one-thread pool the driver
 is `dsyevd_2stage` (full to band to tridiagonal), whose eigenvalues differ
@@ -120,16 +121,16 @@ def _lapacke_check(info: int, what: str) -> None:
         raise RuntimeError(f"LAPACKE solve failed (info {info})")
 
 
-def eigenvalues_sym(M: np.ndarray, overwrite: bool = False, *,
-                    upper: bool = False) -> np.ndarray:
+def eigenvalues_sym(M: np.ndarray, *, upper: bool = False) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
-    M must be exactly symmetric, which is checked, and a NaN entry fails
-    that check.  With `upper`, M's upper triangle (diagonal included) is
-    the matrix: nothing is checked, and the strictly-lower triangle is
-    never read.  With `overwrite`, a float64 C-contiguous M is the solver's
-    workspace and holds garbage afterwards; otherwise
-    `np.linalg.eigvalsh(M.T)` solves a copy.  Either solve reads M's upper
+    M must be exactly symmetric, which is checked (a NaN entry fails the
+    check), and `np.linalg.eigvalsh(M.T)` solves a copy.  With `upper`,
+    M's upper triangle (diagonal included) is the matrix: nothing is
+    checked, the strictly-lower triangle is never read, and where the
+    binding is present and M, as float64, is writeable and C-contiguous, M
+    is the solver's workspace and holds garbage afterwards (any other M is
+    solved by `eigvalsh` on a copy).  Either solve reads M's upper
     triangle, the lower one of M.T, and a NaN there is a SpectralError.
     Below order `_TWO_STAGE_FROM_N`, or on a BLAS pool of more than one
     thread, the in-place solve is LAPACK's `dsyevd`, as `eigvalsh` calls
@@ -148,7 +149,7 @@ def eigenvalues_sym(M: np.ndarray, overwrite: bool = False, *,
             np.array_equal(M[r:r + _STRIP, r:], M[r:, r:r + _STRIP].T)
             for r in range(0, n, _STRIP)):
         raise ValueError("matrix is not exactly symmetric")
-    if not (_OPENBLAS and overwrite and M.flags.writeable
+    if not (_OPENBLAS and upper and M.flags.writeable
             and M.flags.c_contiguous):
         try:
             return _finite(np.linalg.eigvalsh(M.T), "eigensolver")

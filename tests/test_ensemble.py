@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_spec
+from rmtlab import ensemble
 from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
                              EntryLaw, PartitionSpec, _mirror, _philox,
-                             _sample_upper, _scale_upper, _upper_fill,
-                             make_partition,
+                             _row_start, _sample_upper, _scale_upper,
+                             _stream_block, _upper_fill, make_partition,
                              sample_cross_block, sample_matrix, scale_matrix,
                              singleton_partition)
 from rmtlab.graphenergy import (energy_decomposition_check, graph_energy,
@@ -460,11 +461,10 @@ def test_counter_uniforms_is_the_oracle_stream():
             oracle_stream(seed, replicate, 1000, stream).tobytes()
 
 
-def oracle_fill(partition, intra, cross, seed, replicate, stream=0,
-                diagonal=True):
+def oracle_fill(partition, intra, cross, seed, replicate, diagonal=True):
     n = partition.n
     iu = np.triu_indices(n, k=0 if diagonal else 1)
-    u = oracle_stream(seed, replicate, iu[0].size, stream)
+    u = oracle_stream(seed, replicate, iu[0].size, stream=0)
     labels = partition.part_labels()
     same = labels[iu[0]] == labels[iu[1]]
     vals = np.empty(u.size)
@@ -521,10 +521,10 @@ def check_decomposition(part, large, p, seed, replicate):
     blocks = [D[labels == a][:, labels == a] for a in sorted(large)]
     solved = []
 
-    def recording(M, overwrite=False, upper=False):
+    def recording(M, upper=False):
         # the check solves M in place, from its upper triangle
         solved.append(np.triu(M) if upper else M.copy())
-        return graph_energy(M, overwrite, upper=upper)
+        return graph_energy(M, upper=upper)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("rmtlab.graphenergy.graph_energy", recording)
@@ -537,25 +537,32 @@ def check_decomposition(part, large, p, seed, replicate):
 
 
 def test_decomposition_holds_one_matrix_of_order_n_at_a_time(monkeypatch):
-    # the fill, X and A are each unmapped before the next one is drawn or
-    # solved, and no view of one outlives it
+    # X and A are the only n x n draws, each unmapped before the next one is
+    # drawn or solved, and no view of one outlives it; every other mapping
+    # is one large part's diagonal block of D
     from rmtlab import graphenergy
-    drawn = []
+    drawn, mapped = [], []
 
     def fill(*args, **kwargs):
         A = _upper_fill(*args, **kwargs)
         drawn.append(weakref.ref(_mapping(A)))
         return A
 
-    def solve(M, overwrite=False, upper=False):
+    def zeros(shape, make=ensemble._zeros):
+        mapped.append(shape)
+        return make(shape)
+
+    def solve(M, upper=False):
         assert [r() for r in drawn if r() is not None] in ([], [_mapping(M)])
-        return graph_energy(M, overwrite, upper=upper)
+        return graph_energy(M, upper=upper)
 
     monkeypatch.setattr(graphenergy, "_upper_fill", fill)
     monkeypatch.setattr(graphenergy, "graph_energy", solve)
+    monkeypatch.setattr(ensemble, "_zeros", zeros)
     energy_decomposition_check(
-        graph_spec(PartitionSpec(150, (90, 30, 30)), 0.5, 3), [0, 1, 2])
-    assert len(drawn) == 3
+        graph_spec(PartitionSpec(150, (90, 30, 30)), 0.5, 3), [0, 2, 1])
+    assert len(drawn) == 2
+    assert mapped == [(90, 90), (30, 30), (30, 30), (150, 150), (150, 150)]
 
 
 def _at_most_400(sizes):
@@ -578,6 +585,20 @@ def sizes_and_large(draw):
     """FILL_SIZES and a random subset of its parts."""
     sizes = draw(FILL_SIZES)
     return sizes, draw(st.sets(st.integers(0, len(sizes) - 1)))
+
+
+@st.composite
+def stream_rectangles(draw):
+    """(n, rows, cols): n <= 400 not a multiple of the strip height, and a
+    rectangle of it that often ends on row or column n - 1 or is 1 x 1."""
+    n = draw(st.integers(1, 400).filter(lambda n: n % _ROW_BLOCK != 0))
+
+    def span():
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.one_of(st.just(n), st.just(lo + 1),
+                            st.integers(lo + 1, n)))
+        return slice(lo, hi)
+    return n, span(), span()
 
 
 # strips 0, 1, 3 and 4 lie in one part, strips 2 and 5 straddle parts, and
@@ -672,11 +693,52 @@ class TestFillMatchesIndexOracle:
     def test_fill_on_random_partitions(self, sizes, laws, diagonal, seed):
         part = PartitionSpec(sum(sizes), sizes)
         intra, cross = (law.from_uniform for law in laws)
-        got = _mirror(_upper_fill(part, intra, cross, seed, 2, stream=1,
+        got = _mirror(_upper_fill(EnsembleSpec(part, *laws, seed), 2,
                                   diagonal=diagonal))
         assert got.tobytes() == oracle_fill(part, intra, cross, seed, 2,
-                                            stream=1,
                                             diagonal=diagonal).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=stream_rectangles(), law=st.sampled_from(LAWS),
+           stream=st.sampled_from([0, 1]), diagonal=st.booleans(),
+           seed=st.integers(0, 2**64 - 1))
+    # rows 1.. start at stream offset 299, 1 x 1 blocks, blocks that end on
+    # row n - 1 (which holds no entry without the diagonal), a one-row
+    # triangle, and blocks below and across the diagonal
+    @example(case=(300, slice(1, 2), slice(1, 2)), law=LAWS[4], stream=1,
+             diagonal=False, seed=5)
+    @example(case=(300, slice(299, 300), slice(299, 300)), law=LAWS[2],
+             stream=0, diagonal=False, seed=6)
+    @example(case=(300, slice(230, 300), slice(0, 300)), law=LAWS[3],
+             stream=1, diagonal=True, seed=7)
+    @example(case=(1, slice(0, 1), slice(0, 1)), law=LAWS[1], stream=0,
+             diagonal=False, seed=8)
+    @example(case=(257, slice(3, 200), slice(0, 70)), law=LAWS[4], stream=0,
+             diagonal=False, seed=9)
+    def test_stream_block(self, case, law, stream, diagonal, seed):
+        # every entry on or above the diagonal (strictly above without it)
+        # is the stream's entry at _row_start(i, width) + j - i - k, mapped
+        # by the cross law; without the diagonal the diagonal is +0.0
+        n, rows, cols = case
+        spec = EnsembleSpec(PartitionSpec(n, (n,)), LAWS[0], law, seed)
+        got = _stream_block(spec, 2, rows, cols, stream=stream,
+                            diagonal=diagonal)
+        assert got.shape == (rows.stop - rows.start, cols.stop - cols.start)
+        assert got.flags.c_contiguous
+        k = 0 if diagonal else 1
+        width = n - k
+        u = oracle_stream(seed, 2, _row_start(width, width), stream)
+        i, j = np.meshgrid(np.arange(rows.start, rows.stop),
+                           np.arange(cols.start, cols.stop), indexing="ij")
+        on = j >= i + k
+        i, j = i[on], j[on]
+        want = law.from_uniform(u[_row_start(i, width) + j - i - k])
+        assert got[on].tobytes() == want.tobytes()
+        if not diagonal:
+            d = np.arange(max(rows.start, cols.start),
+                          min(rows.stop, cols.stop))
+            assert got[d - rows.start, d - cols.start].tobytes() == \
+                np.zeros(d.size).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(case=sizes_and_large(), p=st.sampled_from([0.0, 0.4, 1.0]))

@@ -104,7 +104,7 @@ class TestInPlaceSolve:
             want = np.linalg.eigvalsh(M)
             copied = eigenvalues_sym(M)
             kept = M.copy()
-            got = eigenvalues_sym(M, overwrite=True)
+            got = eigenvalues_sym(M, upper=True)
         finally:
             _set_blas_threads(found)
         assert got.tobytes() == want.tobytes() == copied.tobytes()
@@ -122,13 +122,13 @@ class TestInPlaceSolve:
         M = random_symmetric(40, rng)
         A = make(M)
         want = np.linalg.eigvalsh(np.asarray(A, dtype=float))
-        assert eigenvalues_sym(A, overwrite=True).tobytes() == want.tobytes()
+        assert eigenvalues_sym(A, upper=True).tobytes() == want.tobytes()
 
     def test_read_only_input_is_not_written(self):
         M = random_symmetric(30, np.random.default_rng(4))
         M.flags.writeable = False
         kept = M.copy()
-        assert eigenvalues_sym(M, overwrite=True).tobytes() == \
+        assert eigenvalues_sym(M, upper=True).tobytes() == \
             np.linalg.eigvalsh(kept).tobytes()
         assert np.array_equal(M, kept)
 
@@ -145,8 +145,7 @@ class TestInPlaceSolve:
             assert spectral._OPENBLAS.evd2(_COL_MAJOR, b"N", b"L", cut,
                                            work.ctypes.data, cut,
                                            direct.ctypes.data) == 0
-            got = [eigenvalues_sym(M.copy(), overwrite=True)
-                   for _ in range(2)]
+            got = [eigenvalues_sym(M.copy(), upper=True) for _ in range(2)]
         finally:
             _set_blas_threads(found)
         assert got[0].tobytes() == direct.tobytes() == got[1].tobytes()
@@ -165,25 +164,25 @@ class TestInPlaceSolve:
         _set_blas_threads(pool)
         try:
             want = np.linalg.eigvalsh(M)
-            got = eigenvalues_sym(M, overwrite=True)
+            got = eigenvalues_sym(M, upper=True)
         finally:
             _set_blas_threads(found)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("overwrite", [
+    @pytest.mark.parametrize("upper", [
         False, pytest.param(True, marks=needs_openblas)],
         ids=["copy", "in_place"])
-    def test_infinite_entry_is_a_spectral_error(self, overwrite):
+    def test_infinite_entry_is_a_spectral_error(self, upper):
         # the solve gives NaN for it, where a NaN entry is refused
         M = np.array([[np.inf, 1.0], [1.0, 2.0]])
         with pytest.raises(SpectralError, match="not finite"):
-            eigenvalues_sym(M, overwrite=overwrite)
+            eigenvalues_sym(M, upper=upper)
 
     def test_without_the_binding_eigvalsh_solves(self, monkeypatch):
         monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
         M = random_symmetric(30, np.random.default_rng(5))
         kept = M.copy()
-        assert eigenvalues_sym(M, overwrite=True).tobytes() == \
+        assert eigenvalues_sym(M, upper=True).tobytes() == \
             np.linalg.eigvalsh(kept).tobytes()
         assert np.array_equal(M, kept)
         assert blas_threads() is None
@@ -209,9 +208,8 @@ class TestTriangleSolve:
         found = blas_threads()
         _set_blas_threads(pool)
         try:
-            return (eigenvalues_sym(M.copy(), overwrite=True),
-                    eigenvalues_sym(T, overwrite=True, upper=True),
-                    np.linalg.eigvalsh(M))
+            return (eigenvalues_sym(M.copy(), upper=True),
+                    eigenvalues_sym(T, upper=True), np.linalg.eigvalsh(M))
         finally:
             _set_blas_threads(found)
 
@@ -229,15 +227,17 @@ class TestTriangleSolve:
         assert upper.tobytes() == whole.tobytes()
         assert upper.tobytes() != want.tobytes()  # the two-stage driver's
 
-    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("writeable", [False, True],
+                             ids=["read_only", "writeable"])
     @pytest.mark.parametrize("n", [1, 50, 200])
     def test_without_the_binding_eigvalsh_solves(self, monkeypatch, n,
-                                                 overwrite):
+                                                 writeable):
         monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
         M = random_symmetric(n, np.random.default_rng(n))
         T = upper_with_nan_below(M)
+        T.flags.writeable = writeable  # with the binding, in place if true
         kept = T.copy()
-        got = eigenvalues_sym(T, overwrite=overwrite, upper=True)
+        got = eigenvalues_sym(T, upper=True)
         assert got.tobytes() == np.linalg.eigvalsh(M).tobytes() == \
             eigenvalues_sym(M).tobytes()
         assert np.array_equal(T, kept, equal_nan=True)
@@ -252,13 +252,37 @@ class TestTriangleSolve:
             monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
         T = np.triu(random_symmetric(70, np.random.default_rng(61)))
         T[i, j] = np.nan
+        if route == "copy":  # the layout takes it to eigvalsh
+            T = np.asfortranarray(T)
         with pytest.raises(SpectralError):
-            eigenvalues_sym(T, overwrite=route == "in_place", upper=True)
+            eigenvalues_sym(T, upper=True)
+
+    @pytest.mark.parametrize("layout",
+                             ["read_only", "fortran", "strided", "float32"])
+    def test_other_triangles_solve_a_copy(self, layout):
+        # entries that float32 holds, so that every layout holds one matrix
+        M = random_symmetric(50, np.random.default_rng(71))
+        M = M.astype(np.float32).astype(float)
+        T = upper_with_nan_below(M)
+        if layout == "read_only":
+            T.flags.writeable = False
+        elif layout == "fortran":
+            T = np.asfortranarray(T)
+        elif layout == "strided":
+            W = np.full((100, 100), np.nan)
+            W[::2, ::2] = T
+            T = W[::2, ::2]
+        else:
+            T = T.astype(np.float32)
+        kept = T.copy()
+        got = eigenvalues_sym(T, upper=True)
+        assert got.tobytes() == np.linalg.eigvalsh(M).tobytes()
+        assert np.array_equal(T, kept, equal_nan=True)
 
     def test_the_symmetry_check_still_reads_both_triangles(self):
         T = np.triu(random_symmetric(70, np.random.default_rng(67)))
         with pytest.raises(ValueError, match="not exactly symmetric"):
-            eigenvalues_sym(T, overwrite=True)
+            eigenvalues_sym(T)
 
 
 def two_part(B):
