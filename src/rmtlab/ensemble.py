@@ -4,10 +4,12 @@ A matrix of order n is split by a partition of {0,...,n-1} into parts.
 Entries whose endpoints share a part are drawn from one bounded scalar law,
 cross-part entries from another; the upper triangle (diagonal included) is
 drawn independently.  `sample_matrix` mirrors it into the lower one; the
-run path keeps the triangle alone (`_sample_upper`), which is all that its
+run path keeps the triangle alone (`_upper_fill`), which is all that its
 symmetric solve reads.  Sampling is counter-based, so a given
 (spec, replicate) pair always produces the same matrix regardless of
-traversal order or thread schedule.
+traversal order or thread schedule.  One reader, `_copy_stream`, walks
+every stream strip by strip: `_upper_fill` maps its strips by part, and
+`_stream_block` by the cross law.
 """
 
 from __future__ import annotations
@@ -375,7 +377,7 @@ def _zeros(shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(buf).reshape(shape)
 
 
-# rows per strip of _upper_fill; a strip's blocks stay in cache
+# rows per strip of _copy_stream; a strip's blocks stay in cache
 _ROW_BLOCK = 64
 
 
@@ -385,42 +387,80 @@ def _row_start(i: int, width: int) -> int:
     return i * width - i * (i - 1) // 2
 
 
-def _upper_fill(spec: EnsembleSpec, replicate: int,
-                diagonal: bool = True) -> np.ndarray:
-    """Upper triangle of a matrix of spec, drawn from stream 0 of _philox.
+def _copy_stream(spec: EnsembleSpec, replicate: int, out: np.ndarray,
+                 rows: slice, cols: slice, *, stream: int = 0,
+                 diagonal: bool = True):
+    """Copy the rows x cols rectangle of the upper triangle that `stream`
+    of _philox fills into `out`, a C-order array of its shape, and yield
+    each strip (r, h) once copied, for the caller to map rows r..r+h-1 in
+    cache.  Of `out`, each strip's rows are written from the triangle's
+    column max(c0, r) on, 0 where the stream fills nothing: below the
+    diagonal, only the strips' squares, whose values mean nothing.
 
-    The stream fills the upper triangle row by row, row i taking columns
-    i..n-1 (i+1..n-1 when not `diagonal`; the diagonal is then 0) from
-    offset _row_start.  It is drawn and mapped in strips of _ROW_BLOCK rows,
-    each strip's draw continuing the stream, from the strip's first row r
-    on.  Its laws' maps act elementwise, each on a block of the strip that it
-    overwrites (map(u, out=u)).  With lo..mid-1 the columns of the last
-    row's part from r on, rows lo.. take `intra` on columns lo..mid-1.  Rows
-    r..lo-1 lie in earlier parts: they take `cross` on columns lo..mid-1,
-    and on the square of columns r..lo-1 (at most 63 x 63) `intra` or
-    `cross` by whether row and column share a part.  Every row takes
-    `cross` from column mid on.  Below the diagonal only the strips' own
-    squares are written, with values that mean nothing: the rest of the
-    lower triangle stays unwritten, and mostly not resident (see _zeros).
+    Row i of the triangle takes columns i + k..n-1 (k = 0, or 1 without
+    `diagonal`) from stream offset _row_start, entry (i, j) at offset
+    j - i - k of it.  Philox makes four doubles per counter step, so
+    advance(offset // 4) and offset % 4 single draws reach row rows.start;
+    whole rows are then drawn in strips of _ROW_BLOCK.  Without `diagonal`,
+    the diagonal is zeroed once the caller is done with the last strip.
+    """
+    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+    k = 0 if diagonal else 1
+    width = spec.n - k
+    uniforms = _philox(spec.seed, replicate, stream)
+    uniforms.bit_generator.advance(_row_start(r0, width) // 4)
+    uniforms.random(_row_start(r0, width) % 4)
+    # every strip is drawn into the first one's buffer: a fresh draw per
+    # strip may fault its pages in anew, as the thread heap shrinks and grows
+    buf = np.empty(_row_start(min(_ROW_BLOCK, r1 - r0, width - r0),
+                              width - r0))
+    # out as one run of doubles: a row copied between memoryview slices
+    # costs less interpreter time than between numpy ones
+    src, dst = memoryview(buf), memoryview(out.reshape(-1))
+    m = c1 - c0
+    for r in range(r0, r1, _ROW_BLOCK):
+        h = min(_ROW_BLOCK, r1 - r)
+        # the draw's row d is row r + d: rows from `width` on hold none
+        uniforms.random(out=buf[:_row_start(min(h, width - r), width - r)])
+        # fault the strip's pages in without the GIL, which the row copies hold
+        out[r - r0:r - r0 + h, max(c0, r) - c0:] = 0.0
+        # where column 0 of row r would be, in the draw and in out
+        at, to = -r - k, (r - r0) * m - c0
+        # rows from c1 - k on have no column of the rectangle: a slice
+        # running back from there to c1 would wrap round
+        for i in range(r, min(r + h, width, c1 - k)):
+            c = c0 if i + k < c0 else i + k
+            dst[to + c:to + c1] = src[at + c:at + c1]
+            at, to = at + width - i - 1, to + m
+        yield r, h
+    if not diagonal:
+        i = np.arange(max(r0, c0), min(r1, c1))
+        out[i - r0, i - c0] = 0.0
+
+
+def _upper_fill(spec: EnsembleSpec, replicate: int, *,
+                diagonal: bool = True) -> np.ndarray:
+    """Upper triangle of a matrix of spec, copied out of stream 0 of _philox
+    by _copy_stream (row i from column i, or i + 1 and a 0 diagonal when
+    not `diagonal`), the strictly-lower triangle holding nothing of it.
+
+    Each strip's laws' maps act elementwise, each on a block of the strip
+    that it overwrites (map(u, out=u)).  With lo..mid-1 the columns of the
+    last row's part from the strip's first row r on, rows lo.. take `intra`
+    on columns lo..mid-1.  Rows r..lo-1 lie in earlier parts: they take
+    `cross` on columns lo..mid-1, and on the square of columns r..lo-1 (at
+    most 63 x 63) `intra` or `cross` by whether row and column share a
+    part.  Every row takes `cross` from column mid on.  The lower triangle
+    outside the strips' squares stays unwritten, and mostly not resident
+    (see _zeros).
     """
     n = spec.n
     intra, cross = spec.law_intra.from_uniform, spec.law_cross.from_uniform
-    k = 0 if diagonal else 1
-    width = n - k
-    uniforms = _philox(spec.seed, replicate)
     A = _zeros((n, n))
     labels = spec.partition.part_labels()
-    # every strip is drawn into the first one's buffer: a fresh draw per
-    # strip may fault its pages in anew, as the thread heap shrinks and grows
-    buf = np.empty(_row_start(min(_ROW_BLOCK, width), width))
-    for r in range(0, n, _ROW_BLOCK):
-        last = min(r + _ROW_BLOCK, n) - 1
-        top = min(last + 1, width)  # rows r..top-1 hold stream entries
-        u = uniforms.random(
-            out=buf[:_row_start(top, width) - _row_start(r, width)])
-        for i in range(r, top):
-            start = _row_start(i, width) - _row_start(r, width)
-            A[i, i + k:] = u[start:start + width - i]
+    for r, h in _copy_stream(spec, replicate, A, slice(0, n), slice(0, n),
+                             diagonal=diagonal):
+        last = r + h - 1
         lo = max(r, int(np.searchsorted(labels, labels[last], "left")))
         mid = int(np.searchsorted(labels, labels[last], "right"))
         if lo > r:
@@ -432,8 +472,6 @@ def _upper_fill(spec: EnsembleSpec, replicate: int,
             cross(A[r:lo, lo:mid], out=A[r:lo, lo:mid])
         intra(A[lo:last + 1, lo:mid], out=A[lo:last + 1, lo:mid])
         cross(A[r:last + 1, mid:], out=A[r:last + 1, mid:])
-    if not diagonal:
-        A.flat[::n + 1] = 0.0
     return A
 
 
@@ -452,57 +490,23 @@ def _mirror(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _sample_upper(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
-    """The upper triangle, diagonal included, of sample_matrix(spec,
-    replicate), what the run path's symmetric solve reads; the strictly
-    lower triangle holds nothing of the matrix."""
-    return _upper_fill(spec, replicate)
-
-
 def sample_matrix(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     """Draw one symmetric matrix; pure function of (spec, replicate)."""
-    return _mirror(_sample_upper(spec, replicate))
+    return _mirror(_upper_fill(spec, replicate))
 
 
 def _stream_block(spec: EnsembleSpec, replicate: int, rows: slice,
                   cols: slice, *, stream: int = 0,
                   diagonal: bool = True) -> np.ndarray:
     """The rows x cols rectangle, C-order in a mapping of its own, of the
-    upper triangle that `stream` fills as _upper_fill does, every entry
-    mapped by spec.law_cross; without `diagonal` the diagonal is 0.
-
-    Philox makes four doubles per counter step: advance(offset // 4) and
-    offset % 4 single draws reach row rows.start.  Whole rows are then
-    drawn in strips of _ROW_BLOCK, and one gather per strip copies its
-    rectangle [r:r+_ROW_BLOCK, max(c0, r):c1] out of the draw, entry (i, j)
-    at offset j - i - k of row i.  Below the diagonal only those squares
-    are written, with values that mean nothing.
-    """
-    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
-    k = 0 if diagonal else 1
-    width = spec.n - k
-    uniforms = _philox(spec.seed, replicate, stream)
-    uniforms.bit_generator.advance(_row_start(r0, width) // 4)
-    uniforms.random(_row_start(r0, width) % 4)
-    B = _zeros((r1 - r0, c1 - c0))
-    # as in _upper_fill, every strip is drawn into the first one's buffer
-    h = min(_ROW_BLOCK, r1 - r0)
-    buf = np.empty(_row_start(min(h, width - r0), width - r0))
-    index = np.empty((h, max(c1 - max(c0, r0), 0)), dtype=np.intp)
-    for r in range(r0, r1, _ROW_BLOCK):
-        h, c, w = min(_ROW_BLOCK, r1 - r), max(c0, r), width - r
-        # the draw's row d is row r + d: rows from `width` on hold none
-        u = uniforms.random(out=buf[:_row_start(min(h, w), w)])
-        if u.size and c < c1:
-            d = np.arange(h)
-            at = np.add.outer(_row_start(d, w) - d - k + c - r,
-                              np.arange(c1 - c), out=index[:h, :c1 - c])
-            strip = B[r - r0:r - r0 + h, c - c0:]
-            np.take(u, at, out=strip, mode="clip")
-            spec.law_cross.from_uniform(strip, out=strip)
-    if not diagonal:
-        i = np.arange(max(r0, c0), min(r1, c1))
-        B[i - r0, i - c0] = 0.0
+    upper triangle that _copy_stream copies out of `stream`, every entry
+    mapped by spec.law_cross; without `diagonal` the diagonal is 0."""
+    r0, c0, c1 = rows.start, cols.start, cols.stop
+    B = _zeros((rows.stop - r0, c1 - c0))
+    for r, h in _copy_stream(spec, replicate, B, rows, cols, stream=stream,
+                             diagonal=diagonal):
+        strip = B[r - r0:r - r0 + h, max(c0, r) - c0:]
+        spec.law_cross.from_uniform(strip, out=strip)
     return B
 
 
@@ -519,7 +523,7 @@ def scale_matrix(A: np.ndarray, n: int | None = None,
     a block of a matrix of order n is scaled by passing that n.  With
     `overwrite`, A is divided in place and returned."""
     if n is None:
-        n = A.shape[0]
+        n = A.shape[0] if A.ndim else 0
         if A.shape != (n, n) or n < 1:
             raise EnsembleError("square matrix of positive order required")
     return np.divide(A, 2.0 * math.sqrt(n), out=A if overwrite else None)

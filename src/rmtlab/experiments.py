@@ -37,11 +37,10 @@ import numpy as np
 
 from . import __version__
 from .ensemble import (SEED_HI, EnsembleError, EnsembleSpec, EntryLaw,
-                       _sample_upper, _scale_upper, check_fractions,
+                       _scale_upper, _upper_fill, check_fractions,
                        is_finite, make_partition, sample_cross_block,
                        scale_matrix, singleton_partition)
-from .graphenergy import (_sample_graph_upper, check_large_parts,
-                          energy_bounds_unbalanced,
+from .graphenergy import (check_large_parts, energy_bounds_unbalanced,
                           energy_decomposition_check, graph_energy,
                           leading_energy)
 from .laws import (LawError, catalan, gamma_bipartite_printed,
@@ -250,7 +249,7 @@ def _spectra(spec: EnsembleSpec, replicates: int):
                 sample_cross_block(spec, i), spec.n, overwrite=True))
     else:
         def one(i):
-            return eigenvalues_sym(_scale_upper(_sample_upper(spec, i)),
+            return eigenvalues_sym(_scale_upper(_upper_fill(spec, i)),
                                    upper=True)
     return _map_replicates(one, replicates)
 
@@ -259,7 +258,8 @@ def _energies(spec: EnsembleSpec, replicates: int):
     # each replicate's graph is drawn as its upper triangle and solved in
     # place
     def one(i):
-        return graph_energy(_sample_graph_upper(spec, i), upper=True)
+        return graph_energy(_upper_fill(spec, i, diagonal=False),
+                            upper=True)
     return _map_replicates(one, replicates)
 
 

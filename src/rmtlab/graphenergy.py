@@ -29,14 +29,7 @@ def sample_graph(spec: EnsembleSpec, replicate: int = 0) -> np.ndarray:
     sample_matrix, the diagonal takes no stream entries and is 0, so graph
     records replay here.  Deterministic per (spec, replicate).
     """
-    return _mirror(_sample_graph_upper(spec, replicate))
-
-
-def _sample_graph_upper(spec: EnsembleSpec, replicate: int = 0) \
-        -> np.ndarray:
-    """The upper triangle of sample_graph(spec, replicate), what the run
-    path's solves read (see ensemble._sample_upper)."""
-    return _upper_fill(spec, replicate, diagonal=False)
+    return _mirror(_upper_fill(spec, replicate, diagonal=False))
 
 
 def graph_energy(A: np.ndarray, *, upper: bool = False) -> float:
@@ -110,7 +103,7 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     blocks' energies.  `block_diagonal` is true by construction.
 
     Each solve overwrites its matrix, an upper triangle: all that is drawn
-    and added are the strips of _upper_strips.  D's blocks are gathered
+    and added are the strips of _upper_strips.  D's blocks are copied
     straight out of their stream (_stream_block); X is built in a fresh
     sample of A, and A is drawn again for its own solve, so one n x n
     matrix and D's blocks are held at a time.
@@ -123,7 +116,7 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     # on stream 1, D's blocks share no uniform with the edges (stream 0)
     blocks = [(s, _stream_block(spec, replicate, s, s, stream=1,
                                 diagonal=False)) for s in spans]
-    X = _sample_graph_upper(spec, replicate)
+    X = _upper_fill(spec, replicate, diagonal=False)
     for span, block in blocks:
         for s in _upper_strips(len(block)):
             X[span, span][s] += block[s]
@@ -131,7 +124,8 @@ def energy_decomposition_check(spec: EnsembleSpec, large_part_indices,
     del X
     eD = sum((graph_energy(block, upper=True) for _, block in blocks), 0.0)
     del blocks
-    eA = graph_energy(_sample_graph_upper(spec, replicate), upper=True)
+    eA = graph_energy(_upper_fill(spec, replicate, diagonal=False),
+                      upper=True)
     upper = _kyfan_verdict(eA + eD, eX)  # E(A) + E(D) >= E(A + D)
     lower = _kyfan_verdict(eX + eD, eA)  # E(X) + E(-D) >= E(X - D)
     return {

@@ -6,25 +6,26 @@ rank inequality and the Stieltjes perturbation bound.
 
 Where numpy ships OpenBLAS, its thread-pool size and LAPACKE `dsyevd` and
 `dsyevd_2stage` are reached through ctypes: `blas_threads` reads the pool
-size, and a symmetric solve of a triangle (`upper=True`) may overwrite it.
-ctypes releases the GIL for the length of the call, so replicate threads
-solve side by side.  Every other symmetric solve, and every symmetric
-solve where the pool size is unknown (None), is `np.linalg.eigvalsh`; every
-singular-value solve is `np.linalg.svd` on a copy.  A solve whose values
-are not all finite (a NaN or infinite entry that it reads, or an overflow
-inside the solver) raises SpectralError.
+size, and every symmetric solve is one of the two drivers.  ctypes
+releases the GIL for the length of the call, so replicate threads solve
+side by side.  Where the pool size is unknown (None), every symmetric
+solve is `np.linalg.eigvalsh`; every singular-value solve is
+`np.linalg.svd` on a copy.  A solve whose values are not all finite (a
+NaN or infinite entry that it reads, or an overflow inside the solver)
+raises SpectralError.
 
 The solve contract: every symmetric solve reads the upper triangle of its
 matrix, diagonal included, and nothing else.  `eigenvalues_sym` checks
 that the matrix is exactly symmetric and solves a copy, unless it is
 handed the upper triangle alone (`upper=True`, the run path), which may
-have anything below it, NaN included, and is solved in place where its
-layout allows.  An in-place solve
-below order `_TWO_STAGE_FROM_N`, or on a pool of more than one thread,
-gives `eigvalsh`'s bits.  From that order on a one-thread pool the driver
-is `dsyevd_2stage` (full to band to tridiagonal), whose eigenvalues differ
-from `eigvalsh`'s in the last bits; outputs stay a pure function of
-(config, seed) on one host.
+have anything below it, NaN included, and is solved in place when it is a
+writeable C-order float64 array.  Any other triangle, and any checked
+matrix, is copied into a C-order array for the same call, so layout moves
+no bit.  Below order `_TWO_STAGE_FROM_N`, or on a pool of more than one
+thread, the driver is `dsyevd` and gives `eigvalsh`'s bits.  From that
+order on a one-thread pool it is `dsyevd_2stage` (full to band to
+tridiagonal), whose eigenvalues differ from `eigvalsh`'s in the last bits;
+outputs stay a pure function of (config, seed) on one host.
 
 The moments of [[0, B], [B^T, 0]] are traces of powers of B's smaller
 Gram matrix G, scaled by 1/(4n) before any power is formed, with no SVD
@@ -125,22 +126,21 @@ def eigenvalues_sym(M: np.ndarray, *, upper: bool = False) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
     M must be exactly symmetric, which is checked (a NaN entry fails the
-    check), and `np.linalg.eigvalsh(M.T)` solves a copy.  With `upper`,
-    M's upper triangle (diagonal included) is the matrix: nothing is
-    checked, the strictly-lower triangle is never read, and where the
-    binding is present and M, as float64, is writeable and C-contiguous, M
-    is the solver's workspace and holds garbage afterwards (any other M is
-    solved by `eigvalsh` on a copy).  Either solve reads M's upper
-    triangle, the lower one of M.T, and a NaN there is a SpectralError.
-    Below order `_TWO_STAGE_FROM_N`, or on a BLAS pool of more than one
-    thread, the in-place solve is LAPACK's `dsyevd`, as `eigvalsh` calls
-    it, and gives `eigvalsh`'s bits.  From that order on a one-thread pool
-    it is `dsyevd_2stage`: each eigenvalue is within n * eps *
-    max|eigenvalue| of `eigvalsh`'s, and the same M gives the same bits on
-    one host.
+    check).  With `upper`, M's upper triangle (diagonal included) is the
+    matrix: nothing is checked and the strictly-lower triangle is never
+    read.  Where the binding is present, LAPACKE solves the upper triangle
+    (the lower one of M.T, read column-major): in place, leaving garbage,
+    when `upper` is given and M, as float64, is writeable and C-contiguous,
+    and in a C-order copy otherwise, so M's layout moves no bit.  Without
+    the binding `np.linalg.eigvalsh(M.T)` solves a copy.  A NaN in the
+    triangle read is a SpectralError.  Below order `_TWO_STAGE_FROM_N`, or
+    on a BLAS pool of more than one thread, the LAPACKE driver is `dsyevd`
+    and gives `eigvalsh`'s bits.  From that order on a one-thread pool it
+    is `dsyevd_2stage`: each eigenvalue is within n * eps * max|eigenvalue|
+    of `eigvalsh`'s.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
+    n = M.shape[0] if M.ndim else 0
     if M.shape != (n, n) or n < 1:
         raise ValueError("square matrix of positive order required")
     # strip r compares rows r.. of the upper triangle with columns r.. of the
@@ -149,13 +149,14 @@ def eigenvalues_sym(M: np.ndarray, *, upper: bool = False) -> np.ndarray:
             np.array_equal(M[r:r + _STRIP, r:], M[r:, r:r + _STRIP].T)
             for r in range(0, n, _STRIP)):
         raise ValueError("matrix is not exactly symmetric")
-    if not (_OPENBLAS and upper and M.flags.writeable
-            and M.flags.c_contiguous):
+    if _OPENBLAS is None:
         try:
             return _finite(np.linalg.eigvalsh(M.T), "eigensolver")
         except np.linalg.LinAlgError as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") \
                 from exc
+    if not (upper and M.flags.writeable and M.flags.c_contiguous):
+        M = np.array(M, order="C")
     # M read column-major is M.T, whose lower triangle is M's upper one
     w = np.empty(n)
     evd = _OPENBLAS.evd2 if n >= _TWO_STAGE_FROM_N and blas_threads() == 1 \

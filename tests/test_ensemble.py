@@ -15,8 +15,8 @@ from conftest import graph_spec
 from rmtlab import ensemble
 from rmtlab.ensemble import (_ROW_BLOCK, EnsembleError, EnsembleSpec,
                              EntryLaw, PartitionSpec, _mirror, _philox,
-                             _row_start, _sample_upper, _scale_upper,
-                             _stream_block, _upper_fill, make_partition,
+                             _row_start, _scale_upper, _stream_block,
+                             _upper_fill, make_partition,
                              sample_cross_block, sample_matrix, scale_matrix,
                              singleton_partition)
 from rmtlab.graphenergy import (energy_decomposition_check, graph_energy,
@@ -347,7 +347,7 @@ class TestSampling:
         # from its strip's first column on: 5/8 of the pages are resident,
         # where a mirrored sample has all of them
         spec = rademacher_spec(2048, [0.5, 0.5])
-        T = _scale_upper(_sample_upper(spec, 0))
+        T = _scale_upper(_upper_fill(spec, 0))
         assert T.ctypes.data % mmap.PAGESIZE == 0
         assert resident_share(T) <= 0.70
         assert resident_share(_mirror(T)) == 1.0
@@ -757,6 +757,13 @@ class TestScaleMatrix:
 
     def test_n1(self):
         assert scale_matrix(np.array([[3.0]]))[0, 0] == 1.5
+
+    @pytest.mark.parametrize("A", [
+        np.float64(2.0), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)),
+        np.ones((0, 0))], ids=["0-d", "1-d", "2x3", "3-d", "0x0"])
+    def test_shape_refused(self, A):
+        with pytest.raises(EnsembleError, match="square matrix"):
+            scale_matrix(A)
 
 
 class TestCentralize:

@@ -22,7 +22,7 @@ from conftest import graph_spec
 from rmtlab import experiments, spectral
 from rmtlab.cli import main as cli_main
 from rmtlab.ensemble import (EnsembleSpec, EntryLaw, PartitionSpec,
-                             _sample_upper, make_partition,
+                             _upper_fill, make_partition,
                              sample_cross_block, sample_matrix, scale_matrix,
                              singleton_partition)
 from rmtlab.experiments import (KINDS, ConfigError, NumericError,
@@ -722,8 +722,8 @@ class TestSpectraRoute:
         n1 = spec.partition.sizes[0]
         want = [eigenvalues_bipartite(scale_matrix(sample_matrix(spec, r))
                                       [:n1, n1:]) for r in range(3)]
-        monkeypatch.setattr(experiments, "_sample_upper",
-                            _refuse("_sample_upper"))
+        monkeypatch.setattr(experiments, "_upper_fill",
+                            _refuse("_upper_fill"))
         got = _spectra(spec, 3)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -1325,9 +1325,9 @@ class TestThreads:
             seen.append(blas_threads())
             if i in failing:
                 raise failing[i](f"replicate {i}")
-            return _sample_upper(spec, i)
+            return _upper_fill(spec, i)
 
-        monkeypatch.setattr(experiments, "_sample_upper", sample)
+        monkeypatch.setattr(experiments, "_upper_fill", sample)
         with pytest.raises(raised) as info:
             run_experiment(rademacher_cfg("esd", n=40), tmp_path / "out",
                            replicates=6)
@@ -1378,9 +1378,9 @@ class TestThreads:
         def sample(spec, i):
             ran.add(threading.current_thread())
             all_in_flight.wait()
-            return _sample_upper(spec, i)
+            return _upper_fill(spec, i)
 
-        monkeypatch.setattr(experiments, "_sample_upper", sample)
+        monkeypatch.setattr(experiments, "_upper_fill", sample)
         rep = run_experiment(rademacher_cfg("esd", n=40), tmp_path,
                              replicates=8)
         assert rep["env"]["replicate_workers"] == len(ran) == 4
@@ -1398,7 +1398,7 @@ class TestThreads:
             both_started.wait()  # replicates 0 and 1 are both in flight
             raise (first, second)[i](f"replicate {i}")
 
-        monkeypatch.setattr(experiments, "_sample_upper", sample)
+        monkeypatch.setattr(experiments, "_upper_fill", sample)
         with pytest.raises(raised) as info:
             run_experiment(rademacher_cfg("esd", n=40), tmp_path / "out",
                            replicates=2)

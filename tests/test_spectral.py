@@ -60,6 +60,14 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues_sym(np.array([[0., 1.], [0., 0.]]))
 
+    @pytest.mark.parametrize("M", [
+        np.float64(3.0), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)),
+        np.ones((0, 0))], ids=["0-d", "1-d", "2x3", "3-d", "0x0"])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_shape_refused(self, M, upper):
+        with pytest.raises(ValueError, match="square matrix"):
+            eigenvalues_sym(M, upper=upper)
+
 
 needs_openblas = pytest.mark.skipif(blas_threads() is None,
                                     reason="numpy's OpenBLAS is not reachable")
@@ -252,7 +260,7 @@ class TestTriangleSolve:
             monkeypatch.setattr("rmtlab.spectral._OPENBLAS", None)
         T = np.triu(random_symmetric(70, np.random.default_rng(61)))
         T[i, j] = np.nan
-        if route == "copy":  # the layout takes it to eigvalsh
+        if route == "copy":  # the layout takes it to a C-order copy
             T = np.asfortranarray(T)
         with pytest.raises(SpectralError):
             eigenvalues_sym(T, upper=True)
@@ -278,6 +286,41 @@ class TestTriangleSolve:
         got = eigenvalues_sym(T, upper=True)
         assert got.tobytes() == np.linalg.eigvalsh(M).tobytes()
         assert np.array_equal(T, kept, equal_nan=True)
+
+    @needs_openblas
+    @pytest.mark.parametrize("layout", ["full", "read_only", "fortran",
+                                        "strided", "float32"])
+    def test_every_layout_solves_alike_at_the_cut_on_one_thread(self,
+                                                                layout):
+        # where the two-stage driver solves, a triangle in any layout, and
+        # the whole matrix, give the bits of its writeable C-order triangle
+        cut = spectral._TWO_STAGE_FROM_N
+        M = random_symmetric(cut, np.random.default_rng(73))
+        M = M.astype(np.float32).astype(float)
+        T = upper_with_nan_below(M)
+        if layout == "full":
+            A = M
+        elif layout == "read_only":
+            A = T.copy()
+            A.flags.writeable = False
+        elif layout == "fortran":
+            A = np.asfortranarray(T)
+        elif layout == "strided":
+            W = np.full((cut, 2 * cut), np.nan)
+            W[:, ::2] = T
+            A = W[:, ::2]
+        else:
+            A = T.astype(np.float32)
+        kept = A.copy()
+        found = blas_threads()
+        _set_blas_threads(1)
+        try:
+            want = eigenvalues_sym(T, upper=True)
+            got = eigenvalues_sym(A, upper=layout != "full")
+        finally:
+            _set_blas_threads(found)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(A, kept, equal_nan=True)
 
     def test_the_symmetry_check_still_reads_both_triangles(self):
         T = np.triu(random_symmetric(70, np.random.default_rng(67)))
